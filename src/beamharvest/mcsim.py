@@ -16,9 +16,10 @@ and the truncation bias is the caller's concern. In AUTO mode the field is
 effectively unbounded: beacons inside an exact-simulation radius are drawn
 jointly with their sensors, and the expected power of the remaining far tail
 (whose per-beacon gain toward the origin averages 1 for every scheme, by
-rotation symmetry) is added as a constant. That leaves zero mean bias and a
-relative variance deficit around 1e-5, far inside the AUTO bias budget
-2*pi*lam_p*P*sigma*R^(2-a)/(a-2) <= tail_epsilon * mean_power_omni.
+rotation symmetry) is added as a constant. That leaves zero mean bias, and
+the exact radius (_exact_zone_radius) is sized so that replacing the tail by
+its mean forfeits at most 1e-5 of the received-power variance. tail_epsilon
+plays no part in it: it only feeds auto_window_radius and the config echo.
 """
 
 from __future__ import annotations
@@ -108,10 +109,15 @@ class TrialSummary:
     ccdf: tuple[tuple[float, float], ...] = field(repr=False)
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True trials or a False seed is a mistake
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_config(params: ScenarioParams, config: SimConfig) -> None:
-    if not isinstance(config.trials, int) or config.trials < 1:
+    if not _is_int(config.trials) or config.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {config.trials!r}")
-    if not isinstance(config.master_seed, int) or not (
+    if not _is_int(config.master_seed) or not (
         0 <= config.master_seed < 1 << 64
     ):
         raise ConfigError(
@@ -123,7 +129,9 @@ def _check_config(params: ScenarioParams, config: SimConfig) -> None:
         raise ConfigError(f"tail_epsilon must be positive, got {config.tail_epsilon!r}")
     if config.window_radius != AUTO_WINDOW:
         w = config.window_radius
-        if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0:
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not (
+            math.isfinite(w) and w > 0
+        ):
             raise ConfigError(f"window_radius must be positive or AUTO, got {w!r}")
         if w < params.charging_radius:
             raise ConfigError(
@@ -137,6 +145,25 @@ def trial_stream(master_seed: int, trial_index: int, substream: int = 0) -> np.r
     key = np.array([master_seed, trial_index], dtype=np.uint64)
     counter = np.array([0, 0, 0, substream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+class _TrialStreams:
+    """trial_stream for many trials from one Philox generator: at() resets
+    its key, counter and buffered bits to those trial_stream would start
+    from, so the draws are identical without building a generator per
+    trial."""
+
+    def __init__(self, master_seed: int) -> None:
+        self._bits = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+        self._generator = np.random.Generator(self._bits)
+        self._state = self._bits.state
+
+    def at(self, trial_index: int, substream: int = 0) -> np.random.Generator:
+        state = self._state
+        state["state"]["key"][1] = trial_index
+        state["state"]["counter"][:] = (0, 0, 0, substream)
+        self._bits.state = state
+        return self._generator
 
 
 #: Allocation tie-break streams sit on per-scheme substreams so schemes never
@@ -220,31 +247,11 @@ def sector_of(pb, target, orientation: float, sectors: int) -> int:
 
 
 def _sectors_toward(
-    pb: np.ndarray, targets_dx: np.ndarray, targets_dy: np.ndarray,
-    orientations: np.ndarray, sectors: int,
+    targets_dx: np.ndarray, targets_dy: np.ndarray, orientations: np.ndarray, sectors: int
 ) -> np.ndarray:
     rel = np.mod(np.arctan2(targets_dy, targets_dx) - orientations, _TWO_PI)
     idx = (rel // (_TWO_PI / sectors)).astype(np.int64)
     return idx % sectors
-
-
-def _sector_counts(sample: NetworkSample, params: ScenarioParams) -> np.ndarray:
-    """Sensor count per (beacon, sector), (n_pb, N) ints."""
-    pb = sample.pb_points
-    sn = sample.sn_points
-    n_pb = len(pb)
-    n_sec = params.sectors
-    rho = params.charging_radius
-    if n_pb == 0:
-        return np.zeros((0, n_sec), dtype=np.int64)
-    trial_pb = np.zeros(n_pb, dtype=np.int64)
-    trial_sn = np.zeros(len(sn), dtype=np.int64)
-    i_pb, j_sn = _pairs_bucketed(pb, trial_pb, sn, trial_sn, rho)
-    dxp = sn[j_sn, 0] - pb[i_pb, 0]
-    dyp = sn[j_sn, 1] - pb[i_pb, 1]
-    sec = _sectors_toward(pb, dxp, dyp, sample.pb_orientations[i_pb], n_sec)
-    flat = np.bincount(i_pb * n_sec + sec, minlength=n_pb * n_sec)
-    return flat.reshape(n_pb, n_sec)
 
 
 def _pairs_bucketed(
@@ -252,46 +259,51 @@ def _pairs_bucketed(
 ):
     """(beacon, sensor) index pairs within rho and in the same trial.
 
-    Uniform grid with cell size rho; the cell key carries the trial label so
-    batches of concatenated trials join without cross-talk. Only the pair
-    *set* matters downstream (integer sector counts), so join order carries
-    no floating-point sensitivity.
+    Sensors are bucketed into a uniform grid of cell size rho, its bounds
+    taken from the points, with one block of cells per trial label so
+    batches of concatenated trials join without cross-talk. A counting pass
+    (bincount, then cumsum) over the dense cell keys gives the CSR index
+    start[key], the number of sensors in cells before key, into the sensors
+    sorted by key. A column's cells have consecutive keys, so each beacon
+    reads its 3x3 neighbourhood as three column strips
+    start[want-1] : start[want+2]. Only the pair *set* matters downstream
+    (integer sector counts), so neither the sort nor the join order carries
+    floating-point sensitivity, and the sort need not be stable.
     """
+    if len(pb) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     cell_pb = np.floor(pb / rho).astype(np.int64)
     cell_sn = np.floor(sn / rho).astype(np.int64)
-    lo = np.minimum(cell_pb.min(axis=0), cell_sn.min(axis=0)) - 1
-    hi = np.maximum(cell_pb.max(axis=0), cell_sn.max(axis=0))
+    # column by column: NumPy reduces an (n, 2) array along axis 0 ~25x slower
+    lo = [min(cell_pb[:, d].min(), cell_sn[:, d].min()) - 1 for d in (0, 1)]
+    hi = [max(cell_pb[:, d].max(), cell_sn[:, d].max()) for d in (0, 1)]
     span = int(hi[1] - lo[1] + 3)
-    cols = int(hi[0] - lo[0] + 3)
-    per_trial = span * cols
+    per_trial = span * int(hi[0] - lo[0] + 3)
+    n_keys = per_trial * (int(max(trial_pb.max(), trial_sn.max())) + 1)
     key_sn = trial_sn * per_trial + (cell_sn[:, 0] - lo[0]) * span + (cell_sn[:, 1] - lo[1])
-    order = np.argsort(key_sn, kind="stable")
-    key_sorted = key_sn[order]
+    order = np.argsort(key_sn)
+    start = np.bincount(key_sn + 1, minlength=n_keys + 1)
+    np.cumsum(start, out=start)
     base_pb = trial_pb * per_trial + (cell_pb[:, 0] - lo[0]) * span + (cell_pb[:, 1] - lo[1])
+    # sensor coordinates in key order, so a strip is one contiguous run
+    sx = sn[:, 0].take(order)
+    sy = sn[:, 1].take(order)
     out_i = []
     out_j = []
-    rho2 = rho * rho
-    pb_index = np.arange(len(pb))
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            want = base_pb + ox * span + oy
-            left = np.searchsorted(key_sorted, want, side="left")
-            right = np.searchsorted(key_sorted, want, side="right")
-            n_hit = right - left
-            if not n_hit.any():
-                continue
-            i_rep = np.repeat(pb_index, n_hit)
-            # offsets within each [left, right) run
-            csum = np.concatenate(([0], np.cumsum(n_hit)))
-            ramp = np.arange(csum[-1]) - np.repeat(csum[:-1], n_hit)
-            j_cand = order[np.repeat(left, n_hit) + ramp]
-            dx = sn[j_cand, 0] - pb[i_rep, 0]
-            dy = sn[j_cand, 1] - pb[i_rep, 1]
-            keep = dx * dx + dy * dy <= rho2
-            out_i.append(i_rep[keep])
-            out_j.append(j_cand[keep])
-    if not out_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # one column strip per pass (rows y-1 .. y+1) bounds the candidate arrays
+    for ox in (-span, 0, span):
+        want = base_pb + ox
+        left = start[want - 1]
+        n_hit = start[want + 2] - left
+        ends = np.cumsum(n_hit)
+        # candidate c of beacon b sits at sorted position left[b] + c - first[b]
+        pos = np.repeat(left - ends + n_hit, n_hit)
+        pos += np.arange(ends[-1])
+        dx = sx.take(pos) - np.repeat(pb[:, 0], n_hit)
+        dy = sy.take(pos) - np.repeat(pb[:, 1], n_hit)
+        keep = dx * dx + dy * dy <= rho * rho
+        out_i.append(np.repeat(np.arange(len(pb)), n_hit)[keep])
+        out_j.append(order.take(pos[keep]))
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
@@ -330,42 +342,56 @@ def pb_beam_state(
     return gains
 
 
-def _gains_toward_origin(
-    sample: NetworkSample,
-    counts: np.ndarray,
+def _origin_gains(
+    pb: np.ndarray,
+    trial_pb: np.ndarray,
+    orientations: np.ndarray,
+    sn: np.ndarray,
+    trial_sn: np.ndarray,
+    params: ScenarioParams,
     scheme: Allocation,
-    sectors: int,
-    rng: np.random.Generator | None,
+    tie_draws: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gain each beacon radiates toward the origin, all beacons at once."""
-    pb = sample.pb_points
+    """Gain each beacon radiates toward the origin, for a batch of trials.
+
+    Beacons and sensors carry trial labels; a sensor occupies a beacon's
+    sector when both share a trial and lie within the charging radius.
+    Beacon b gets pb_beam_state(counts_b, scheme)[k_b], k_b being its sector
+    holding the origin. Greedy breaks ties with tie_draws[b], one uniform
+    per beacon whether or not it ties, which keeps the stream layout fixed.
+    """
     n_pb = len(pb)
+    n_sec = params.sectors
     if scheme is Allocation.FORCED_OMNI:
         return np.ones(n_pb, dtype=np.float64)
-    k = _sectors_toward(pb, -pb[:, 0], -pb[:, 1], sample.pb_orientations, sectors)
+    i_pair, j_pair = _pairs_bucketed(pb, trial_pb, sn, trial_sn, params.charging_radius)
+    sec = _sectors_toward(
+        sn[j_pair, 0] - pb[i_pair, 0],
+        sn[j_pair, 1] - pb[i_pair, 1],
+        orientations[i_pair],
+        n_sec,
+    )
+    counts = np.bincount(i_pair * n_sec + sec, minlength=n_pb * n_sec).reshape(n_pb, n_sec)
+    k = _sectors_toward(-pb[:, 0], -pb[:, 1], orientations, n_sec)
+    rows = np.arange(n_pb)
     occupied = np.count_nonzero(counts, axis=1)
-    hit = counts[np.arange(n_pb), k]
-    idle = occupied == 0
+    hit = counts[rows, k]
     if scheme is Allocation.UNIFORM:
-        gains = np.where(hit > 0, sectors / np.maximum(occupied, 1), 0.0)
+        gains = np.where(hit > 0, n_sec / np.maximum(occupied, 1), 0.0)
     elif scheme is Allocation.ROBUST:
-        totals = counts.sum(axis=1)
-        gains = sectors * hit / np.maximum(totals, 1)
+        gains = n_sec * hit / np.maximum(counts.sum(axis=1), 1)
     elif scheme is Allocation.GREEDY:
-        if rng is None:
+        if tie_draws is None:
             raise ValueError("greedy tie-break needs an RNG stream")
-        # one draw per beacon regardless of ties keeps the stream layout fixed
-        u = rng.random(n_pb)
-        top = counts.max(axis=1)
-        ties = counts == top[:, np.newaxis]
+        ties = counts == counts.max(axis=1)[:, np.newaxis]
         n_ties = ties.sum(axis=1)
-        pick_rank = np.minimum((u * n_ties).astype(np.int64), n_ties - 1)
-        rank_of_k = np.cumsum(ties, axis=1)[np.arange(n_pb), k] - 1
-        chosen = ties[np.arange(n_pb), k] & (rank_of_k == pick_rank)
-        gains = np.where(chosen, float(sectors), 0.0)
+        pick_rank = np.minimum((tie_draws * n_ties).astype(np.int64), n_ties - 1)
+        rank_of_k = np.cumsum(ties, axis=1)[rows, k] - 1
+        chosen = ties[rows, k] & (rank_of_k == pick_rank)
+        gains = np.where(chosen, float(n_sec), 0.0)
     else:
         raise ValueError(f"unknown allocation scheme {scheme!r}")
-    return np.where(idle, 1.0, gains)
+    return np.where(occupied == 0, 1.0, gains)
 
 
 def received_power_origin(
@@ -380,14 +406,18 @@ def received_power_origin(
     origin sensor itself occupies sectors like any other sensor.
     """
     validate(params)
-    if len(sample.pb_points) == 0:
+    pb = sample.pb_points
+    if len(pb) == 0:
         return 0.0
-    if scheme is Allocation.FORCED_OMNI:
-        gains = np.ones(len(sample.pb_points), dtype=np.float64)
-    else:
-        counts = _sector_counts(sample, params)
-        gains = _gains_toward_origin(sample, counts, scheme, params.sectors, rng)
-    dist = np.hypot(sample.pb_points[:, 0], sample.pb_points[:, 1])
+    # greedy draws one tie-break uniform per beacon, as the batched engine does
+    greedy = scheme is Allocation.GREEDY and rng is not None
+    tie_draws = rng.random(len(pb)) if greedy else None
+    gains = _origin_gains(
+        pb, np.zeros(len(pb), dtype=np.int64), sample.pb_orientations,
+        sample.sn_points, np.zeros(len(sample.sn_points), dtype=np.int64),
+        params, scheme, tie_draws,
+    )
+    dist = np.hypot(pb[:, 0], pb[:, 1])
     atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
     return float(params.pb_power * params.attenuation * np.sum(gains * atten))
 
@@ -431,11 +461,17 @@ def _tail_mean(params: ScenarioParams, radius: float) -> float:
 
 
 def _batch_size(params: ScenarioParams, window: float) -> int:
-    """Trials fused per vectorized pass, sized to bound working-set memory."""
+    """Trials fused per vectorized pass, sized to bound working-set memory.
+
+    The join's CSR index holds one entry per grid cell of side rho over the
+    sensor window, so small radii fill a batch with cells, not points."""
+    rho = params.charging_radius
+    sn_window = window + rho
     expect_pb = params.pb_density * math.pi * window * window
-    expect_sn = params.sn_density * math.pi * (window + params.charging_radius) ** 2
-    expect_pairs = expect_pb * 9.0 * params.sn_density * params.charging_radius**2
-    rows = max(expect_pb, expect_sn, expect_pairs, 1.0)
+    expect_sn = params.sn_density * math.pi * sn_window**2
+    expect_pairs = expect_pb * 9.0 * params.sn_density * rho**2
+    cells = (2.0 * sn_window / rho + 3.0) ** 2
+    rows = max(expect_pb, expect_sn, expect_pairs, cells, 1.0)
     return int(min(256, max(1, 4.0e5 / rows)))
 
 
@@ -454,11 +490,9 @@ def _batch_powers(
     grouped into batches or spread over workers.
     """
     n_trials = stop - start
-    n_sec = params.sectors
-    rho = params.charging_radius
-    sn_window = window + rho
-    orient_width = _TWO_PI / n_sec
+    sn_window = window + params.charging_radius
     omni = scheme is Allocation.FORCED_OMNI
+    streams = _TrialStreams(master_seed)
     pb_blocks: list[np.ndarray] = []
     orient_blocks: list[np.ndarray] = []
     sn_blocks: list[np.ndarray] = []
@@ -466,7 +500,7 @@ def _batch_powers(
     n_pb = np.empty(n_trials, dtype=np.int64)
     n_sn = np.empty(n_trials, dtype=np.int64)
     for i in range(start, stop):
-        g = trial_stream(master_seed, i, substream=0)
+        g = streams.at(i)
         u_pb = _disk_uniform(params.pb_density, window, g)
         n_pb[i - start] = len(u_pb)
         pb_blocks.append(u_pb)
@@ -476,63 +510,25 @@ def _batch_powers(
             n_sn[i - start] = len(u_sn)
             sn_blocks.append(u_sn)
             if scheme is Allocation.GREEDY:
-                tie_blocks.append(
-                    trial_stream(
-                        master_seed, i, substream=_ALLOC_SUBSTREAM[scheme]
-                    ).random(len(u_pb))
-                )
+                tie_blocks.append(streams.at(i, _ALLOC_SUBSTREAM[scheme]).random(len(u_pb)))
     pb = _disk_points(np.concatenate(pb_blocks).reshape(-1, 2), window)
     t_pb = np.repeat(np.arange(n_trials), n_pb)
+    if omni:
+        gains = np.ones(len(pb), dtype=np.float64)
+    else:
+        orientations = np.concatenate(orient_blocks) * (_TWO_PI / params.sectors)
+        # each trial's origin sensor goes after the field sensors rather than
+        # first, as in draw_network: sensor order does not enter the counts
+        sn = np.vstack((
+            _disk_points(np.concatenate(sn_blocks).reshape(-1, 2), sn_window),
+            np.zeros((n_trials, 2)),
+        ))
+        t_sn = np.concatenate((np.repeat(np.arange(n_trials), n_sn), np.arange(n_trials)))
+        ties = np.concatenate(tie_blocks) if tie_blocks else None
+        gains = _origin_gains(pb, t_pb, orientations, sn, t_sn, params, scheme, ties)
     dist = np.hypot(pb[:, 0], pb[:, 1])
     atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
-    if omni:
-        contrib = atten
-    else:
-        orientations = np.concatenate(orient_blocks) * orient_width
-        sn_raw = _disk_points(np.concatenate(sn_blocks).reshape(-1, 2), sn_window)
-        # one origin sensor per trial, prepended as in draw_network
-        sn = np.empty((len(sn_raw) + n_trials, 2), dtype=np.float64)
-        t_sn = np.repeat(np.arange(n_trials), n_sn + 1)
-        origin_rows = np.concatenate(([0], np.cumsum(n_sn + 1)[:-1]))
-        sn[origin_rows] = 0.0
-        body = np.ones(len(sn), dtype=bool)
-        body[origin_rows] = False
-        sn[body] = sn_raw
-        if len(pb):
-            i_pair, j_pair = _pairs_bucketed(pb, t_pb, sn, t_sn, rho)
-            sec = _sectors_toward(
-                pb,
-                sn[j_pair, 0] - pb[i_pair, 0],
-                sn[j_pair, 1] - pb[i_pair, 1],
-                orientations[i_pair],
-                n_sec,
-            )
-            counts = np.bincount(
-                i_pair * n_sec + sec, minlength=len(pb) * n_sec
-            ).reshape(len(pb), n_sec)
-        else:
-            counts = np.zeros((0, n_sec), dtype=np.int64)
-        k = _sectors_toward(pb, -pb[:, 0], -pb[:, 1], orientations, n_sec)
-        rows = np.arange(len(pb))
-        occupied = np.count_nonzero(counts, axis=1)
-        hit = counts[rows, k]
-        if scheme is Allocation.UNIFORM:
-            gains = np.where(hit > 0, n_sec / np.maximum(occupied, 1), 0.0)
-        elif scheme is Allocation.ROBUST:
-            gains = n_sec * hit / np.maximum(counts.sum(axis=1), 1)
-        elif scheme is Allocation.GREEDY:
-            u = np.concatenate(tie_blocks) if tie_blocks else np.empty(0)
-            top = counts.max(axis=1) if len(pb) else np.empty(0, dtype=np.int64)
-            ties = counts == top[:, np.newaxis]
-            n_ties = ties.sum(axis=1)
-            pick_rank = np.minimum((u * n_ties).astype(np.int64), n_ties - 1)
-            rank_of_k = np.cumsum(ties, axis=1)[rows, k] - 1
-            chosen = ties[rows, k] & (rank_of_k == pick_rank)
-            gains = np.where(chosen, float(n_sec), 0.0)
-        else:
-            raise ConfigError(f"unknown allocation scheme {scheme!r}")
-        contrib = np.where(occupied == 0, 1.0, gains) * atten
-    powers = np.bincount(t_pb, weights=contrib, minlength=n_trials)
+    powers = np.bincount(t_pb, weights=gains * atten, minlength=n_trials)
     return params.pb_power * params.attenuation * powers
 
 

@@ -56,6 +56,48 @@ def one_beacon_sample(pb_xy, orientation, extra_sensors=()):
     )
 
 
+class FixedDraw:
+    """Stands in for a Generator whose next uniform is known in advance."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def scalar_origin_gains(sample, params, scheme, tie_draws=None):
+    """Reference for mcsim's gain kernel, one beacon at a time: brute-force
+    sector counts through sector_of, then pb_beam_state's entry for the
+    sector holding the origin. Greedy's tie-break for beacon b uses the
+    uniform tie_draws[b]."""
+    rho = params.charging_radius
+    out = []
+    for b, (pb, orient) in enumerate(zip(sample.pb_points, sample.pb_orientations)):
+        d = sample.sn_points - pb
+        counts = np.zeros(params.sectors, dtype=np.int64)
+        for sn in sample.sn_points[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= rho * rho]:
+            counts[sector_of(pb, sn, orient, params.sectors)] += 1
+        rng = None if tie_draws is None else FixedDraw(tie_draws[b])
+        gains = pb_beam_state(counts, scheme, params.sectors, rng)
+        out.append(gains[sector_of(pb, (0.0, 0.0), orient, params.sectors)])
+    return np.array(out, dtype=np.float64)
+
+
+def kernel_origin_gains(sample, params, scheme, tie_draws=None):
+    """mcsim's batched gain kernel applied to one realization."""
+    return mcsim._origin_gains(
+        sample.pb_points,
+        np.zeros(len(sample.pb_points), dtype=np.int64),
+        sample.pb_orientations,
+        sample.sn_points,
+        np.zeros(len(sample.sn_points), dtype=np.int64),
+        params,
+        scheme,
+        tie_draws,
+    )
+
+
 # --- streams ---
 
 
@@ -66,6 +108,20 @@ def test_trial_stream_is_reproducible_and_keyed():
     assert not np.array_equal(a, trial_stream(7, 4).random(5))
     assert not np.array_equal(a, trial_stream(8, 3).random(5))
     assert not np.array_equal(a, trial_stream(7, 3, substream=1).random(5))
+
+
+def test_rekeyed_streams_match_trial_stream():
+    # integers(..., dtype=uint32) leaves half a word buffered; re-keying
+    # must drop it along with the key and counter
+    streams = mcsim._TrialStreams(2**64 - 1)
+    for i, sub in ((0, 0), (5, 2), (5, 0), (2**40, 3), (0, 0)):
+        draws = []
+        for g in (trial_stream(2**64 - 1, i, sub), streams.at(i, sub)):
+            draws.append(
+                [g.integers(0, 9, 3, dtype=np.uint32), g.poisson(40.0, 4), g.random(3)]
+            )
+        for want, got in zip(*draws):
+            assert np.array_equal(want, got)
 
 
 # --- geometry ---
@@ -94,7 +150,7 @@ def test_sector_of_matches_vectorized_form():
     target = rng.normal(size=(40, 2))
     orient = rng.random(40) * (2.0 * math.pi / 6)
     got = mcsim._sectors_toward(
-        pb, target[:, 0] - pb[:, 0], target[:, 1] - pb[:, 1], orient, 6
+        target[:, 0] - pb[:, 0], target[:, 1] - pb[:, 1], orient, 6
     )
     want = [sector_of(pb[i], target[i], orient[i], 6) for i in range(40)]
     assert got.tolist() == want
@@ -223,6 +279,36 @@ def test_power_empty_network():
 # --- engine consistency ---
 
 
+@pytest.mark.parametrize(
+    "scheme", [Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY]
+)
+def test_origin_gains_match_pb_beam_state(scheme):
+    # sparse sensors leave many beacons with tied top sectors
+    pr = params_for(charging_radius=2.0, sn_density=0.4)
+    moved = 0
+    for seed in range(5):
+        sample = draw_network(pr, 9.0, trial_stream(seed, 0))
+        u = np.random.default_rng(seed).random(len(sample.pb_points))
+        runs = []
+        for draws in (u, (u + 0.5) % 1.0):
+            got = kernel_origin_gains(sample, pr, scheme, draws)
+            assert np.array_equal(got, scalar_origin_gains(sample, pr, scheme, draws))
+            runs.append(got)
+        moved += int(np.count_nonzero(runs[0] != runs[1]))
+    # only greedy reads the draws, and there moving them must resolve some
+    # tie the other way
+    assert (moved > 0) == (scheme is Allocation.GREEDY)
+
+
+def test_greedy_gains_need_tie_draws():
+    pr = params_for(charging_radius=2.0)
+    sample = one_beacon_sample((0.5, 0.0), 0.0, extra_sensors=[(1.3, 0.0)])
+    with pytest.raises(ValueError, match="tie-break"):
+        kernel_origin_gains(sample, pr, Allocation.GREEDY)
+    with pytest.raises(ValueError, match="tie-break"):
+        received_power_origin(sample, pr, Allocation.GREEDY)
+
+
 def test_batched_engine_matches_composed_ops():
     pr = params_for(charging_radius=2.0, sn_density=0.4)
     window = 8.0
@@ -231,9 +317,72 @@ def test_batched_engine_matches_composed_ops():
         batched = mcsim._batch_powers(pr, scheme, seed, 0, 12, window)
         for i in range(12):
             sample = draw_network(pr, window, trial_stream(seed, i))
-            rng = trial_stream(seed, i, substream=mcsim._ALLOC_SUBSTREAM[scheme])
-            want = received_power_origin(sample, pr, scheme, rng)
-            assert batched[i] == pytest.approx(want, rel=1e-13)
+            sub = mcsim._ALLOC_SUBSTREAM[scheme]
+            u = trial_stream(seed, i, substream=sub).random(len(sample.pb_points))
+            gains = scalar_origin_gains(sample, pr, scheme, u)
+            dist = np.hypot(sample.pb_points[:, 0], sample.pb_points[:, 1])
+            atten = np.maximum(dist, 1.0) ** -pr.path_loss_exp
+            total = 0.0
+            for g, a in zip(gains, atten):
+                total += g * a
+            # same draws, gains and summation order as the batch: exact
+            assert batched[i] == pr.pb_power * pr.attenuation * total
+            single = received_power_origin(
+                sample, pr, scheme, trial_stream(seed, i, substream=sub)
+            )
+            # np.sum adds pairwise, so only the last bits may differ
+            assert single == pytest.approx(batched[i], rel=1e-13)
+
+
+def lattice_batch(draw, trials, rho):
+    """Beacons and sensors on a rho/4 lattice: cell edges and exact
+    distance rho are representable, and every trial shares one region."""
+    point = st.tuples(st.integers(-10, 10), st.integers(-10, 10))
+    pb, t_pb, sn, t_sn = [], [], [], []
+    for t in range(trials):
+        beacons = draw(st.lists(point, max_size=6))
+        sensors = draw(st.lists(point, max_size=10))
+        pb += beacons
+        t_pb += [t] * len(beacons)
+        sn += [(0, 0)] + sensors  # the origin sensor of trial t
+        t_sn += [t] * (len(sensors) + 1)
+    step = rho / 4.0
+    return (
+        np.array(pb, dtype=np.float64).reshape(-1, 2) * step,
+        np.array(t_pb, dtype=np.int64),
+        np.array(sn, dtype=np.float64).reshape(-1, 2) * step,
+        np.array(t_sn, dtype=np.int64),
+    )
+
+
+def brute_force_pairs(pb, t_pb, sn, t_sn, rho):
+    dx = sn[np.newaxis, :, 0] - pb[:, np.newaxis, 0]
+    dy = sn[np.newaxis, :, 1] - pb[:, np.newaxis, 1]
+    near = (dx * dx + dy * dy <= rho * rho) & (t_pb[:, np.newaxis] == t_sn)
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(near))}
+
+
+def joined_pairs(pb, t_pb, sn, t_sn, rho):
+    i, j = mcsim._pairs_bucketed(pb, t_pb, sn, t_sn, rho)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert len(pairs) == len(set(pairs))
+    return set(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), trials=st.integers(1, 3), rho=st.sampled_from([0.5, 1.0, 2.0]))
+def test_pair_join_matches_brute_force(data, trials, rho):
+    batch = lattice_batch(data.draw, trials, rho)
+    assert joined_pairs(*batch, rho) == brute_force_pairs(*batch, rho)
+
+
+def test_pair_join_counts_distance_rho_as_inside():
+    # a beacon on a cell corner in negative coordinates; sensors at distance
+    # exactly rho on both axes are inside, the origin and (-2, -1.25) are not
+    pb = np.array([[-1.0, -2.0]])
+    sn = np.array([[0.0, 0.0], [-2.0, -2.0], [-1.0, -1.0], [-2.0, -1.25]])
+    batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(4, dtype=np.int64))
+    assert joined_pairs(*batch, 1.0) == {(0, 1), (0, 2)}
 
 
 def test_batch_grouping_does_not_change_results():
@@ -342,6 +491,16 @@ def test_config_guards():
         run_trials(pr, SimConfig(trials=5, master_seed=1, tail_epsilon=0.0))
     with pytest.raises(ConfigError, match="window_radius"):
         run_trials(pr, SimConfig(trials=5, master_seed=1, window_radius=-1.0))
+    # bool is an int subclass; True must not pass as one trial or seed 1
+    with pytest.raises(ConfigError, match="trials"):
+        run_trials(pr, SimConfig(trials=True, master_seed=1))
+    with pytest.raises(ConfigError, match="master_seed"):
+        run_trials(pr, SimConfig(trials=5, master_seed=False))
+    with pytest.raises(ConfigError, match="window_radius must be positive"):
+        run_trials(
+            params_for(charging_radius=0.5),
+            SimConfig(trials=5, master_seed=1, window_radius=True),
+        )
 
 
 # --- aggregation and output formats ---
