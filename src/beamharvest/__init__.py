@@ -5,7 +5,7 @@ optimization for sensors harvesting energy from a random field of power
 beacons that steer beams toward nearby devices.
 
 Modules:
-    scenario  parameter records, validation, config parsing
+    scenario  parameter records, validation, config keys
     specfun   incomplete-gamma kernels the closed forms depend on
     analytic  exact moments, Laplace transforms, Gamma-matched CCDF
     mcsim     reproducible network simulation and allocation schemes

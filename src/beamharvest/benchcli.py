@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, analytic, mcsim, radopt, scenario
 from .mcsim import Allocation, SimConfig
-from .scenario import ConfigError, ParameterError, ScenarioParams
+from .scenario import ConfigError, ParameterError
 
 __all__ = [
     "FigureId",
@@ -44,8 +44,8 @@ _DEFAULT_WAVELENGTH = 0.1
 _CCDF_TRIALS = 50_000
 _CURVE_TRIALS = 20_000
 
-#: Config keys consumed by SimConfig rather than ScenarioParams.
-SIM_KEYS = ("trials", "seed", "window_radius", "allocation", "tail_epsilon")
+#: Master seed of figure and simulation runs that name none.
+_DEFAULT_SEED = 20260819
 
 
 class FigureId(enum.Enum):
@@ -71,12 +71,8 @@ class ExperimentSpec:
     figure_id: FigureId
     overrides: tuple = ()
     output_dir: str = "."
-    seed: int = 20260819
+    seed: int = _DEFAULT_SEED
     trials: int = 0
-
-
-def _sigma() -> float:
-    return scenario.sigma_from_wavelength(_DEFAULT_WAVELENGTH)
 
 
 def _figure_base(figure_id: FigureId) -> dict:
@@ -120,28 +116,6 @@ def _derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _apply_overrides(base: dict, overrides) -> dict:
-    values = dict(base)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key in scenario.CONFIG_KEYS:
-            try:
-                values[key] = int(val) if key == "sectors" else float(val)
-            except ValueError:
-                raise ConfigError(f"invalid value {val!r} for {key!r}") from None
-        else:
-            raise ConfigError(f"unknown key {key!r}")
-    return values
-
-
-def _params_from_values(values: dict) -> ScenarioParams:
-    return scenario.validate(scenario.params_from_mapping(values))
-
-
 class _CsvSink:
     """Collects named CSV bodies, then writes them with content hashes."""
 
@@ -175,7 +149,7 @@ def _mc_summary(params, trials, seed, allocation=Allocation.UNIFORM, workers=1):
 
 
 def _fig2_curves(values, seed, trials, sink, workers):
-    params = _params_from_values(values)
+    params = scenario.params_from_mapping(values)
     thresholds = np.linspace(1e-5, 1e-3, 50)
     gamma = [analytic.gamma_ccdf(t, params) for t in thresholds]
     sink.add(
@@ -199,7 +173,7 @@ def _fig3_curves(values, seed, trials, sink, workers):
     n = trials or _CURVE_TRIALS
     omni = None
     for ls in (0.2, 0.8, 1.6):
-        params = _params_from_values({**values, "sn_density_per_m2": ls})
+        params = scenario.params_from_mapping({**values, "sn_density_per_m2": ls})
         rows = []
         for rho in rho_grid:
             p = params.with_(charging_radius=float(rho))
@@ -228,7 +202,7 @@ def _fig4_curves(values, seed, trials, sink, workers):
     n = trials or _CURVE_TRIALS
     threshold = values["power_threshold_w"]
     for pp in (1.0, 3.0, 10.0):
-        params = _params_from_values({**values, "pb_power_w": pp})
+        params = scenario.params_from_mapping({**values, "pb_power_w": pp})
         rows = [
             (rho, analytic.gamma_ccdf(threshold, params.with_(charging_radius=float(rho))))
             for rho in rho_grid
@@ -255,14 +229,14 @@ def _fig5_curves(values, seed, trials, sink, workers):
     sectors = range(2, 9)
     rows_a = []
     for n_sec in sectors:
-        params = _params_from_values({**values, "sectors": n_sec})
+        params = scenario.params_from_mapping({**values, "sectors": n_sec})
         opt = radopt.optimal_radius_mean(params)
         rows_a.append((n_sec, opt.radius))
     sink.add("fig5a_rho_star.csv", "sectors,rho_star_m", rows_a)
     for pp in (2.0, 4.0, 6.0, 8.0):
         rows_b = []
         for n_sec in sectors:
-            params = _params_from_values(
+            params = scenario.params_from_mapping(
                 {**values, "sectors": n_sec, "pb_power_w": pp}
             )
             opt = radopt.optimal_radius_mean(params)
@@ -274,14 +248,14 @@ def _fig6_curves(values, seed, trials, sink, workers):
     densities = (0.1, 0.2, 0.4, 0.8, 1.2, 1.6)
     rows_a = []
     for ls in densities:
-        params = _params_from_values({**values, "sn_density_per_m2": ls})
+        params = scenario.params_from_mapping({**values, "sn_density_per_m2": ls})
         opt = radopt.optimal_radius_mean(params)
         rows_a.append((ls, opt.radius))
     sink.add("fig6a_rho_star.csv", "sn_density_per_m2,rho_star_m", rows_a)
     for pp in (2.0, 4.0, 6.0, 8.0):
         rows_b = []
         for ls in densities:
-            params = _params_from_values(
+            params = scenario.params_from_mapping(
                 {**values, "sn_density_per_m2": ls, "pb_power_w": pp}
             )
             opt = radopt.optimal_radius_mean(params)
@@ -294,7 +268,7 @@ def _fig7_curves(values, seed, trials, sink, workers):
     for pp in (2.0, 8.0):
         rows = []
         for n_sec in range(2, 9):
-            params = _params_from_values(
+            params = scenario.params_from_mapping(
                 {**values, "sectors": n_sec, "pb_power_w": pp}
             )
             opt = radopt.optimal_radius_active(params, threshold)
@@ -302,7 +276,7 @@ def _fig7_curves(values, seed, trials, sink, workers):
         sink.add(f"fig7a_fstar_pp{pp}.csv", "sectors,active_prob", rows)
         rows = []
         for ls in (0.1, 0.2, 0.4, 0.8, 1.2, 1.6):
-            params = _params_from_values(
+            params = scenario.params_from_mapping(
                 {**values, "sn_density_per_m2": ls, "pb_power_w": pp}
             )
             opt = radopt.optimal_radius_active(params, threshold)
@@ -319,7 +293,7 @@ def _fig8_curves(values, seed, trials, sink, workers):
     active_rows = {s: [] for s in schemes}
     rho_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     for pp in powers:
-        params = _params_from_values({**values, "pb_power_w": pp})
+        params = scenario.params_from_mapping({**values, "pb_power_w": pp})
         rho_star = radopt.optimal_radius_mean(params).radius
         at_star = params.with_(charging_radius=rho_star)
         for s in schemes:
@@ -386,8 +360,9 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     Returns the manifest mapping. Reruns with an identical spec produce
     byte-identical files regardless of worker count.
     """
-    values = _apply_overrides(_figure_base(spec.figure_id), spec.overrides)
-    _params_from_values(values)  # fail fast on bad overrides
+    values = _figure_base(spec.figure_id)
+    _read_config(values, overrides=spec.overrides)
+    scenario.params_from_mapping(values)  # fail fast on bad overrides
     sink = _CsvSink()
     _FIGURE_BUILDERS[spec.figure_id](
         values, spec.seed, spec.trials, sink, workers
@@ -453,13 +428,7 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
         samples = {}
         entry = {"pb_power_w": float(pp), "schemes": {}}
         for alloc in (Allocation.UNIFORM, Allocation.GREEDY, Allocation.ROBUST):
-            cfg = SimConfig(
-                trials=config.trials,
-                master_seed=config.master_seed,
-                window_radius=config.window_radius,
-                allocation=alloc,
-                tail_epsilon=config.tail_epsilon,
-            )
+            cfg = dataclasses.replace(config, allocation=alloc)
             s = mcsim.run_trials(p, cfg, workers=workers)
             samples[alloc] = s.samples
             stats = {
@@ -509,96 +478,80 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
     return report
 
 
-def _route_key(scen_values: dict, sim_values: dict, key: str, val: str, where: str):
-    """Parse one key=value pair into the scenario or simulation bucket."""
-    try:
+def _window(text: str) -> float | str:
+    return mcsim.AUTO_WINDOW if text == mcsim.AUTO_WINDOW else float(text)
+
+
+#: Simulation config keys: the SimConfig field each sets and its parser.
+_SIM_FIELDS = {
+    "trials": ("trials", int),
+    "seed": ("master_seed", int),
+    "window_radius": ("window_radius", _window),
+    "allocation": ("allocation", Allocation),
+}
+
+
+def _read_config(scen: dict, sim=None, path=None, overrides=()) -> None:
+    """Parse key=value config text into scen and, when given, sim.
+
+    In the file at path (if any), '#' starts a comment, blank lines are
+    skipped, a key may appear once, and errors name path:line. overrides
+    are --set items read after the file, the later one winning. Scenario
+    keys parse as float (sectors as int); simulation keys fill sim with
+    SimConfig fields, and are unknown keys when sim is None.
+    """
+
+    def put(where: str, raw: str, text: str) -> str:
+        key, eq, val = text.partition("=")
+        if not eq:
+            raise ConfigError(f"{where}: expected key=value, got {raw!r}")
+        key, val = key.strip(), val.strip()
         if key in scenario.CONFIG_KEYS:
-            scen_values[key] = int(val) if key == "sectors" else float(val)
-        elif key in ("trials", "seed"):
-            sim_values[key] = int(val)
-        elif key == "window_radius":
-            sim_values[key] = (
-                mcsim.AUTO_WINDOW if val == mcsim.AUTO_WINDOW else float(val)
-            )
-        elif key == "tail_epsilon":
-            sim_values[key] = float(val)
-        elif key == "allocation":
-            sim_values[key] = Allocation(val)
+            out, name, parse = scen, key, int if key == "sectors" else float
+        elif sim is not None and key in _SIM_FIELDS:
+            out, (name, parse) = sim, _SIM_FIELDS[key]
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"{where}: invalid value {val!r} for {key!r}") from None
+        try:
+            out[name] = parse(val)
+        except ValueError:
+            raise ConfigError(f"{where}: invalid value {val!r} for {key!r}") from None
+        return key
 
-
-def _build(scen_values: dict, sim_values: dict) -> tuple:
-    params = scenario.validate(scenario.params_from_mapping(scen_values))
-    config = SimConfig(
-        trials=sim_values.get("trials", _CURVE_TRIALS),
-        master_seed=sim_values.get("seed", 20260819),
-        window_radius=sim_values.get("window_radius", mcsim.AUTO_WINDOW),
-        allocation=sim_values.get("allocation", Allocation.UNIFORM),
-        tail_epsilon=sim_values.get("tail_epsilon", 1e-3),
-    )
-    return params, config
-
-
-def _apply_override_items(scen_values: dict, sim_values: dict, overrides):
+    lines = Path(path).read_text().splitlines() if path else ()
+    seen: set = set()
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            where = f"{path}:{lineno}"
+            key = put(where, raw, text)
+            if key in seen:
+                raise ConfigError(f"{where}: duplicate key {key!r}")
+            seen.add(key)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, _, val = item.partition("=")
-        _route_key(scen_values, sim_values, key.strip(), val.strip(), "override")
+        put("override", item, item)
 
 
-def load_config(path, overrides=()) -> tuple:
-    """Read a key=value config file into (ScenarioParams, SimConfig).
+def load_config(path=None, overrides=()) -> tuple:
+    """Read an optional key=value config file into (ScenarioParams, SimConfig).
 
     Scenario keys follow the scenario module's table; simulation keys are
-    trials, seed, window_radius, allocation, tail_epsilon. CLI overrides
-    are applied after file values.
+    trials, seed, window_radius, allocation. Omitted keys take their
+    defaults, and overrides apply after file values.
     """
-    text = Path(path).read_text()
-    scen_values: dict = {}
-    sim_values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key in scen_values or key in sim_values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        _route_key(scen_values, sim_values, key, val.strip(), f"{path}:{lineno}")
-    _apply_override_items(scen_values, sim_values, overrides)
-    return _build(scen_values, sim_values)
-
-
-def load_config_from_defaults(overrides=()) -> tuple:
-    """Defaults-only variant of load_config for runs without a file."""
-    scen_values: dict = {}
-    sim_values: dict = {}
-    _apply_override_items(scen_values, sim_values, overrides)
-    return _build(scen_values, sim_values)
+    scen: dict = {}
+    sim = {"trials": _CURVE_TRIALS, "master_seed": _DEFAULT_SEED}
+    _read_config(scen, sim, path, overrides)
+    return scenario.params_from_mapping(scen), SimConfig(**sim)
 
 
 def _gather(args) -> tuple:
-    """Resolve (params, config) from --config plus --set/--seed/--trials."""
+    """Resolve (params, config) from --config, --set and the run flags."""
     overrides = list(args.set or [])
-    if args.config:
-        params, config = load_config(args.config, overrides)
-    else:
-        params, config = load_config_from_defaults(overrides)
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        config = dataclasses.replace(config, trials=args.trials)
-    if getattr(args, "allocation", None) is not None:
-        config = dataclasses.replace(config, allocation=Allocation(args.allocation))
-    return params, config
+    for key in ("seed", "trials", "allocation"):
+        if getattr(args, key, None) is not None:
+            overrides.append(f"{key}={getattr(args, key)}")
+    return load_config(args.config, overrides)
 
 
 def _cmd_analytic(args) -> int:
@@ -658,10 +611,10 @@ def _cmd_optimize_mean(args) -> int:
 
 def _cmd_optimize_active(args) -> int:
     params, _ = _gather(args)
-    threshold = args.threshold if args.threshold else params.power_threshold
-    if not threshold or threshold <= 0:
+    threshold = params.power_threshold if args.threshold is None else args.threshold
+    if not (math.isfinite(threshold) and threshold > 0):
         print(
-            "optimize-active needs a positive threshold "
+            "optimize-active needs a positive finite threshold "
             "(--threshold or power_threshold_w)",
             file=sys.stderr,
         )
@@ -690,11 +643,15 @@ def _cmd_figure(args) -> int:
     except ValueError:
         print(f"unknown figure id {args.id!r}", file=sys.stderr)
         return 2
+    # file values reach the figure as the first overrides (repr round-trips)
+    from_file: dict = {}
+    _read_config(from_file, path=args.config)
+    overrides = [f"{key}={val!r}" for key, val in from_file.items()]
     spec = ExperimentSpec(
         figure_id=fid,
-        overrides=tuple(args.set or []),
+        overrides=tuple(overrides + (args.set or [])),
         output_dir=args.out or fid.value.lower(),
-        seed=args.seed if args.seed is not None else 20260819,
+        seed=args.seed if args.seed is not None else _DEFAULT_SEED,
         trials=args.trials or 0,
     )
     manifest = run_figure(spec, workers=args.workers)
@@ -712,7 +669,7 @@ def _cmd_validate(args) -> int:
         if not ok:
             failures.append(name)
 
-    params, _ = load_config_from_defaults(())
+    params, _ = load_config()
     etas_n = [analytic.reception_prob_near(m, params) for m in range(1, params.sectors + 1)]
     check("near occupancy distribution sums to 1", abs(sum(etas_n) - 1.0) < 1e-12)
     gains = sum(
@@ -740,19 +697,22 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _add_common(sub, trials=True):
-    sub.add_argument("--config", help="key=value config file")
-    sub.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
-    sub.add_argument("--seed", type=int, help="master seed (64-bit)")
-    if trials:
-        sub.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default 1)"
-    )
+#: Each shared flag's argparse settings; a subcommand registers the ones
+#: its handler reads.
+_FLAGS = {
+    "config": dict(help="key=value config file"),
+    "set": dict(action="append", metavar="KEY=VALUE",
+                help="override a config key (repeatable)"),
+    "seed": dict(type=int, help="master seed (64-bit)"),
+    "trials": dict(type=int, help="Monte Carlo trial count"),
+    "out": dict(help="output directory"),
+    "workers": dict(type=int, default=1, help="worker processes (default 1)"),
+}
+
+
+def _add_common(sub, flags=("config", "set")):
+    for flag in flags:
+        sub.add_argument(f"--{flag}", **_FLAGS[flag])
 
 
 def main(argv=None) -> int:
@@ -763,29 +723,28 @@ def main(argv=None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_analytic = subs.add_parser("analytic", help="closed-form metrics")
-    _add_common(p_analytic, trials=False)
+    _add_common(subs.add_parser("analytic", help="closed-form metrics"))
 
+    run_flags = ("config", "set", "seed", "trials", "out", "workers")
     p_sim = subs.add_parser("simulate", help="Monte Carlo run")
-    _add_common(p_sim)
+    _add_common(p_sim, run_flags)
     p_sim.add_argument(
         "--allocation",
         choices=[a.value for a in Allocation],
         help="power allocation scheme",
     )
 
-    p_om = subs.add_parser("optimize-mean", help="mean-power optimal radius")
-    _add_common(p_om, trials=False)
+    _add_common(subs.add_parser("optimize-mean", help="mean-power optimal radius"))
 
     p_oa = subs.add_parser(
         "optimize-active", help="reach-probability optimal radius"
     )
-    _add_common(p_oa, trials=False)
+    _add_common(p_oa)
     p_oa.add_argument("--threshold", type=float, help="power threshold (W)")
 
     p_fig = subs.add_parser("figure", help="reproduce a reference figure")
     p_fig.add_argument("id", help="Fig2 .. Fig8")
-    _add_common(p_fig)
+    _add_common(p_fig, run_flags)
 
     p_val = subs.add_parser("validate", help="run invariant self-checks")
     p_val.add_argument("--seed", type=int, help="seed for the MC smoke check")

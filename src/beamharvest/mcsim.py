@@ -18,8 +18,7 @@ jointly with their sensors, and the expected power of the remaining far tail
 (whose per-beacon gain toward the origin averages 1 for every scheme, by
 rotation symmetry) is added as a constant. That leaves zero mean bias, and
 the exact radius (_exact_zone_radius) is sized so that replacing the tail by
-its mean forfeits at most 1e-5 of the received-power variance. tail_epsilon
-plays no part in it: it only feeds auto_window_radius and the config echo.
+its mean forfeits at most 1e-5 of the received-power variance.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "sector_of",
     "pb_beam_state",
     "received_power_origin",
-    "auto_window_radius",
     "run_trials",
     "empirical_ccdf",
     "samples_to_csv",
@@ -84,7 +82,6 @@ class SimConfig:
     master_seed: int
     window_radius: float | str = AUTO_WINDOW
     allocation: Allocation = Allocation.UNIFORM
-    tail_epsilon: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -125,8 +122,6 @@ def _check_config(params: ScenarioParams, config: SimConfig) -> None:
         )
     if not isinstance(config.allocation, Allocation):
         raise ConfigError(f"unknown allocation scheme {config.allocation!r}")
-    if not (config.tail_epsilon > 0.0):
-        raise ConfigError(f"tail_epsilon must be positive, got {config.tail_epsilon!r}")
     if config.window_radius != AUTO_WINDOW:
         w = config.window_radius
         if isinstance(w, bool) or not isinstance(w, (int, float)) or not (
@@ -259,9 +254,9 @@ def _pairs_bucketed(
 ):
     """(beacon, sensor) index pairs within rho and in the same trial.
 
-    Sensors are bucketed into a uniform grid of cell size rho, its bounds
-    taken from the points, with one block of cells per trial label so
-    batches of concatenated trials join without cross-talk. A counting pass
+    Sensors are bucketed into a uniform grid of cells a hair wider than
+    rho, its bounds taken from the points, with one block of cells per trial
+    label so batches of concatenated trials join without cross-talk. A counting pass
     (bincount, then cumsum) over the dense cell keys gives the CSR index
     start[key], the number of sensors in cells before key, into the sensors
     sorted by key. A column's cells have consecutive keys, so each beacon
@@ -272,8 +267,12 @@ def _pairs_bucketed(
     """
     if len(pb) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cell_pb = np.floor(pb / rho).astype(np.int64)
-    cell_sn = np.floor(sn / rho).astype(np.int64)
+    # a pair can pass the rounded distance test yet lie just over rho apart
+    # (beacon (2, 0.5), sensor (1 - 2**-53, 0.5), rho = 1); the margin keeps
+    # such points in neighbouring cells, and the test alone decides the pair
+    cell = rho * (1.0 + 2.0**-20)
+    cell_pb = np.floor(pb / cell).astype(np.int64)
+    cell_sn = np.floor(sn / cell).astype(np.int64)
     # column by column: NumPy reduces an (n, 2) array along axis 0 ~25x slower
     lo = [min(cell_pb[:, d].min(), cell_sn[:, d].min()) - 1 for d in (0, 1)]
     hi = [max(cell_pb[:, d].max(), cell_sn[:, d].max()) for d in (0, 1)]
@@ -420,20 +419,6 @@ def received_power_origin(
     dist = np.hypot(pb[:, 0], pb[:, 1])
     atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
     return float(params.pb_power * params.attenuation * np.sum(gains * atten))
-
-
-def auto_window_radius(params: ScenarioParams, tail_epsilon: float = 1e-3) -> float:
-    """Window radius whose truncated far-field mean is below the bias budget.
-
-    Solves 2 pi lam_p P sigma R^(2-a)/(a-2) = tail_epsilon * mean_power_omni,
-    which reduces to R = (2/(tail_epsilon * alpha))^(1/(alpha-2)).
-    """
-    validate(params)
-    if not (tail_epsilon > 0):
-        raise ValueError(f"tail_epsilon must be positive, got {tail_epsilon!r}")
-    alpha = params.path_loss_exp
-    r = (2.0 / (tail_epsilon * alpha)) ** (1.0 / (alpha - 2.0))
-    return max(r, params.charging_radius, 1.0)
 
 
 def _exact_zone_radius(params: ScenarioParams) -> float:
@@ -645,7 +630,6 @@ def summary_to_json(
         "master_seed": config.master_seed,
         "allocation": config.allocation.value,
         "window_radius": window,
-        "tail_epsilon": config.tail_epsilon,
         "params": params_to_mapping(params),
         "ccdf": [[t, p] for t, p in summary.ccdf],
     }

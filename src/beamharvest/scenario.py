@@ -10,7 +10,7 @@ validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "ScenarioParams",
@@ -23,13 +23,7 @@ __all__ = [
     "CONFIG_DEFAULTS",
     "params_from_mapping",
     "params_to_mapping",
-    "parse_config_text",
 ]
-
-#: Fixed close-in reference distance of the bounded path-loss law, meters.
-#: Hard-coded: the closed forms clamp attenuation at 1 m and are written
-#: with that constant folded in.
-REF_DISTANCE = 1.0
 
 # Relative tolerance for agreement between a directly-given attenuation and
 # one derived from the wavelength.
@@ -57,7 +51,7 @@ def sigma_from_wavelength(wavelength: float) -> float:
         raise ParameterError(["wavelength must be a finite number"])
     if wavelength <= 0:
         raise ParameterError(["wavelength must be positive"])
-    return (wavelength / (4.0 * math.pi * REF_DISTANCE)) ** 2
+    return (wavelength / (4.0 * math.pi)) ** 2
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,6 @@ class ScenarioParams:
     attenuation: float | None = None
     wavelength: float | None = None
     power_threshold: float = 0.0
-    ref_distance: float = field(default=REF_DISTANCE)
 
     def __post_init__(self) -> None:
         if self.attenuation is None and self.wavelength is not None:
@@ -123,9 +116,6 @@ def validation_errors(params: ScenarioParams) -> list[str]:
     elif params.path_loss_exp <= 2:
         errors.append("mean diverges")  # closed forms divide by alpha - 2
 
-    if params.ref_distance != REF_DISTANCE:
-        errors.append("ref_distance is fixed at 1.0 m")
-
     if not isinstance(params.power_threshold, (int, float)) or isinstance(
         params.power_threshold, bool
     ):
@@ -166,10 +156,10 @@ def validate(params: ScenarioParams) -> ScenarioParams:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text key=value configuration interface
+# Scenario config keys (benchcli reads the key=value text that carries them)
 # ---------------------------------------------------------------------------
 
-#: Exactly the recognized config keys. Anything else is an error.
+#: Exactly the recognized scenario config keys. Anything else is an error.
 CONFIG_KEYS = (
     "pb_power_w",
     "pb_density_per_m2",
@@ -195,35 +185,6 @@ CONFIG_DEFAULTS: dict[str, float | int] = {
     "wavelength_m": 0.1,
     "power_threshold_w": 1.0e-4,
 }
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, float | int]:
-    """Parse key=value lines into a mapping; '#' starts a comment.
-
-    Errors carry the offending line number. Unknown and duplicate keys are
-    rejected.
-    """
-    values: dict[str, float | int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = int(val) if key == "sectors" else float(val)
-        except ValueError:
-            raise ConfigError(
-                f"{source}:{lineno}: invalid value {val!r} for {key!r}"
-            ) from None
-    return values
 
 
 def params_from_mapping(values: dict[str, float | int]) -> ScenarioParams:

@@ -5,14 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from beamharvest import benchcli
+from beamharvest import benchcli, scenario
 from beamharvest.benchcli import (
     ExperimentSpec,
     FigureId,
     active_prob_grid,
     compare_schemes,
     load_config,
-    load_config_from_defaults,
     main,
     run_figure,
 )
@@ -27,8 +26,8 @@ def test_load_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# scenario\n"
-        "pb_power_w = 3.0\n"
-        "sectors = 6\n"
+        "pb_power_w = 3.0  # trailing comment\n"
+        "sectors=6\n"
         "charging_radius_m = 1.5\n"
         "\n"
         "trials = 1234\n"
@@ -38,20 +37,20 @@ def test_load_config_file(tmp_path):
     )
     params, config = load_config(cfg)
     assert params.pb_power == 3.0
-    assert params.sectors == 6
+    assert params.sectors == 6 and isinstance(params.sectors, int)
     assert params.charging_radius == 1.5
     assert params.sn_density == 0.2  # default fills the rest
+    assert params.power_threshold == scenario.CONFIG_DEFAULTS["power_threshold_w"]
     assert config == SimConfig(
         trials=1234,
         master_seed=42,
         window_radius=25.0,
         allocation=Allocation.ROBUST,
-        tail_epsilon=1e-3,
     )
 
 
 def test_load_config_defaults():
-    params, config = load_config_from_defaults()
+    params, config = load_config()
     assert params.pb_power == 5.0
     assert params.sectors == 4
     assert config.trials == 20_000
@@ -80,18 +79,29 @@ def test_load_config_errors(tmp_path):
     dup.write_text("trials = 5\ntrials = 6\n")
     with pytest.raises(ConfigError, match="duplicate"):
         load_config(dup)
+    dup.write_text("sectors = 4\nsectors = 8\n")
+    with pytest.raises(ConfigError, match="duplicate key 'sectors'"):
+        load_config(dup)
     noval = tmp_path / "noval.cfg"
-    noval.write_text("pb_power_w\n")
-    with pytest.raises(ConfigError, match="key=value"):
+    noval.write_text("pb_power_w = 1\n\nnot a pair\n")
+    with pytest.raises(ConfigError, match=r"noval\.cfg:3: expected key=value"):
         load_config(noval)
     badval = tmp_path / "badval.cfg"
     badval.write_text("trials = soon\n")
     with pytest.raises(ConfigError, match="invalid value"):
         load_config(badval)
+    badval.write_text("pb_power_w = banana\n")
+    with pytest.raises(ConfigError, match="invalid value 'banana' for 'pb_power_w'"):
+        load_config(badval)
+    # the AUTO window is sized by the exact zone; the old knob is gone
+    gone = tmp_path / "gone.cfg"
+    gone.write_text("tail_epsilon = 0.5\n")
+    with pytest.raises(ConfigError, match=r"gone\.cfg:1: unknown key 'tail_epsilon'"):
+        load_config(gone)
     with pytest.raises(ConfigError, match="allocation"):
-        load_config_from_defaults(("allocation=fastest",))
+        load_config(overrides=("allocation=fastest",))
     with pytest.raises(ConfigError, match="key=value"):
-        load_config_from_defaults(("trials",))
+        load_config(overrides=("trials",))
 
 
 def test_derive_seed_is_stable():
@@ -168,20 +178,27 @@ def test_run_figure_rejects_unknown_override(tmp_path):
     )
     with pytest.raises(ConfigError):
         run_figure(spec)
+    # a figure fixes its own trials and seed: simulation keys are unknown
+    for item in ("trials=5", "seed=1"):
+        spec = ExperimentSpec(
+            figure_id=FigureId.FIG5, overrides=(item,), output_dir=str(tmp_path)
+        )
+        with pytest.raises(ConfigError, match="unknown key"):
+            run_figure(spec)
 
 
 def test_figure_base_tables_cover_all_ids():
     for fid in FigureId:
         values = benchcli._figure_base(fid)
-        assert benchcli._params_from_values(values) is not None
+        assert scenario.params_from_mapping(values) is not None
 
 
 # --- scheme comparison ---
 
 
 def test_compare_schemes_report_shape():
-    params, _ = load_config_from_defaults(
-        ("charging_radius_m=1.3", "power_threshold_w=1e-4")
+    params, _ = load_config(
+        overrides=("charging_radius_m=1.3", "power_threshold_w=1e-4")
     )
     config = SimConfig(trials=300, master_seed=17, window_radius=12.0)
     report = compare_schemes(params, (2.0, 6.0), config)
@@ -205,9 +222,7 @@ def test_compare_schemes_report_shape():
 
 def test_compare_schemes_single_sector_ties():
     # one sector: every scheme is the same policy on the same networks
-    params, _ = load_config_from_defaults(
-        ("sectors=1", "power_threshold_w=1e-4")
-    )
+    params, _ = load_config(overrides=("sectors=1", "power_threshold_w=1e-4"))
     config = SimConfig(trials=200, master_seed=4, window_radius=10.0)
     report = compare_schemes(params, (5.0,), config)
     entry = report["entries"][0]
@@ -217,7 +232,7 @@ def test_compare_schemes_single_sector_ties():
 
 
 def test_active_prob_grid_rows():
-    params, _ = load_config_from_defaults(("power_threshold_w=1e-4",))
+    params, _ = load_config(overrides=("power_threshold_w=1e-4",))
     config = SimConfig(trials=150, master_seed=6, window_radius=10.0)
     rows = active_prob_grid(params, (0.5, 1.0), 1e-4, config)
     assert [r[0] for r in rows] == [0.5, 1.0]
@@ -294,6 +309,10 @@ def test_cli_optimize_active_needs_threshold(capsys):
     # default config carries a threshold; zeroing it must be rejected
     assert main(["optimize-active", "--set", "power_threshold_w=0"]) == 2
     assert "threshold" in capsys.readouterr().err
+    # --threshold 0 is a zero threshold, not an unset one
+    for bad in ("0", "nan", "inf", "-1e-4"):
+        assert main(["optimize-active", f"--threshold={bad}"]) == 2
+        assert "threshold" in capsys.readouterr().err
 
 
 def test_cli_figure_unknown_id(capsys):
@@ -307,6 +326,30 @@ def test_cli_figure_fig5(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["figure"] == "Fig5"
     assert (out / "manifest.json").exists()
+
+
+def test_cli_figure_reads_config_file(tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("pb_power_w = 99  # overrides the figure's 2.0\nsectors = 3\n")
+    args = ["figure", "fig5", "--config", str(cfg), "--set", "sectors=5"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["pb_power_w"] == 99.0
+    assert params["sectors"] == 5  # --set wins over the file
+    # only scenario keys: a figure fixes its own trial budget
+    cfg.write_text("trials = 10\n")
+    assert main(["figure", "fig5", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'trials'" in capsys.readouterr().err
+
+
+def test_cli_flags_are_per_subcommand(capsys):
+    # analytic and the optimizers run no Monte Carlo and write no files
+    for cmd in ("analytic", "optimize-mean", "optimize-active"):
+        for flag in ("--workers", "--seed", "--out", "--trials"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, flag, "2"])
+            assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_cli_missing_config_file(capsys):

@@ -14,7 +14,6 @@ from beamharvest.mcsim import (
     Allocation,
     NetworkSample,
     SimConfig,
-    auto_window_radius,
     draw_network,
     empirical_ccdf,
     pb_beam_state,
@@ -383,6 +382,12 @@ def test_pair_join_counts_distance_rho_as_inside():
     sn = np.array([[0.0, 0.0], [-2.0, -2.0], [-1.0, -1.0], [-2.0, -1.25]])
     batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(4, dtype=np.int64))
     assert joined_pairs(*batch, 1.0) == {(0, 1), (0, 2)}
+    # the rounded dx is -1.0, so the pair is inside, yet the points are
+    # just over rho apart and would sit two rho-wide cells apart
+    pb = np.array([[2.0, 0.5]])
+    sn = np.array([[1.0 - 2.0**-53, 0.5]])
+    batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(1, dtype=np.int64))
+    assert joined_pairs(*batch, 1.0) == brute_force_pairs(*batch, 1.0) == {(0, 0)}
 
 
 def test_batch_grouping_does_not_change_results():
@@ -460,19 +465,6 @@ def test_auto_mean_tracks_closed_form():
 # --- window policy ---
 
 
-def test_auto_window_radius_formula():
-    pr = params_for(path_loss_exp=3.0, charging_radius=2.0)
-    assert auto_window_radius(pr) == pytest.approx(2000.0 / 3.0, rel=1e-12)
-    assert auto_window_radius(pr, 0.1) == pytest.approx(20.0 / 3.0, rel=1e-12)
-    steep = params_for(path_loss_exp=4.0)
-    assert auto_window_radius(steep, 1e-3) == pytest.approx(
-        math.sqrt(500.0), rel=1e-12
-    )
-    assert auto_window_radius(params_for(charging_radius=19.0), 0.5) == 19.0
-    with pytest.raises(ValueError):
-        auto_window_radius(pr, 0.0)
-
-
 def test_exact_zone_radius_bounds():
     assert mcsim._exact_zone_radius(params_for()) >= 20.0
     assert mcsim._exact_zone_radius(params_for(charging_radius=90.0)) == 270.0
@@ -487,8 +479,6 @@ def test_config_guards():
         run_trials(pr, SimConfig(trials=0, master_seed=1))
     with pytest.raises(ConfigError, match="master_seed"):
         run_trials(pr, SimConfig(trials=5, master_seed=-3))
-    with pytest.raises(ConfigError, match="tail_epsilon"):
-        run_trials(pr, SimConfig(trials=5, master_seed=1, tail_epsilon=0.0))
     with pytest.raises(ConfigError, match="window_radius"):
         run_trials(pr, SimConfig(trials=5, master_seed=1, window_radius=-1.0))
     # bool is an int subclass; True must not pass as one trial or seed 1

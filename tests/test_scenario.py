@@ -1,4 +1,4 @@
-"""Scenario parameter validation and the key=value config interface."""
+"""Scenario parameter validation, the key=value config text and the key mapping."""
 
 import math
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamharvest import scenario
+from beamharvest.benchcli import _read_config
 from beamharvest.scenario import (
     CONFIG_DEFAULTS,
     CONFIG_KEYS,
@@ -15,7 +16,6 @@ from beamharvest.scenario import (
     ScenarioParams,
     params_from_mapping,
     params_to_mapping,
-    parse_config_text,
     sigma_from_wavelength,
     validate,
     validation_errors,
@@ -129,8 +129,17 @@ def test_power_threshold_nonnegative():
 # --- config text ---
 
 
-def test_parse_minimal_config():
-    values = parse_config_text("sn_density_per_m2 = 0.5\n")
+def parse_config_text(text, tmp_path):
+    """Scenario values read from text by the one key=value config parser."""
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    values: dict = {}
+    _read_config(values, path=path)
+    return values
+
+
+def test_parse_minimal_config(tmp_path):
+    values = parse_config_text("sn_density_per_m2 = 0.5\n", tmp_path)
     assert values == {"sn_density_per_m2": 0.5}
     params = params_from_mapping(values)
     assert params.sn_density == 0.5
@@ -139,30 +148,33 @@ def test_parse_minimal_config():
     assert params.sectors == CONFIG_DEFAULTS["sectors"]
 
 
-def test_parse_comments_and_blanks():
+def test_parse_comments_and_blanks(tmp_path):
     text = "\n# comment\npb_power_w = 2.5  # trailing\n\nsectors=8\n"
-    values = parse_config_text(text)
+    values = parse_config_text(text, tmp_path)
     assert values == {"pb_power_w": 2.5, "sectors": 8}
 
 
-def test_parse_unknown_key_names_it():
+def test_parse_unknown_key_names_it(tmp_path):
     with pytest.raises(ConfigError, match="bogus"):
-        parse_config_text("bogus = 1\n")
+        parse_config_text("bogus = 1\n", tmp_path)
 
 
-def test_parse_error_carries_line_number():
+def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ConfigError, match=":3:"):
-        parse_config_text("pb_power_w = 1\n\nnot a pair\n")
+        parse_config_text("pb_power_w = 1\n\nnot a pair\n", tmp_path)
 
 
-def test_parse_duplicate_key():
+def test_parse_duplicate_key(tmp_path):
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("sectors = 4\nsectors = 8\n")
+        parse_config_text("sectors = 4\nsectors = 8\n", tmp_path)
 
 
-def test_parse_bad_value():
+def test_parse_bad_value(tmp_path):
     with pytest.raises(ConfigError, match="pb_power_w"):
-        parse_config_text("pb_power_w = banana\n")
+        parse_config_text("pb_power_w = banana\n", tmp_path)
+
+
+# --- config keys ---
 
 
 def test_mapping_round_trip():
