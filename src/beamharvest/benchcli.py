@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -65,7 +66,8 @@ class ExperimentSpec:
     """One figure run: id, key=value overrides, output dir, seed, trials.
 
     trials=0 keeps each figure's default budget (50k for CCDF figures,
-    20k per Monte Carlo curve point).
+    20k per Monte Carlo curve point); Fig5-Fig7 run no Monte Carlo and
+    take only 0.
     """
 
     figure_id: FigureId
@@ -148,6 +150,12 @@ def _mc_summary(params, trials, seed, allocation=Allocation.UNIFORM, workers=1):
     return mcsim.run_trials(params, cfg, workers=workers)
 
 
+def _reach(samples, threshold) -> tuple:
+    """Fraction of samples at or above threshold, with its 95% CI half-width."""
+    frac = float(np.mean(samples >= threshold))
+    return frac, 1.96 * math.sqrt(max(frac * (1 - frac), 0.0) / len(samples))
+
+
 def _fig2_curves(values, seed, trials, sink, workers):
     params = scenario.params_from_mapping(values)
     thresholds = np.linspace(1e-5, 1e-3, 50)
@@ -160,128 +168,84 @@ def _fig2_curves(values, seed, trials, sink, workers):
     n = trials or _CCDF_TRIALS
     _progress(f"fig2: simulating {n} trials")
     summary = _mc_summary(params, n, _derive_seed(seed, "fig2"), workers=workers)
-    emp = mcsim.empirical_ccdf(summary.samples, thresholds)
-    rows = [
-        (t, p, 1.96 * math.sqrt(max(p * (1 - p), 0.0) / n)) for t, p in emp
-    ]
+    rows = [(t, *_reach(summary.samples, t)) for t in thresholds]
     sink.add("fig2_empirical_ccdf.csv", "threshold_w,ccdf,ci95", rows)
 
 
-def _fig3_curves(values, seed, trials, sink, workers):
-    rho_grid = np.linspace(0.1, 4.0, 40)
-    mc_rhos = (0.5, 1.0, 2.0, 4.0)
-    n = trials or _CURVE_TRIALS
-    omni = None
-    for ls in (0.2, 0.8, 1.6):
-        params = scenario.params_from_mapping({**values, "sn_density_per_m2": ls})
-        rows = []
-        for rho in rho_grid:
-            p = params.with_(charging_radius=float(rho))
-            rows.append((rho, analytic.mean_power(p)))
-        sink.add(f"fig3_mean_ls{ls}.csv", "rho_m,mean_power_w", rows)
-        omni = analytic.mean_power_omni(params)
-        mc_rows = []
-        for i, rho in enumerate(mc_rhos):
-            _progress(f"fig3 ls={ls}: mc point {i + 1}/{len(mc_rhos)}")
-            p = params.with_(charging_radius=rho)
-            s = _mc_summary(p, n, _derive_seed(seed, "fig3", ls, rho), workers=workers)
-            mc_rows.append((rho, s.mean, s.mean_ci95))
-        sink.add(
-            f"fig3_mc_ls{ls}.csv", "rho_m,mean_power_w,ci95_w", mc_rows
-        )
-    sink.add(
-        "fig3_mean_omni.csv",
-        "rho_m,mean_power_w",
-        [(r, omni) for r in rho_grid],
-    )
+#: Radii of the Monte Carlo points on each radius-sweep curve.
+_MC_RHOS = (0.5, 1.0, 2.0, 4.0)
 
 
-def _fig4_curves(values, seed, trials, sink, workers):
-    rho_grid = np.linspace(0.25, 5.0, 40)
-    mc_rhos = (0.5, 1.0, 2.0, 4.0)
+def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
+                  levels, rho_grid, active, names):
+    """Figs 3-4: for each level of scenario key, the closed-form curve over
+    rho_grid, the omni line and Monte Carlo points at _MC_RHOS.
+
+    active=False plots the mean power, active=True the probability of
+    reaching power_threshold_w. names are the curve, omni and Monte Carlo
+    file names, with "{}" for the level.
+    """
     n = trials or _CURVE_TRIALS
-    threshold = values["power_threshold_w"]
-    for pp in (1.0, 3.0, 10.0):
-        params = scenario.params_from_mapping({**values, "pb_power_w": pp})
-        rows = [
-            (rho, analytic.gamma_ccdf(threshold, params.with_(charging_radius=float(rho))))
-            for rho in rho_grid
-        ]
-        sink.add(f"fig4_gamma_pp{pp}.csv", "rho_m,active_prob", rows)
-        omni = analytic.gamma_ccdf_omni(threshold, params)
+    threshold = values["power_threshold_w"] if active else None
+    column, ci = ("active_prob", "ci95") if active else ("mean_power_w", "ci95_w")
+    curve_name, omni_name, mc_name = names
+    for level in levels:
+        params = scenario.params_from_mapping({**values, key: level})
+        at = [params.with_(charging_radius=float(rho)) for rho in rho_grid]
+        if active:
+            curve = [analytic.gamma_ccdf(threshold, p) for p in at]
+            omni = analytic.gamma_ccdf_omni(threshold, params)
+        else:
+            curve = [analytic.mean_power(p) for p in at]
+            omni = analytic.mean_power_omni(params)
+        sink.add(curve_name.format(level), f"rho_m,{column}", zip(rho_grid, curve))
         sink.add(
-            f"fig4_omni_pp{pp}.csv",
-            "rho_m,active_prob",
+            omni_name.format(level),
+            f"rho_m,{column}",
             [(r, omni) for r in rho_grid],
         )
         mc_rows = []
-        for i, rho in enumerate(mc_rhos):
-            _progress(f"fig4 pp={pp}: mc point {i + 1}/{len(mc_rhos)}")
+        for i, rho in enumerate(_MC_RHOS):
+            _progress(f"{fig} {tag}={level}: mc point {i + 1}/{len(_MC_RHOS)}")
             p = params.with_(charging_radius=rho)
-            s = _mc_summary(p, n, _derive_seed(seed, "fig4", pp, rho), workers=workers)
-            frac = float(np.mean(s.samples >= threshold))
-            ci = 1.96 * math.sqrt(max(frac * (1 - frac), 0.0) / n)
-            mc_rows.append((rho, frac, ci))
-        sink.add(f"fig4_mc_pp{pp}.csv", "rho_m,active_prob,ci95", mc_rows)
+            s = _mc_summary(p, n, _derive_seed(seed, fig, level, rho), workers=workers)
+            stat = _reach(s.samples, threshold) if active else (s.mean, s.mean_ci95)
+            mc_rows.append((rho, *stat))
+        sink.add(mc_name.format(level), f"rho_m,{column},{ci}", mc_rows)
 
 
-def _fig5_curves(values, seed, trials, sink, workers):
-    sectors = range(2, 9)
-    rows_a = []
-    for n_sec in sectors:
-        params = scenario.params_from_mapping({**values, "sectors": n_sec})
-        opt = radopt.optimal_radius_mean(params)
-        rows_a.append((n_sec, opt.radius))
-    sink.add("fig5a_rho_star.csv", "sectors,rho_star_m", rows_a)
-    for pp in (2.0, 4.0, 6.0, 8.0):
-        rows_b = []
-        for n_sec in sectors:
-            params = scenario.params_from_mapping(
-                {**values, "sectors": n_sec, "pb_power_w": pp}
-            )
-            opt = radopt.optimal_radius_mean(params)
-            rows_b.append((n_sec, opt.objective))
-        sink.add(f"fig5b_estar_pp{pp}.csv", "sectors,mean_power_w", rows_b)
+#: Axes of the optimum sweeps (a scenario key and its points) and their
+#: beacon powers.
+_SECTORS = ("sectors", range(2, 9))
+_DENSITIES = ("sn_density_per_m2", (0.1, 0.2, 0.4, 0.8, 1.2, 1.6))
+_MEAN_POWERS = (2.0, 4.0, 6.0, 8.0)
+_ACTIVE_POWERS = (2.0, 8.0)
 
 
-def _fig6_curves(values, seed, trials, sink, workers):
-    densities = (0.1, 0.2, 0.4, 0.8, 1.2, 1.6)
-    rows_a = []
-    for ls in densities:
-        params = scenario.params_from_mapping({**values, "sn_density_per_m2": ls})
-        opt = radopt.optimal_radius_mean(params)
-        rows_a.append((ls, opt.radius))
-    sink.add("fig6a_rho_star.csv", "sn_density_per_m2,rho_star_m", rows_a)
-    for pp in (2.0, 4.0, 6.0, 8.0):
-        rows_b = []
-        for ls in densities:
-            params = scenario.params_from_mapping(
-                {**values, "sn_density_per_m2": ls, "pb_power_w": pp}
-            )
-            opt = radopt.optimal_radius_mean(params)
-            rows_b.append((ls, opt.objective))
-        sink.add(f"fig6b_estar_pp{pp}.csv", "sn_density_per_m2,mean_power_w", rows_b)
+def _optimum_sweep(values, seed, trials, sink, workers, *, sweeps):
+    """Figs 5-7: the optimum over the charging radius along an axis, one
+    file per beacon power.
 
-
-def _fig7_curves(values, seed, trials, sink, workers):
-    threshold = values["power_threshold_w"]
-    for pp in (2.0, 8.0):
-        rows = []
-        for n_sec in range(2, 9):
-            params = scenario.params_from_mapping(
-                {**values, "sectors": n_sec, "pb_power_w": pp}
-            )
-            opt = radopt.optimal_radius_active(params, threshold)
-            rows.append((n_sec, opt.objective))
-        sink.add(f"fig7a_fstar_pp{pp}.csv", "sectors,active_prob", rows)
-        rows = []
-        for ls in (0.1, 0.2, 0.4, 0.8, 1.2, 1.6):
-            params = scenario.params_from_mapping(
-                {**values, "sn_density_per_m2": ls, "pb_power_w": pp}
-            )
-            opt = radopt.optimal_radius_active(params, threshold)
-            rows.append((ls, opt.objective))
-        sink.add(f"fig7b_fstar_pp{pp}.csv", "sn_density_per_m2,active_prob", rows)
+    Each sweep is (file name with "{}" for the power, axis, powers, column);
+    powers None keeps the figure's own. The column names what is written:
+    the mean-optimal radius (rho_star_m), the mean power there
+    (mean_power_w) or the best reach probability (active_prob).
+    """
+    for name, (key, points), powers, column in sweeps:
+        for pp in powers or (values["pb_power_w"],):
+            rows = []
+            for v in points:
+                params = scenario.params_from_mapping(
+                    {**values, key: v, "pb_power_w": pp}
+                )
+                if column == "active_prob":
+                    threshold = values["power_threshold_w"]
+                    best = radopt.optimal_radius_active(params, threshold).objective
+                else:
+                    opt = radopt.optimal_radius_mean(params)
+                    best = opt.radius if column == "rho_star_m" else opt.objective
+                rows.append((v, best))
+            sink.add(name.format(pp), f"{key},{column}", rows)
 
 
 def _fig8_curves(values, seed, trials, sink, workers):
@@ -337,21 +301,40 @@ def active_prob_grid(params, rho_values, threshold, config, workers=1):
     for rho in rho_values:
         p = params.with_(charging_radius=float(rho))
         s = mcsim.run_trials(p, config, workers=workers)
-        frac = float(np.mean(s.samples >= threshold))
-        ci = 1.96 * math.sqrt(max(frac * (1 - frac), 0.0) / config.trials)
-        rows.append((float(rho), frac, ci))
+        rows.append((float(rho), *_reach(s.samples, threshold)))
     return rows
 
 
 _FIGURE_BUILDERS = {
     FigureId.FIG2: _fig2_curves,
-    FigureId.FIG3: _fig3_curves,
-    FigureId.FIG4: _fig4_curves,
-    FigureId.FIG5: _fig5_curves,
-    FigureId.FIG6: _fig6_curves,
-    FigureId.FIG7: _fig7_curves,
+    # Fig3's omni line does not depend on the sensor density: one file
+    FigureId.FIG3: functools.partial(
+        _radius_sweep, fig="fig3", key="sn_density_per_m2", tag="ls",
+        levels=(0.2, 0.8, 1.6), rho_grid=np.linspace(0.1, 4.0, 40), active=False,
+        names=("fig3_mean_ls{}.csv", "fig3_mean_omni.csv", "fig3_mc_ls{}.csv"),
+    ),
+    FigureId.FIG4: functools.partial(
+        _radius_sweep, fig="fig4", key="pb_power_w", tag="pp",
+        levels=(1.0, 3.0, 10.0), rho_grid=np.linspace(0.25, 5.0, 40), active=True,
+        names=("fig4_gamma_pp{}.csv", "fig4_omni_pp{}.csv", "fig4_mc_pp{}.csv"),
+    ),
+    FigureId.FIG5: functools.partial(_optimum_sweep, sweeps=(
+        ("fig5a_rho_star.csv", _SECTORS, None, "rho_star_m"),
+        ("fig5b_estar_pp{}.csv", _SECTORS, _MEAN_POWERS, "mean_power_w"),
+    )),
+    FigureId.FIG6: functools.partial(_optimum_sweep, sweeps=(
+        ("fig6a_rho_star.csv", _DENSITIES, None, "rho_star_m"),
+        ("fig6b_estar_pp{}.csv", _DENSITIES, _MEAN_POWERS, "mean_power_w"),
+    )),
+    FigureId.FIG7: functools.partial(_optimum_sweep, sweeps=(
+        ("fig7a_fstar_pp{}.csv", _SECTORS, _ACTIVE_POWERS, "active_prob"),
+        ("fig7b_fstar_pp{}.csv", _DENSITIES, _ACTIVE_POWERS, "active_prob"),
+    )),
     FigureId.FIG8: _fig8_curves,
 }
+
+#: Figures built from the closed forms alone: they take no trial count.
+_NO_MONTE_CARLO = (FigureId.FIG5, FigureId.FIG6, FigureId.FIG7)
 
 
 def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
@@ -360,6 +343,14 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     Returns the manifest mapping. Reruns with an identical spec produce
     byte-identical files regardless of worker count.
     """
+    trials = spec.trials
+    if not mcsim._is_int(trials) or trials < 0:
+        raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
+    if trials and spec.figure_id in _NO_MONTE_CARLO:
+        raise ConfigError(
+            f"{spec.figure_id.value} runs no Monte Carlo; trials must be 0, "
+            f"got {trials!r}"
+        )
     values = _figure_base(spec.figure_id)
     _read_config(values, overrides=spec.overrides)
     scenario.params_from_mapping(values)  # fail fast on bad overrides
@@ -436,10 +427,8 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
                 "mean_ci95_w": s.mean_ci95,
             }
             if threshold > 0:
-                frac = float(np.mean(s.samples >= threshold))
-                stats["active_prob"] = frac
-                stats["active_ci95"] = 1.96 * math.sqrt(
-                    max(frac * (1 - frac), 0.0) / config.trials
+                stats["active_prob"], stats["active_ci95"] = _reach(
+                    s.samples, threshold
                 )
             entry["schemes"][alloc.value] = stats
         n = config.trials
@@ -685,7 +674,7 @@ def _cmd_validate(args) -> int:
         "single sector reduces to omni",
         abs(analytic.mean_power(one) - analytic.mean_power_omni(one)) < 1e-18,
     )
-    cfg = SimConfig(trials=200, master_seed=args.seed or 7)
+    cfg = SimConfig(trials=200, master_seed=7 if args.seed is None else args.seed)
     s1 = mcsim.run_trials(params, cfg, workers=1)
     s2 = mcsim.run_trials(params, cfg, workers=2)
     check("trial streams worker-count invariant", np.array_equal(s1.samples, s2.samples))

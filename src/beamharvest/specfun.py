@@ -1,28 +1,24 @@
-"""Special-function kernel: Gamma, lower incomplete gamma, regularized P/Q.
+"""Special-function kernel: the incomplete gamma functions the closed forms call.
 
-Everything here is self-contained double-precision code (no numpy, no scipy)
-so the closed-form layer has no numerical dependencies. The incomplete gamma
-uses the classic series / continued-fraction split at x = s + 1; the Gamma
-function is a 9-term Lanczos approximation with reflection below 1/2.
+The Laplace factors use the lower incomplete gamma gamma(s, x) and the Gamma
+fit's CCDF uses the regularized upper tail Q(s, x). Both split at x = s + 1
+between a power series and a continued fraction, and both normalize by a
+9-term Lanczos ln Gamma with reflection below 1/2. Everything here is
+self-contained double-precision code (no numpy, no scipy).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
     "RangeError",
-    "SpecFunResult",
     "S_MAX",
     "X_MAX",
-    "gamma_function",
     "log_gamma_function",
     "lower_incomplete_gamma",
-    "regularized_gamma_p",
     "regularized_gamma_q",
-    "regularized_gamma_p_detail",
 ]
 
 
@@ -38,9 +34,6 @@ class RangeError(ValueError):
 # silently losing accuracy.
 S_MAX = 1.0e4
 X_MAX = 1.0e6
-
-# Gamma overflows double precision just past this shape value.
-_GAMMA_OVERFLOW = 171.624376956302725
 
 _EPS = 2.220446049250313e-16
 _TINY = 1.0e-300
@@ -63,15 +56,6 @@ _LANCZOS = (
 )
 
 
-@dataclass(frozen=True)
-class SpecFunResult:
-    """Value plus convergence diagnostics of an iterative evaluation."""
-
-    value: float
-    converged: bool
-    iterations: int
-
-
 def _check_sx(s: float, x: float) -> None:
     if not (math.isfinite(s) and math.isfinite(x)):
         raise DomainError("arguments must be finite")
@@ -90,34 +74,6 @@ def _lanczos_sum(z: float) -> float:
     for i in range(1, len(_LANCZOS)):
         acc += _LANCZOS[i] / (z + i - 1.0)
     return acc
-
-
-def gamma_function(k: float) -> float:
-    """Gamma(k) for k > 0 via Lanczos; overflow past k ~ 171.62 is an error."""
-    if not math.isfinite(k):
-        raise DomainError("argument must be finite")
-    if k <= 0.0:
-        raise DomainError(f"gamma_function requires k > 0, got {k!r}")
-    if k > S_MAX:
-        raise RangeError(f"shape k={k!r} exceeds supported maximum {S_MAX!r}")
-    if k > _GAMMA_OVERFLOW:
-        raise RangeError(
-            f"Gamma({k!r}) overflows double precision; use log_gamma_function"
-        )
-    if k < 0.5:
-        # reflection keeps the Lanczos series in its accurate region
-        return math.pi / (math.sin(math.pi * k) * gamma_function(1.0 - k))
-    z = k - 1.0
-    t = z + _LANCZOS_G + 0.5
-    # t**(z+0.5) alone can overflow for k near 171 even when Gamma(k) fits;
-    # splitting the power keeps every intermediate finite
-    half_pow = t ** (0.5 * (z + 0.5))
-    return (
-        math.sqrt(2.0 * math.pi)
-        * half_pow
-        * (math.exp(-t) * _lanczos_sum(z + 1.0))
-        * half_pow
-    )
 
 
 def log_gamma_function(k: float) -> float:
@@ -140,24 +96,21 @@ def log_gamma_function(k: float) -> float:
     )
 
 
-def _p_series(s: float, x: float) -> tuple[float, bool, int]:
-    """Regularized P(s,x) by power series; preferred for x < s + 1."""
-    if x == 0.0:
-        return 0.0, True, 0
+def _log_lower_series(s: float, x: float) -> float:
+    """ln gamma(s,x) by power series, for 0 < x < s + 1."""
     ap = s
     term = 1.0 / s
     total = term
-    for n in range(1, _MAX_ITER + 1):
+    for _ in range(_MAX_ITER):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            log_p = math.log(total) + s * math.log(x) - x - log_gamma_function(s)
-            return math.exp(log_p), True, n
-    return math.nan, False, _MAX_ITER
+            return math.log(total) + s * math.log(x) - x
+    raise ArithmeticError(f"gamma({s!r}, {x!r}) series did not converge")
 
 
-def _q_contfrac(s: float, x: float) -> tuple[float, bool, int]:
+def _q_contfrac(s: float, x: float) -> float:
     """Regularized Q(s,x) by modified-Lentz continued fraction; for x >= s + 1."""
     b = x + 1.0 - s
     c = 1.0 / _TINY
@@ -178,42 +131,24 @@ def _q_contfrac(s: float, x: float) -> tuple[float, bool, int]:
         if abs(delta - 1.0) < _EPS:
             log_pre = s * math.log(x) - x - log_gamma_function(s)
             if log_pre < -745.0:
-                return 0.0, True, n
-            return math.exp(log_pre) * h, True, n
-    return math.nan, False, _MAX_ITER
-
-
-def regularized_gamma_p_detail(k: float, x: float) -> SpecFunResult:
-    """P(k,x) = gamma(k,x)/Gamma(k) with convergence diagnostics."""
-    _check_sx(k, x)
-    if x < k + 1.0:
-        value, ok, iters = _p_series(k, x)
-    else:
-        q, ok, iters = _q_contfrac(k, x)
-        value = 1.0 - q
-    if ok:
-        value = min(max(value, 0.0), 1.0)
-    return SpecFunResult(value=value, converged=ok, iterations=iters)
-
-
-def regularized_gamma_p(k: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(k,x) in [0,1]."""
-    res = regularized_gamma_p_detail(k, x)
-    if not res.converged:
-        raise ArithmeticError(f"P({k!r}, {x!r}) did not converge")
-    return res.value
+                return 0.0
+            return math.exp(log_pre) * h
+    raise ArithmeticError(f"Q({s!r}, {x!r}) continued fraction did not converge")
 
 
 def regularized_gamma_q(k: float, x: float) -> float:
-    """Upper-tail complement Q(k,x) = 1 - P(k,x), computed on its own branch."""
+    """Upper tail Q(k,x) = Gamma(k,x)/Gamma(k) in [0,1].
+
+    Computed on its own branch for x >= k + 1, so tails far below the
+    double-precision spacing of 1 keep their relative accuracy.
+    """
     _check_sx(k, x)
+    if x == 0.0:
+        return 1.0
     if x < k + 1.0:
-        value, ok, _ = _p_series(k, x)
-        q = 1.0 - value if ok else math.nan
+        q = 1.0 - math.exp(_log_lower_series(k, x) - log_gamma_function(k))
     else:
-        q, ok, _ = _q_contfrac(k, x)
-    if not ok:
-        raise ArithmeticError(f"Q({k!r}, {x!r}) did not converge")
+        q = _q_contfrac(k, x)
     return min(max(q, 0.0), 1.0)
 
 
@@ -221,36 +156,20 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     """gamma(s,x) = integral of t^(s-1) e^(-t) over [0,x].
 
     Series for x < s+1, continued fraction (as Gamma(s) minus the upper tail)
-    for x >= s+1. Raises RangeError when the unregularized value overflows
-    double precision; regularized_gamma_p covers that regime.
+    for x >= s+1. Raises RangeError when the value overflows double
+    precision; regularized_gamma_q covers that regime.
     """
     _check_sx(s, x)
     if x == 0.0:
         return 0.0
     if x < s + 1.0:
-        ap = s
-        term = 1.0 / s
-        total = term
-        ok = False
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                ok = True
-                break
-        if not ok:
-            raise ArithmeticError(f"gamma({s!r}, {x!r}) series did not converge")
-        log_value = math.log(total) + s * math.log(x) - x
+        log_value = _log_lower_series(s, x)
     else:
-        q, ok, _ = _q_contfrac(s, x)
-        if not ok:
-            raise ArithmeticError(f"gamma({s!r}, {x!r}) fraction did not converge")
         # q = Q(s,x) is well inside (0, 0.7] here, so log1p loses nothing
-        log_value = log_gamma_function(s) + math.log1p(-q)
+        log_value = log_gamma_function(s) + math.log1p(-_q_contfrac(s, x))
     if log_value > _LOG_MAX:
         raise RangeError(
             f"gamma({s!r}, {x!r}) overflows double precision; "
-            "use regularized_gamma_p"
+            "use regularized_gamma_q"
         )
     return math.exp(log_value)

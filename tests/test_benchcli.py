@@ -1,6 +1,8 @@
 """Config loading, figure harness determinism, scheme comparison, CLI."""
 
+import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -126,8 +128,6 @@ def test_run_figure_fig5_outputs(tmp_path):
     assert manifest["seed"] == 3
     for name, digest in manifest["files"].items():
         body = (out / name).read_text()
-        import hashlib
-
         assert hashlib.sha256(body.encode()).hexdigest() == digest
     head = (out / "fig5a_rho_star.csv").read_text().splitlines()[0]
     assert head == "sectors,rho_star_m"
@@ -170,6 +170,42 @@ def test_run_figure_worker_invariant(tmp_path):
         ).read_bytes()
 
 
+#: sha256 over the sorted "name sha256" lines of every file (CSVs and
+#: manifest.json) that each figure writes at seed 11 with PINNED_TRIALS and
+#: the manifest's version fields set to "pinned".
+FIGURE_PINS = {
+    "Fig2": "416278a3e2d0ef43c76d9fb4a585fef370d616d0727412a342c11f86c2d168c8",
+    "Fig3": "e41742e5705045dd7d9bf51c4a82e09a9d0a327a4704c790958ca8af636f0779",
+    "Fig4": "cbb603942a835f6bc0a3b984ac5ff06968af40387fa979fc1bb179caebf3b93c",
+    "Fig5": "6ef6ebd08d47717a8b51dd665e2562644ec73fdbc59b6088cc13724861d0228a",
+    "Fig6": "1961b9621c0de76b9626604329220e4161a85f5128eb5d9c1dc8d14f1ec79bc4",
+    "Fig7": "c4868b89dc1b35c988148eff266498bb0ab747ceac90575adc7f553a1c3cc29c",
+    "Fig8": "7413b52987591acb30472e3caf1b39fb66d2d6d537fd6b837295db9d355ed151",
+}
+PINNED_TRIALS = {FigureId.FIG2: 300, FigureId.FIG3: 40, FigureId.FIG4: 40,
+                 FigureId.FIG8: 20}
+
+
+def test_run_figure_bytes_are_pinned(tmp_path, monkeypatch):
+    # the manifest records the installed versions; fix them so the pin
+    # holds the figure code, not the environment
+    monkeypatch.setattr(benchcli, "__version__", "pinned")
+    monkeypatch.setattr(benchcli.np, "__version__", "pinned")
+    digests = {}
+    for fid in FigureId:
+        out = tmp_path / fid.value
+        run_figure(
+            ExperimentSpec(fid, output_dir=str(out), seed=11,
+                           trials=PINNED_TRIALS.get(fid, 0))
+        )
+        lines = [
+            f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}"
+            for p in sorted(out.iterdir())
+        ]
+        digests[fid.value] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digests == FIGURE_PINS
+
+
 def test_run_figure_rejects_unknown_override(tmp_path):
     spec = ExperimentSpec(
         figure_id=FigureId.FIG5,
@@ -185,6 +221,31 @@ def test_run_figure_rejects_unknown_override(tmp_path):
         )
         with pytest.raises(ConfigError, match="unknown key"):
             run_figure(spec)
+
+
+def test_run_figure_rejects_bad_trials(tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("figure work started before trials was checked")
+
+    monkeypatch.setattr(benchcli.analytic, "mean_power", no_work)
+    monkeypatch.setattr(benchcli.radopt, "optimal_radius_mean", no_work)
+    out = tmp_path / "never"
+    cases = [(FigureId.FIG3, -5), (FigureId.FIG3, 2.5), (FigureId.FIG3, True),
+             (FigureId.FIG3, "40"), (FigureId.FIG5, -5)]
+    # Fig5-Fig7 run no Monte Carlo, so any trial count is a mistake
+    cases += [(fid, 10) for fid in (FigureId.FIG5, FigureId.FIG6, FigureId.FIG7)]
+    for fid, trials in cases:
+        spec = ExperimentSpec(fid, output_dir=str(out), trials=trials)
+        with pytest.raises(ConfigError, match="trials"):
+            run_figure(spec)
+    assert not out.exists()
+
+
+def test_cli_figure_rejects_bad_trials(tmp_path, capsys):
+    out = tmp_path / "f5"
+    assert main(["figure", "fig5", "--trials", "-5", "--out", str(out)]) == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_base_tables_cover_all_ids():
@@ -374,3 +435,18 @@ def test_cli_validate(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_cli_validate_seed_zero(monkeypatch, capsys):
+    seen = []
+
+    def fake_run_trials(params, config, workers=1):
+        seen.append(config.master_seed)
+        return types.SimpleNamespace(samples=np.zeros(1))
+
+    monkeypatch.setattr(benchcli.mcsim, "run_trials", fake_run_trials)
+    assert main(["validate", "--seed", "0"]) == 0
+    assert seen == [0, 0]
+    seen.clear()
+    assert main(["validate"]) == 0
+    assert seen == [7, 7]
