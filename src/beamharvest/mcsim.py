@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import enum
+import functools
 import json
 import math
 import os
@@ -179,10 +180,21 @@ def _disk_uniform(density: float, radius: float, stream: np.random.Generator) ->
     return stream.random((count, 2))
 
 
-def _disk_points(u_block: np.ndarray, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(u_block[:, 0])
-    theta = _TWO_PI * u_block[:, 1]
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+def _disk_points(
+    u_block: np.ndarray, radius: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Points for an (n, 2) uniform block as a (2, n) array of x and y rows,
+    written into out when given."""
+    r = np.sqrt(u_block[:, 0])
+    r *= radius
+    theta = u_block[:, 1] * _TWO_PI
+    if out is None:
+        out = np.empty((2, len(r)))
+    np.cos(theta, out=out[0])
+    out[0] *= r
+    np.sin(theta, out=out[1])
+    out[1] *= r
+    return out
 
 
 def sample_disk_ppp(density: float, radius: float, stream: np.random.Generator) -> np.ndarray:
@@ -195,7 +207,7 @@ def sample_disk_ppp(density: float, radius: float, stream: np.random.Generator) 
         raise ValueError(f"density must be nonnegative, got {density!r}")
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius!r}")
-    return _disk_points(_disk_uniform(density, radius, stream), radius)
+    return _disk_points(_disk_uniform(density, radius, stream), radius).T
 
 
 def draw_network(
@@ -241,69 +253,151 @@ def sector_of(pb, target, orientation: float, sectors: int) -> int:
     return int(rel // (_TWO_PI / sectors)) % sectors
 
 
+@functools.lru_cache(maxsize=32)
+def _sector_edges(sectors: int) -> tuple[float, ...]:
+    """Smallest doubles c_k with np.floor_divide(c_k, 2pi/N) >= k, k = 1..N.
+
+    On a nonnegative angle that floor division is the exact floor of the
+    real quotient (fmod is exact and the quotient snaps to it), so it steps
+    up exactly at these edges."""
+    width = _TWO_PI / sectors
+    edges = []
+    for k in range(1, sectors + 1):
+        c = k * width
+        while np.floor_divide(c, width) >= k:
+            c = math.nextafter(c, -math.inf)
+        while np.floor_divide(c, width) < k:
+            c = math.nextafter(c, math.inf)
+        edges.append(c)
+    return tuple(edges)
+
+
 def _sectors_toward(
     targets_dx: np.ndarray, targets_dy: np.ndarray, orientations: np.ndarray, sectors: int
 ) -> np.ndarray:
-    rel = np.mod(np.arctan2(targets_dy, targets_dx) - orientations, _TWO_PI)
-    idx = (rel // (_TWO_PI / sectors)).astype(np.int64)
-    return idx % sectors
+    """Sector index, 0..N-1, of each direction (dx, dy) from a beacon whose
+    orientation lies in [0, 2pi/N).
+
+    Bit for bit (np.mod(arctan2 - orientation, 2pi) // (2pi/N)) % N. For
+    N >= 2 the angle is at least -2pi, so np.mod adds 2pi to a negative
+    angle and keeps the rest (N = 1 has one sector). The floor division
+    counts the _sector_edges at or below the result, one comparison pass per
+    edge, and the top edge folds to sector 0, as % N does when adding 2pi
+    rounds up to 2pi. The float mod and floor division cost about ten times
+    as much."""
+    rel = np.arctan2(targets_dy, targets_dx)
+    rel -= orientations
+    rel += (rel < 0.0) * _TWO_PI
+    *inner, top = _sector_edges(sectors)
+    sec = np.zeros(len(rel), dtype=np.min_scalar_type(sectors))
+    for edge in inner:
+        sec += rel >= edge
+    sec *= rel < top
+    return sec
+
+
+def _grid_split(params: ScenarioParams) -> int:
+    """Join cells per charging radius. A finer grid trims the candidates a
+    beacon reads toward its disk but adds cells and strips, which pays only
+    when a rho-wide cell holds many sensors: about the square root of half
+    that expected count was fastest over the Fig. 3 sweep."""
+    per_cell = params.sn_density * params.charging_radius**2
+    return max(1, round(math.sqrt(per_cell / 2.0)))
 
 
 def _pairs_bucketed(
-    pb: np.ndarray, trial_pb: np.ndarray, sn: np.ndarray, trial_sn: np.ndarray, rho: float
+    pb: np.ndarray,
+    trial_pb: np.ndarray,
+    sn: np.ndarray,
+    trial_sn: np.ndarray,
+    rho: float,
+    split: int,
 ):
-    """(beacon, sensor) index pairs within rho and in the same trial.
+    """Beacon-sensor pairs within rho and in the same trial, one column strip
+    at a time: yields (i, j, dx, dy), beacon and sensor indices with
+    dx, dy = sn[:, j] - pb[:, i], the offsets the distance test used.
 
-    Sensors are bucketed into a uniform grid of cells a hair wider than
-    rho, its bounds taken from the points, with one block of cells per trial
-    label so batches of concatenated trials join without cross-talk. A counting pass
-    (bincount, then cumsum) over the dense cell keys gives the CSR index
-    start[key], the number of sensors in cells before key, into the sensors
-    sorted by key. A column's cells have consecutive keys, so each beacon
-    reads its 3x3 neighbourhood as three column strips
-    start[want-1] : start[want+2]. Only the pair *set* matters downstream
-    (integer sector counts), so neither the sort nor the join order carries
-    floating-point sensitivity, and the sort need not be stable.
+    Points are (2, n) arrays of x and y rows. Sensors are bucketed into a
+    uniform grid of cells a hair wider than rho / split, its bounds taken
+    from the points, with one block of cells per trial label so batches of
+    concatenated trials join without cross-talk. A counting pass (bincount,
+    then cumsum in place) over the dense cell keys gives end[key], the number
+    of sensors in cells up to key, into the sensors sorted by key. A column's
+    cells have consecutive keys, so a beacon reads each column of its
+    neighbourhood as one strip end[first - 1] : end[last]. The rows are
+    trimmed to the disk: a cell a columns and b rows beyond the beacon's
+    adjacent ones is read only if a^2 + b^2 < split^2. Only the pair *set*
+    matters downstream (integer sector counts), so neither the sort nor the
+    join order carries floating-point sensitivity, and the sort need not be
+    stable.
     """
-    if len(pb) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if pb.shape[1] == 0:
+        return
     # a pair can pass the rounded distance test yet lie just over rho apart
     # (beacon (2, 0.5), sensor (1 - 2**-53, 0.5), rho = 1); the margin keeps
-    # such points in neighbouring cells, and the test alone decides the pair
-    cell = rho * (1.0 + 2.0**-20)
-    cell_pb = np.floor(pb / cell).astype(np.int64)
-    cell_sn = np.floor(sn / cell).astype(np.int64)
-    # column by column: NumPy reduces an (n, 2) array along axis 0 ~25x slower
-    lo = [min(cell_pb[:, d].min(), cell_sn[:, d].min()) - 1 for d in (0, 1)]
-    hi = [max(cell_pb[:, d].max(), cell_sn[:, d].max()) for d in (0, 1)]
-    span = int(hi[1] - lo[1] + 3)
-    per_trial = span * int(hi[0] - lo[0] + 3)
+    # such pairs strictly inside the stencil, and the test alone decides
+    cell = rho * (1.0 + 2.0**-20) / split
+    # bounds from the raw extremes: floor(x / cell) is monotone in x
+    lo_x, lo_y = (math.floor(min(sn[d].min(), pb[d].min()) / cell) for d in (0, 1))
+    hi_x, hi_y = (math.floor(max(sn[d].max(), pb[d].max()) / cell) for d in (0, 1))
+    # split empty cells on each side keep every strip inside its trial block,
+    # and one more row below keeps first - 1 a cell of it
+    span = hi_y - lo_y + 2 * split + 2
+    per_trial = span * (hi_x - lo_x + 2 * split + 1)
     n_keys = per_trial * (int(max(trial_pb.max(), trial_sn.max())) + 1)
-    key_sn = trial_sn * per_trial + (cell_sn[:, 0] - lo[0]) * span + (cell_sn[:, 1] - lo[1])
-    order = np.argsort(key_sn)
-    start = np.bincount(key_sn + 1, minlength=n_keys + 1)
-    np.cumsum(start, out=start)
-    base_pb = trial_pb * per_trial + (cell_pb[:, 0] - lo[0]) * span + (cell_pb[:, 1] - lo[1])
+    corner = float((lo_x - split) * span + lo_y - split - 1)
+
+    def cell_keys(xy, trial):
+        # integer-valued doubles, exact far below 2**53
+        key = xy[0] / cell
+        np.floor(key, out=key)
+        key *= span
+        row = xy[1] / cell
+        np.floor(row, out=row)
+        key += row
+        del row
+        key -= corner
+        out = key.astype(np.int64)
+        del key
+        out += trial * per_trial
+        return out
+
+    key = cell_keys(sn, trial_sn)
+    order = np.argsort(key)
+    end = np.bincount(key, minlength=n_keys)
+    del key
+    np.cumsum(end, out=end)
     # sensor coordinates in key order, so a strip is one contiguous run
-    sx = sn[:, 0].take(order)
-    sy = sn[:, 1].take(order)
-    out_i = []
-    out_j = []
-    # one column strip per pass (rows y-1 .. y+1) bounds the candidate arrays
-    for ox in (-span, 0, span):
-        want = base_pb + ox
-        left = start[want - 1]
-        n_hit = start[want + 2] - left
+    sx = sn[0].take(order)
+    sy = sn[1].take(order)
+    base = cell_keys(pb, trial_pb)
+    beacons = np.arange(pb.shape[1])
+    for ox in range(-split, split + 1):
+        # rows read on either side of the beacon's row
+        reach = 1 + math.isqrt(split * split - max(abs(ox) - 1, 0) ** 2 - 1)
+        left = end.take(base + (ox * span - reach - 1))
+        n_hit = end.take(base + (ox * span + reach))
+        n_hit -= left
         ends = np.cumsum(n_hit)
-        # candidate c of beacon b sits at sorted position left[b] + c - first[b]
-        pos = np.repeat(left - ends + n_hit, n_hit)
+        # candidate c of beacon b sits at sorted position
+        # left[b] + c - (ends[b] - n_hit[b])
+        left -= ends
+        left += n_hit
+        pos = np.repeat(left, n_hit)
         pos += np.arange(ends[-1])
-        dx = sx.take(pos) - np.repeat(pb[:, 0], n_hit)
-        dy = sy.take(pos) - np.repeat(pb[:, 1], n_hit)
-        keep = dx * dx + dy * dy <= rho * rho
-        out_i.append(np.repeat(np.arange(len(pb)), n_hit)[keep])
-        out_j.append(order.take(pos[keep]))
-    return np.concatenate(out_i), np.concatenate(out_j)
+        i = np.repeat(beacons, n_hit)
+        dx = sx.take(pos)
+        dx -= pb[0].take(i)
+        dy = sy.take(pos)
+        dy -= pb[1].take(i)
+        d2 = dx * dx
+        d2 += dy * dy
+        kept = np.flatnonzero(d2 <= rho * rho)
+        del d2
+        # rebinding frees the candidate arrays while the caller holds the strip
+        i, j, dx, dy = i.take(kept), order.take(pos.take(kept)), dx.take(kept), dy.take(kept)
+        del pos, kept
+        yield i, j, dx, dy
 
 
 def pb_beam_state(
@@ -353,25 +447,28 @@ def _origin_gains(
 ) -> np.ndarray:
     """Gain each beacon radiates toward the origin, for a batch of trials.
 
-    Beacons and sensors carry trial labels; a sensor occupies a beacon's
-    sector when both share a trial and lie within the charging radius.
+    Beacons and sensors are (2, n) arrays of x and y rows carrying trial
+    labels; a sensor occupies a beacon's sector when both share a trial and
+    lie within the charging radius.
     Beacon b gets pb_beam_state(counts_b, scheme)[k_b], k_b being its sector
     holding the origin. Greedy breaks ties with tie_draws[b], one uniform
     per beacon whether or not it ties, which keeps the stream layout fixed.
     """
-    n_pb = len(pb)
+    n_pb = pb.shape[1]
     n_sec = params.sectors
     if scheme is Allocation.FORCED_OMNI:
         return np.ones(n_pb, dtype=np.float64)
-    i_pair, j_pair = _pairs_bucketed(pb, trial_pb, sn, trial_sn, params.charging_radius)
-    sec = _sectors_toward(
-        sn[j_pair, 0] - pb[i_pair, 0],
-        sn[j_pair, 1] - pb[i_pair, 1],
-        orientations[i_pair],
-        n_sec,
+    counts = np.zeros(n_pb * n_sec, dtype=np.int64)
+    strips = _pairs_bucketed(
+        pb, trial_pb, sn, trial_sn, params.charging_radius, _grid_split(params)
     )
-    counts = np.bincount(i_pair * n_sec + sec, minlength=n_pb * n_sec).reshape(n_pb, n_sec)
-    k = _sectors_toward(-pb[:, 0], -pb[:, 1], orientations, n_sec)
+    for i, _, dx, dy in strips:
+        sec = _sectors_toward(dx, dy, orientations.take(i), n_sec)
+        i *= n_sec
+        i += sec
+        counts += np.bincount(i, minlength=n_pb * n_sec)
+    counts = counts.reshape(n_pb, n_sec)
+    k = _sectors_toward(-pb[0], -pb[1], orientations, n_sec)
     rows = np.arange(n_pb)
     occupied = np.count_nonzero(counts, axis=1)
     hit = counts[rows, k]
@@ -412,8 +509,8 @@ def received_power_origin(
     greedy = scheme is Allocation.GREEDY and rng is not None
     tie_draws = rng.random(len(pb)) if greedy else None
     gains = _origin_gains(
-        pb, np.zeros(len(pb), dtype=np.int64), sample.pb_orientations,
-        sample.sn_points, np.zeros(len(sample.sn_points), dtype=np.int64),
+        pb.T, np.zeros(len(pb), dtype=np.int64), sample.pb_orientations,
+        sample.sn_points.T, np.zeros(len(sample.sn_points), dtype=np.int64),
         params, scheme, tie_draws,
     )
     dist = np.hypot(pb[:, 0], pb[:, 1])
@@ -448,14 +545,20 @@ def _tail_mean(params: ScenarioParams, radius: float) -> float:
 def _batch_size(params: ScenarioParams, window: float) -> int:
     """Trials fused per vectorized pass, sized to bound working-set memory.
 
-    The join's CSR index holds one entry per grid cell of side rho over the
-    sensor window, so small radii fill a batch with cells, not points."""
+    Per trial, the pair stage holds an entry per sensor (its sorted copy),
+    per join cell of side rho/split over the sensor window (the CSR index,
+    so small radii fill a batch with cells, not points) and, one strip at a
+    time, per candidate pair. Candidates are counted over a beacon's whole
+    3x3 block of rho-wide cells, though a strip reads at most a third of
+    that: the margin covers the strip's offset, distance and index arrays
+    and the kept pairs' sector arrays."""
     rho = params.charging_radius
+    split = _grid_split(params)
     sn_window = window + rho
     expect_pb = params.pb_density * math.pi * window * window
     expect_sn = params.sn_density * math.pi * sn_window**2
     expect_pairs = expect_pb * 9.0 * params.sn_density * rho**2
-    cells = (2.0 * sn_window / rho + 3.0) ** 2
+    cells = (2.0 * (sn_window / rho + 1.0) * split + 2.0) ** 2
     rows = max(expect_pb, expect_sn, expect_pairs, cells, 1.0)
     return int(min(256, max(1, 4.0e5 / rows)))
 
@@ -497,21 +600,24 @@ def _batch_powers(
             if scheme is Allocation.GREEDY:
                 tie_blocks.append(streams.at(i, _ALLOC_SUBSTREAM[scheme]).random(len(u_pb)))
     pb = _disk_points(np.concatenate(pb_blocks).reshape(-1, 2), window)
+    del pb_blocks
     t_pb = np.repeat(np.arange(n_trials), n_pb)
     if omni:
-        gains = np.ones(len(pb), dtype=np.float64)
+        gains = np.ones(pb.shape[1], dtype=np.float64)
     else:
         orientations = np.concatenate(orient_blocks) * (_TWO_PI / params.sectors)
+        del orient_blocks
         # each trial's origin sensor goes after the field sensors rather than
         # first, as in draw_network: sensor order does not enter the counts
-        sn = np.vstack((
-            _disk_points(np.concatenate(sn_blocks).reshape(-1, 2), sn_window),
-            np.zeros((n_trials, 2)),
-        ))
+        u_sn = np.concatenate(sn_blocks).reshape(-1, 2)
+        del sn_blocks
+        sn = np.zeros((2, len(u_sn) + n_trials))
+        _disk_points(u_sn, sn_window, out=sn[:, : len(u_sn)])
+        del u_sn
         t_sn = np.concatenate((np.repeat(np.arange(n_trials), n_sn), np.arange(n_trials)))
         ties = np.concatenate(tie_blocks) if tie_blocks else None
         gains = _origin_gains(pb, t_pb, orientations, sn, t_sn, params, scheme, ties)
-    dist = np.hypot(pb[:, 0], pb[:, 1])
+    dist = np.hypot(pb[0], pb[1])
     atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
     powers = np.bincount(t_pb, weights=gains * atten, minlength=n_trials)
     return params.pb_power * params.attenuation * powers

@@ -1,9 +1,12 @@
 """Shared fixtures for the test suite.
 
 The only session-scoped resource is the 12-point Monte Carlo sweep that the
-end-to-end mean and variance checks both read; it takes a few minutes, so it
-runs once and is cached for the whole session.
+end-to-end mean and variance checks both read; it takes about a minute, so
+it runs once and is cached for the whole session. Its trials are spread over
+up to two worker processes; samples do not depend on the worker count.
 """
+
+import os
 
 import pytest
 
@@ -44,5 +47,5 @@ def power_curve_sweep():
     for sn in SWEEP_SN:
         for rho in SWEEP_RHO:
             pr = curve_params(rho=rho, sn=sn)
-            out[(rho, sn)] = mcsim.run_trials(pr, cfg, workers=1)
+            out[(rho, sn)] = mcsim.run_trials(pr, cfg, workers=min(2, os.cpu_count() or 1))
     return out

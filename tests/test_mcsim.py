@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,10 +87,10 @@ def scalar_origin_gains(sample, params, scheme, tie_draws=None):
 def kernel_origin_gains(sample, params, scheme, tie_draws=None):
     """mcsim's batched gain kernel applied to one realization."""
     return mcsim._origin_gains(
-        sample.pb_points,
+        sample.pb_points.T,
         np.zeros(len(sample.pb_points), dtype=np.int64),
         sample.pb_orientations,
-        sample.sn_points,
+        sample.sn_points.T,
         np.zeros(len(sample.sn_points), dtype=np.int64),
         params,
         scheme,
@@ -153,6 +154,52 @@ def test_sector_of_matches_vectorized_form():
     )
     want = [sector_of(pb[i], target[i], orient[i], 6) for i in range(40)]
     assert got.tolist() == want
+
+
+def float_mod_sectors(dx, dy, orientations, sectors):
+    """The sector formula the edge table replaces, kept as its oracle."""
+    rel = np.mod(np.arctan2(dy, dx) - orientations, 2.0 * math.pi)
+    return (rel // (2.0 * math.pi / sectors)).astype(np.int64) % sectors
+
+
+def ulp_neighbours(x, steps=3):
+    out, up, down = [x], x, x
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_sector_edges_match_float_mod():
+    two_pi = 2.0 * math.pi
+    rng = np.random.default_rng(8)
+    for n in range(1, 17):
+        width = two_pi / n
+        edges = np.array(mcsim._sector_edges(n))
+        # angles rel = arctan2 - orientation at every edge and its ulp
+        # neighbours, reached directly and through np.mod's +2pi; negatives
+        # whose +2pi rounds to 2pi itself or just below; random angles
+        rel = np.concatenate([
+            ulp_neighbours(edges),
+            ulp_neighbours(edges - two_pi),
+            -np.spacing(two_pi) * np.array([1e-300, 2.0**-8, 0.25, 0.5, 0.75, 1.0, 2.0]),
+            [0.0, math.pi, -math.pi - width],
+            rng.uniform(-math.pi - width, math.pi, 20_000),
+        ])
+        # the reachable range: arctan2 in [-pi, pi], orientation in [0, width)
+        rel = rel[(rel >= -math.pi - width) & (rel <= math.pi)]
+        # dx = 1, dy = 0 gives arctan2 = 0, so orientation -rel gives rel exactly
+        probe = (np.ones_like(rel), np.zeros_like(rel), -rel)
+        got = mcsim._sectors_toward(*probe, n)
+        assert np.array_equal(got, float_mod_sectors(*probe, n)), n
+        # -0.0, and arctan2 = -pi at the largest orientation the draws give
+        top = np.array([(1.0 - 2.0**-53) * width, np.nextafter(width, 0.0)])
+        for probe in (
+            (np.array([1.0]), np.array([-0.0]), np.array([0.0])),
+            (np.array([-1.0, -1.0]), np.array([-0.0, -0.0]), top),
+        ):
+            got = mcsim._sectors_toward(*probe, n)
+            assert np.array_equal(got, float_mod_sectors(*probe, n)), n
 
 
 def test_draw_network_shapes():
@@ -361,33 +408,45 @@ def brute_force_pairs(pb, t_pb, sn, t_sn, rho):
     return {(int(i), int(j)) for i, j in zip(*np.nonzero(near))}
 
 
-def joined_pairs(pb, t_pb, sn, t_sn, rho):
-    i, j = mcsim._pairs_bucketed(pb, t_pb, sn, t_sn, rho)
+def joined_pairs(pb, t_pb, sn, t_sn, rho, split=1):
+    strips = list(mcsim._pairs_bucketed(pb.T, t_pb, sn.T, t_sn, rho, split))
+    i, j, dx, dy = (np.concatenate([s[k] for s in strips] + [np.empty(0)]) for k in range(4))
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    # the offsets are the sector step's input: bitwise sensor minus beacon
+    assert np.array_equal(dx, sn[j, 0] - pb[i, 0])
+    assert np.array_equal(dy, sn[j, 1] - pb[i, 1])
     pairs = list(zip(i.tolist(), j.tolist()))
     assert len(pairs) == len(set(pairs))
     return set(pairs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), trials=st.integers(1, 3), rho=st.sampled_from([0.5, 1.0, 2.0]))
-def test_pair_join_matches_brute_force(data, trials, rho):
+@given(
+    data=st.data(),
+    trials=st.integers(1, 3),
+    rho=st.sampled_from([0.5, 1.0, 2.0]),
+    split=st.integers(1, 5),
+)
+def test_pair_join_matches_brute_force(data, trials, rho, split):
     batch = lattice_batch(data.draw, trials, rho)
-    assert joined_pairs(*batch, rho) == brute_force_pairs(*batch, rho)
+    assert joined_pairs(*batch, rho, split) == brute_force_pairs(*batch, rho)
 
 
 def test_pair_join_counts_distance_rho_as_inside():
     # a beacon on a cell corner in negative coordinates; sensors at distance
     # exactly rho on both axes are inside, the origin and (-2, -1.25) are not
-    pb = np.array([[-1.0, -2.0]])
-    sn = np.array([[0.0, 0.0], [-2.0, -2.0], [-1.0, -1.0], [-2.0, -1.25]])
-    batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(4, dtype=np.int64))
-    assert joined_pairs(*batch, 1.0) == {(0, 1), (0, 2)}
-    # the rounded dx is -1.0, so the pair is inside, yet the points are
-    # just over rho apart and would sit two rho-wide cells apart
-    pb = np.array([[2.0, 0.5]])
-    sn = np.array([[1.0 - 2.0**-53, 0.5]])
-    batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(1, dtype=np.int64))
-    assert joined_pairs(*batch, 1.0) == brute_force_pairs(*batch, 1.0) == {(0, 0)}
+    for split in range(1, 6):
+        pb = np.array([[-1.0, -2.0]])
+        sn = np.array([[0.0, 0.0], [-2.0, -2.0], [-1.0, -1.0], [-2.0, -1.25]])
+        batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(4, dtype=np.int64))
+        assert joined_pairs(*batch, 1.0, split) == {(0, 1), (0, 2)}
+        # the rounded dx is -1.0, so the pair is inside, yet the points are
+        # just over rho apart and would sit two rho-wide cells apart
+        pb = np.array([[2.0, 0.5]])
+        sn = np.array([[1.0 - 2.0**-53, 0.5]])
+        batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(1, dtype=np.int64))
+        want = brute_force_pairs(*batch, 1.0)
+        assert joined_pairs(*batch, 1.0, split) == want == {(0, 0)}
 
 
 def test_batch_grouping_does_not_change_results():
@@ -398,6 +457,24 @@ def test_batch_grouping_does_not_change_results():
          for a, b in ((0, 2), (2, 3), (3, 9))]
     )
     assert np.array_equal(whole, pieces)
+
+
+def test_batch_memory_peak():
+    # Fig. 3 deployment at lambda_s 1.6, rho 1: the largest sensor batch of
+    # its sweep (176 trials, ~400k sensors). A join that returned index
+    # pairs, re-gathered their coordinates and kept the raw draws alive
+    # peaked at 44.7-45.6 MiB in this batch (NumPy 2.4.6); the strip-wise
+    # join peaks near 30 MiB
+    pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=1.0)
+    window = mcsim._exact_zone_radius(pr)
+    stop = mcsim._batch_size(pr, window)
+    tracemalloc.start()
+    try:
+        mcsim._batch_powers(pr, Allocation.UNIFORM, 1, 0, stop, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44.9 * 2**20
 
 
 def test_run_trials_deterministic_and_worker_invariant():
