@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfun
-from .scenario import ScenarioParams, validate
+from .scenario import MAX_SECTORS, ScenarioParams, validate
 
 __all__ = [
     "MAX_SECTORS",
@@ -49,10 +49,6 @@ __all__ = [
     "d_mean_d_rho",
 ]
 
-#: Sector counts above this are rejected: the binomial sums would need more
-#: than double precision to keep the identity tolerances.
-MAX_SECTORS = 64
-
 #: Laplace argument cap: s * pb_power * attenuation * gain must stay within
 #: the special-function kernel's x range.
 LAPLACE_ARG_MAX = 1.0e6
@@ -79,15 +75,6 @@ class GammaApprox:
     @property
     def variance(self) -> float:
         return self.shape * self.scale * self.scale
-
-
-def _checked(params: ScenarioParams) -> ScenarioParams:
-    validate(params)
-    if params.sectors > MAX_SECTORS:
-        raise ValueError(
-            f"sectors={params.sectors} exceeds the supported maximum {MAX_SECTORS}"
-        )
-    return params
 
 
 def branch_of(params: ScenarioParams) -> BranchTag:
@@ -119,19 +106,10 @@ def _occupancy(params: ScenarioParams) -> tuple[float, float, float]:
     return p, q, p_all
 
 
-def _geo_from_zero(p: float, n_terms: int) -> float:
-    """sum of p^j for j in [0, n_terms): the stable form of (1-p^N)/(1-p)."""
-    acc = 1.0
-    term = 1.0
-    for _ in range(n_terms - 1):
-        term *= p
-        acc += term
-    return acc
-
-
-def _geo_from_one(p: float, n_terms: int) -> float:
-    """sum of p^j for j in [1, n_terms): the stable form of (p-p^N)/(1-p)."""
-    acc = 0.0
+def _geo_sum(p: float, n_terms: int, first: int) -> float:
+    """sum of p^j for j in [first, n_terms), first 0 or 1: the stable form of
+    (1-p^N)/(1-p) or (p-p^N)/(1-p)."""
+    acc = float(1 - first)
     term = 1.0
     for _ in range(n_terms - 1):
         term *= p
@@ -145,19 +123,22 @@ def sector_empty_prob(params: ScenarioParams) -> float:
     Sensor counts in the N equal sectors are independent Poissons, so this is
     exp(-sn_density * pi * rho^2 / N).
     """
-    _checked(params)
+    validate(params)
     p, _, _ = _occupancy(params)
     return p
 
 
+def _check_active(m: int, lo: int, n: int) -> None:
+    """Domain of an active-sector count M: an integer in [lo, n]."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError("active_sectors must be an integer")
+    if m < lo or m > n:
+        raise ValueError(f"need {lo} <= M <= {n}, got {m}")
+
+
 def gain(active_sectors: int, sectors: int) -> float:
     """Antenna gain toward a served direction: 1 when idle-omni, else N/M."""
-    if not isinstance(active_sectors, int) or isinstance(active_sectors, bool):
-        raise ValueError("active_sectors must be an integer")
-    if active_sectors < 0 or active_sectors > sectors:
-        raise ValueError(
-            f"active_sectors={active_sectors} outside [0, {sectors}]"
-        )
+    _check_active(active_sectors, 0, sectors)
     if active_sectors == 0:
         return 1.0
     return sectors / active_sectors
@@ -169,15 +150,10 @@ def reception_prob_near(active_sectors: int, params: ScenarioParams) -> float:
     The sensor itself occupies one sector, so M-1 of the remaining N-1
     sectors must be occupied: C(N-1, M-1) p^(N-M) q^(M-1).
     """
-    _checked(params)
+    validate(params)
     n = params.sectors
     m = active_sectors
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError("active_sectors must be an integer")
-    if m < 1 or m > n:
-        raise ValueError(
-            f"near beacons always beam at the sensor; need 1 <= M <= {n}, got {m}"
-        )
+    _check_active(m, 1, n)  # a near beacon always beams at the sensor
     p, q, _ = _occupancy(params)
     return _binom(n - 1, m - 1) * p ** (n - m) * q ** (m - 1)
 
@@ -189,13 +165,10 @@ def reception_prob_far(active_sectors: int, params: ScenarioParams) -> float:
     M >= 1 the aimed-sector chance M/N folds into C(N,M) p^(N-M) q^M giving
     C(N-1, M-1) p^(N-M) q^M.
     """
-    _checked(params)
+    validate(params)
     n = params.sectors
     m = active_sectors
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError("active_sectors must be an integer")
-    if m < 0 or m > n:
-        raise ValueError(f"need 0 <= M <= {n}, got {m}")
+    _check_active(m, 0, n)
     p, q, p_all = _occupancy(params)
     if m == 0:
         return p_all
@@ -250,17 +223,18 @@ def _far_exponent(s: float, m: int, params: ScenarioParams) -> float:
     return lam * math.pi * eta * bracket
 
 
-def _check_s(s: float) -> None:
-    if not (isinstance(s, (int, float)) and math.isfinite(s)):
-        raise ValueError("laplace argument must be a finite number")
-    if s < 0:
-        raise ValueError(f"laplace argument must be nonnegative, got {s!r}")
+def _check_nonnegative(value: float, name: str) -> None:
+    """The domain of a Laplace argument s and of a CCDF threshold."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 def laplace_near(s: float, active_sectors: int, params: ScenarioParams) -> float:
     """Laplace transform of aggregate power from near beacons with M beams."""
-    _checked(params)
-    _check_s(s)
+    validate(params)
+    _check_nonnegative(s, "laplace argument")
     if s == 0:
         reception_prob_near(active_sectors, params)  # still enforce the M domain
         return 1.0
@@ -269,8 +243,8 @@ def laplace_near(s: float, active_sectors: int, params: ScenarioParams) -> float
 
 def laplace_far(s: float, active_sectors: int, params: ScenarioParams) -> float:
     """Laplace transform of aggregate power from far beacons with M beams."""
-    _checked(params)
-    _check_s(s)
+    validate(params)
+    _check_nonnegative(s, "laplace argument")
     if s == 0:
         reception_prob_far(active_sectors, params)
         return 1.0
@@ -283,8 +257,8 @@ def log_laplace_total(s: float, params: ScenarioParams) -> float:
     Exposed separately because log(laplace_total) loses precision near s = 0,
     where the transform is 1 - O(s); derivative checks difference this form.
     """
-    _checked(params)
-    _check_s(s)
+    validate(params)
+    _check_nonnegative(s, "laplace argument")
     if s == 0:
         return 0.0
     n = params.sectors
@@ -303,8 +277,8 @@ def laplace_total(s: float, params: ScenarioParams) -> float:
 
 def log_laplace_omni(s: float, params: ScenarioParams) -> float:
     """Log Laplace transform when every beacon radiates omnidirectionally."""
-    _checked(params)
-    _check_s(s)
+    validate(params)
+    _check_nonnegative(s, "laplace argument")
     if s == 0:
         return 0.0
     a = _laplace_a(s, 1.0, params)
@@ -328,24 +302,24 @@ def mean_power(params: ScenarioParams) -> float:
     Both radius branches use the geometric-sum form of (1 - p^N)/(1 - p), so
     the p -> 1 limit needs no special casing and the seam at rho = 1 is exact.
     """
-    _checked(params)
+    validate(params)
     p, _, _ = _occupancy(params)
     rho = params.charging_radius
     alpha = params.path_loss_exp
     n = params.sectors
     scale = params.pb_power * params.pb_density * params.attenuation * math.pi
     if rho <= 1.0:
-        return scale * (rho * rho * _geo_from_one(p, n) + alpha / (alpha - 2.0))
+        return scale * (rho * rho * _geo_sum(p, n, 1) + alpha / (alpha - 2.0))
     r_pow = rho ** (2.0 - alpha)
     return scale * (
-        (alpha - 2.0 * r_pow) * _geo_from_zero(p, n) / (alpha - 2.0)
+        (alpha - 2.0 * r_pow) * _geo_sum(p, n, 0) / (alpha - 2.0)
         + 2.0 * r_pow / (alpha - 2.0)
     )
 
 
 def mean_power_omni(params: ScenarioParams) -> float:
     """Mean received power under omni transmission: P lam sigma pi a/(a-2)."""
-    _checked(params)
+    validate(params)
     alpha = params.path_loss_exp
     return (
         params.pb_power
@@ -373,7 +347,7 @@ def _gain_square_sum(p: float, q: float, n: int) -> float:
 
 def variance_power(params: ScenarioParams) -> float:
     """Variance of received power at the typical sensor, watts^2."""
-    _checked(params)
+    validate(params)
     p, q, p_all = _occupancy(params)
     rho = params.charging_radius
     alpha = params.path_loss_exp
@@ -400,7 +374,7 @@ def variance_power(params: ScenarioParams) -> float:
 
 def variance_omni(params: ScenarioParams) -> float:
     """Variance under omni transmission: lam P^2 sigma^2 pi a/(a-1)."""
-    _checked(params)
+    validate(params)
     alpha = params.path_loss_exp
     return (
         params.pb_density
@@ -419,36 +393,31 @@ def near_far_mean_ratios(params: ScenarioParams) -> tuple[float, float]:
     (geometric-sum form, so p -> 1 gives N exactly); for far beacons the
     higher intensity and lower alignment odds cancel exactly, ratio 1.
     """
-    _checked(params)
+    validate(params)
     p, _, _ = _occupancy(params)
-    return _geo_from_zero(p, params.sectors), 1.0
+    return _geo_sum(p, params.sectors, 0), 1.0
+
+
+def _moment_match(mean: float, var: float) -> GammaApprox:
+    if not (mean > 0.0) or not (var > 0.0):
+        raise ValueError("moment matching needs strictly positive mean and variance")
+    return GammaApprox(shape=mean * mean / var, scale=var / mean)
 
 
 def gamma_approx(params: ScenarioParams) -> GammaApprox:
     """Second-order moment match of the received-power law to a Gamma law."""
-    _checked(params)
-    mean = mean_power(params)
-    var = variance_power(params)
-    if not (mean > 0.0) or not (var > 0.0):
-        raise ValueError("moment matching needs strictly positive mean and variance")
-    return GammaApprox(shape=mean * mean / var, scale=var / mean)
+    validate(params)
+    return _moment_match(mean_power(params), variance_power(params))
 
 
 def gamma_approx_omni(params: ScenarioParams) -> GammaApprox:
     """Gamma moment match of the omni-transmission power law."""
-    _checked(params)
-    mean = mean_power_omni(params)
-    var = variance_omni(params)
-    if not (mean > 0.0) or not (var > 0.0):
-        raise ValueError("moment matching needs strictly positive mean and variance")
-    return GammaApprox(shape=mean * mean / var, scale=var / mean)
+    validate(params)
+    return _moment_match(mean_power_omni(params), variance_omni(params))
 
 
 def _gamma_ccdf_value(approx: GammaApprox, threshold: float) -> float:
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)):
-        raise ValueError("threshold must be a finite number")
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
+    _check_nonnegative(threshold, "threshold")
     if threshold == 0:
         return 1.0
     # complement computed on its own branch; 1 - P would round to 0 early
@@ -499,26 +468,31 @@ def _w_outer_over_nq2(p: float, q: float, n: int) -> float:
     return (n * q * p**n - p + p ** (n + 1)) / (n * q * q)
 
 
-def d_mean_d_rho(params: ScenarioParams) -> float:
-    """Derivative of mean_power with respect to the charging radius, W/m.
-
-    Evaluates the branch matching branch_of(params); the two branch formulas
-    take the same value at rho = 1.
-    """
-    _checked(params)
-    p, q, _ = _occupancy(params)
-    rho = params.charging_radius
-    alpha = params.path_loss_exp
-    n = params.sectors
-    lam_s_pi = params.sn_density * math.pi
-    scale = (
+def _slope_scale(params: ScenarioParams) -> float:
+    """Natural size of d(mean)/d(rho): 2 P lam_p pi sigma."""
+    return (
         2.0
         * params.pb_power
         * params.pb_density
         * math.pi
         * params.attenuation
     )
-    geo1 = _geo_from_one(p, n)
+
+
+def d_mean_d_rho(params: ScenarioParams) -> float:
+    """Derivative of mean_power with respect to the charging radius, W/m.
+
+    Evaluates the branch matching branch_of(params); the two branch formulas
+    take the same value at rho = 1.
+    """
+    validate(params)
+    p, q, _ = _occupancy(params)
+    rho = params.charging_radius
+    alpha = params.path_loss_exp
+    n = params.sectors
+    lam_s_pi = params.sn_density * math.pi
+    scale = _slope_scale(params)
+    geo1 = _geo_sum(p, n, 1)
     if rho <= 1.0:
         w = _w_inner_over_nq2(p, q, n)
         return scale * (rho * geo1 + lam_s_pi * rho**3 * p * w)

@@ -295,8 +295,7 @@ def active_prob_grid(params, rho_values, threshold, config, workers=1):
     seed so the comparison across radii is as paired as the geometry
     allows.
     """
-    if not (threshold > 0):
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    radopt._check_threshold(threshold)
     rows = []
     for rho in rho_values:
         p = params.with_(charging_radius=float(rho))
@@ -403,6 +402,12 @@ def _paired_verdict(delta: float, se: float, labels: tuple) -> dict:
     }
 
 
+#: Expected orderings, as (higher, lower) pairs, of the mean power and of
+#: the probability of reaching the threshold.
+_MEAN_ORDER = ((Allocation.GREEDY, Allocation.ROBUST), (Allocation.ROBUST, Allocation.UNIFORM))
+_ACTIVE_ORDER = ((Allocation.ROBUST, Allocation.UNIFORM), (Allocation.UNIFORM, Allocation.GREEDY))
+
+
 def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
     """Scheme shoot-out at each transmit power in sweep.
 
@@ -431,35 +436,18 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
                     s.samples, threshold
                 )
             entry["schemes"][alloc.value] = stats
-        n = config.trials
-        mean_pairs = (
-            (Allocation.GREEDY, Allocation.ROBUST),
-            (Allocation.ROBUST, Allocation.UNIFORM),
-        )
-        entry["mean_ordering"] = []
-        for hi, lo in mean_pairs:
-            d = samples[hi] - samples[lo]
-            entry["mean_ordering"].append(
-                _paired_verdict(
-                    float(d.mean()),
-                    float(d.std(ddof=1)) / math.sqrt(n),
-                    (hi.value, lo.value),
-                )
-            )
+        orderings = [("mean_ordering", samples, _MEAN_ORDER)]
         if threshold > 0:
-            active_pairs = (
-                (Allocation.ROBUST, Allocation.UNIFORM),
-                (Allocation.UNIFORM, Allocation.GREEDY),
-            )
-            entry["active_ordering"] = []
-            for hi, lo in active_pairs:
-                d = (samples[hi] >= threshold).astype(float) - (
-                    samples[lo] >= threshold
-                ).astype(float)
-                entry["active_ordering"].append(
+            reached = {a: (x >= threshold).astype(float) for a, x in samples.items()}
+            orderings.append(("active_ordering", reached, _ACTIVE_ORDER))
+        for name, per_trial, pairs in orderings:
+            entry[name] = []
+            for hi, lo in pairs:
+                d = per_trial[hi] - per_trial[lo]
+                entry[name].append(
                     _paired_verdict(
                         float(d.mean()),
-                        float(d.std(ddof=1)) / math.sqrt(n),
+                        float(d.std(ddof=1)) / math.sqrt(config.trials),
                         (hi.value, lo.value),
                     )
                 )
@@ -579,42 +567,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_optimize_mean(args) -> int:
-    params, _ = _gather(args)
-    opt = radopt.optimal_radius_mean(params)
-    print(
-        json.dumps(
-            {
-                "rho_star_m": opt.radius,
-                "mean_power_w": opt.objective,
-                "case": opt.case_label.value,
-                "derivative_residual": opt.derivative_residual,
-                "evaluations": opt.evaluations,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
-    return 0
-
-
-def _cmd_optimize_active(args) -> int:
-    params, _ = _gather(args)
-    threshold = params.power_threshold if args.threshold is None else args.threshold
-    if not (math.isfinite(threshold) and threshold > 0):
-        print(
-            "optimize-active needs a positive finite threshold "
-            "(--threshold or power_threshold_w)",
-            file=sys.stderr,
-        )
-        return 2
-    opt = radopt.optimal_radius_active(params, threshold)
+def _print_optimum(opt: radopt.RadiusOptimum, objective: str) -> int:
+    """Print an optimizer result as JSON, its objective under that key."""
     residual = opt.derivative_residual
     print(
         json.dumps(
             {
                 "rho_star_m": opt.radius,
-                "active_prob": opt.objective,
+                objective: opt.objective,
                 "case": opt.case_label.value,
                 "derivative_residual": None if math.isnan(residual) else residual,
                 "evaluations": opt.evaluations,
@@ -624,6 +584,28 @@ def _cmd_optimize_active(args) -> int:
         )
     )
     return 0
+
+
+def _cmd_optimize_mean(args) -> int:
+    params, _ = _gather(args)
+    return _print_optimum(radopt.optimal_radius_mean(params), "mean_power_w")
+
+
+def _cmd_optimize_active(args) -> int:
+    params, _ = _gather(args)
+    threshold = params.power_threshold if args.threshold is None else args.threshold
+    try:
+        radopt._check_threshold(threshold)
+    except ValueError:
+        print(
+            "optimize-active needs a positive finite threshold "
+            "(--threshold or power_threshold_w)",
+            file=sys.stderr,
+        )
+        return 2
+    return _print_optimum(
+        radopt.optimal_radius_active(params, threshold), "active_prob"
+    )
 
 
 def _cmd_figure(args) -> int:

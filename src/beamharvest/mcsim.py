@@ -43,7 +43,6 @@ __all__ = [
     "NetworkSample",
     "TrialSummary",
     "trial_stream",
-    "sample_disk_ppp",
     "draw_network",
     "sector_of",
     "pb_beam_state",
@@ -173,11 +172,25 @@ _ALLOC_SUBSTREAM = {
 
 
 def _disk_uniform(density: float, radius: float, stream: np.random.Generator) -> np.ndarray:
-    """Raw draws behind sample_disk_ppp: one Poisson count, then an (n, 2)
-    uniform block (radius variate, angle variate). The batched trial engine
-    consumes the identical sequence, so its networks match draw_network's."""
+    """Raw draws of a Poisson field on a disk: one Poisson count, then an
+    (n, 2) uniform block (radius variate, angle variate)."""
     count = int(stream.poisson(density * math.pi * radius * radius))
     return stream.random((count, 2))
+
+
+def _trial_draws(
+    params: ScenarioParams, window: float, stream: np.random.Generator, sensors: bool
+) -> tuple:
+    """One trial's network draws, in the order the reproducibility contract
+    fixes: the beacon block over the window, one orientation uniform per
+    beacon, then the sensor block over window + rho. Without sensors (forced
+    omni reads only the beacons) the last two are None and not drawn."""
+    u_pb = _disk_uniform(params.pb_density, window, stream)
+    if not sensors:
+        return u_pb, None, None
+    orient = stream.random(len(u_pb))
+    u_sn = _disk_uniform(params.sn_density, window + params.charging_radius, stream)
+    return u_pb, orient, u_sn
 
 
 def _disk_points(
@@ -197,19 +210,6 @@ def _disk_points(
     return out
 
 
-def sample_disk_ppp(density: float, radius: float, stream: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson field on a disk around the origin; (n, 2) array.
-
-    Draw order (count, then a uniform block) is part of the reproducibility
-    contract; positions are uniform via the sqrt-radius map.
-    """
-    if density < 0:
-        raise ValueError(f"density must be nonnegative, got {density!r}")
-    if not (radius > 0):
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    return _disk_points(_disk_uniform(density, radius, stream), radius).T
-
-
 def draw_network(
     params: ScenarioParams, pb_window_radius: float, stream: np.random.Generator
 ) -> NetworkSample:
@@ -223,14 +223,12 @@ def draw_network(
     if not (pb_window_radius > 0):
         raise ValueError(f"window radius must be positive, got {pb_window_radius!r}")
     sn_window = pb_window_radius + params.charging_radius
-    pb = sample_disk_ppp(params.pb_density, pb_window_radius, stream)
-    orientations = stream.random(len(pb)) * (_TWO_PI / params.sectors)
-    sn = sample_disk_ppp(params.sn_density, sn_window, stream)
-    sn = np.vstack((np.zeros((1, 2)), sn))
+    u_pb, orient, u_sn = _trial_draws(params, pb_window_radius, stream, True)
+    sn = np.vstack((np.zeros((1, 2)), _disk_points(u_sn, sn_window).T))
     return NetworkSample(
-        pb_points=pb,
+        pb_points=_disk_points(u_pb, pb_window_radius).T,
         sn_points=sn,
-        pb_orientations=orientations,
+        pb_orientations=orient * (_TWO_PI / params.sectors),
         pb_window_radius=float(pb_window_radius),
         sn_window_radius=float(sn_window),
     )
@@ -456,8 +454,6 @@ def _origin_gains(
     """
     n_pb = pb.shape[1]
     n_sec = params.sectors
-    if scheme is Allocation.FORCED_OMNI:
-        return np.ones(n_pb, dtype=np.float64)
     counts = np.zeros(n_pb * n_sec, dtype=np.int64)
     strips = _pairs_bucketed(
         pb, trial_pb, sn, trial_sn, params.charging_radius, _grid_split(params)
@@ -503,19 +499,14 @@ def received_power_origin(
     """
     validate(params)
     pb = sample.pb_points
-    if len(pb) == 0:
-        return 0.0
     # greedy draws one tie-break uniform per beacon, as the batched engine does
     greedy = scheme is Allocation.GREEDY and rng is not None
     tie_draws = rng.random(len(pb)) if greedy else None
-    gains = _origin_gains(
+    return float(_powers(
         pb.T, np.zeros(len(pb), dtype=np.int64), sample.pb_orientations,
         sample.sn_points.T, np.zeros(len(sample.sn_points), dtype=np.int64),
-        params, scheme, tie_draws,
-    )
-    dist = np.hypot(pb[:, 0], pb[:, 1])
-    atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
-    return float(params.pb_power * params.attenuation * np.sum(gains * atten))
+        params, scheme, tie_draws, 1,
+    )[0])
 
 
 def _exact_zone_radius(params: ScenarioParams) -> float:
@@ -563,6 +554,29 @@ def _batch_size(params: ScenarioParams, window: float) -> int:
     return int(min(256, max(1, 4.0e5 / rows)))
 
 
+def _powers(
+    pb, trial_pb, orientations, sn, trial_sn, params: ScenarioParams,
+    scheme: Allocation, tie_draws, n_trials: int,
+) -> np.ndarray:
+    """Power at the origin sensor of each of n_trials trials, watts.
+
+    The arguments are _origin_gains', which forced omni never calls (every
+    gain is 1, so it reads no sensors). Each beacon's gain times its path
+    loss max(distance, 1)^(-alpha) is summed per trial in beacon order, then
+    scaled by P * sigma.
+    """
+    if scheme is Allocation.FORCED_OMNI:
+        gains = np.ones(pb.shape[1])
+    else:
+        gains = _origin_gains(
+            pb, trial_pb, orientations, sn, trial_sn, params, scheme, tie_draws
+        )
+    dist = np.hypot(pb[0], pb[1])
+    atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
+    powers = np.bincount(trial_pb, weights=gains * atten, minlength=n_trials)
+    return params.pb_power * params.attenuation * powers
+
+
 def _batch_powers(
     params: ScenarioParams,
     scheme: Allocation,
@@ -578,49 +592,33 @@ def _batch_powers(
     grouped into batches or spread over workers.
     """
     n_trials = stop - start
-    sn_window = window + params.charging_radius
-    omni = scheme is Allocation.FORCED_OMNI
+    sensors = scheme is not Allocation.FORCED_OMNI
     streams = _TrialStreams(master_seed)
-    pb_blocks: list[np.ndarray] = []
-    orient_blocks: list[np.ndarray] = []
-    sn_blocks: list[np.ndarray] = []
-    tie_blocks: list[np.ndarray] = []
-    n_pb = np.empty(n_trials, dtype=np.int64)
-    n_sn = np.empty(n_trials, dtype=np.int64)
-    for i in range(start, stop):
-        g = streams.at(i)
-        u_pb = _disk_uniform(params.pb_density, window, g)
-        n_pb[i - start] = len(u_pb)
-        pb_blocks.append(u_pb)
-        if not omni:
-            orient_blocks.append(g.random(len(u_pb)))
-            u_sn = _disk_uniform(params.sn_density, sn_window, g)
-            n_sn[i - start] = len(u_sn)
-            sn_blocks.append(u_sn)
-            if scheme is Allocation.GREEDY:
-                tie_blocks.append(streams.at(i, _ALLOC_SUBSTREAM[scheme]).random(len(u_pb)))
+    pb_blocks, orient_blocks, sn_blocks = zip(
+        *(_trial_draws(params, window, streams.at(i), sensors) for i in range(start, stop))
+    )
+    ties = None
+    if scheme is Allocation.GREEDY:
+        sub = _ALLOC_SUBSTREAM[scheme]
+        ties = np.concatenate(
+            [streams.at(start + k, sub).random(len(u)) for k, u in enumerate(pb_blocks)]
+        )
+    t_pb = np.repeat(np.arange(n_trials), [len(u) for u in pb_blocks])
     pb = _disk_points(np.concatenate(pb_blocks).reshape(-1, 2), window)
     del pb_blocks
-    t_pb = np.repeat(np.arange(n_trials), n_pb)
-    if omni:
-        gains = np.ones(pb.shape[1], dtype=np.float64)
-    else:
+    orientations = sn = t_sn = None
+    if sensors:
         orientations = np.concatenate(orient_blocks) * (_TWO_PI / params.sectors)
-        del orient_blocks
         # each trial's origin sensor goes after the field sensors rather than
         # first, as in draw_network: sensor order does not enter the counts
-        u_sn = np.concatenate(sn_blocks).reshape(-1, 2)
-        del sn_blocks
-        sn = np.zeros((2, len(u_sn) + n_trials))
-        _disk_points(u_sn, sn_window, out=sn[:, : len(u_sn)])
-        del u_sn
+        n_sn = [len(u) for u in sn_blocks]
         t_sn = np.concatenate((np.repeat(np.arange(n_trials), n_sn), np.arange(n_trials)))
-        ties = np.concatenate(tie_blocks) if tie_blocks else None
-        gains = _origin_gains(pb, t_pb, orientations, sn, t_sn, params, scheme, ties)
-    dist = np.hypot(pb[0], pb[1])
-    atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
-    powers = np.bincount(t_pb, weights=gains * atten, minlength=n_trials)
-    return params.pb_power * params.attenuation * powers
+        u_sn = np.concatenate(sn_blocks).reshape(-1, 2)
+        del orient_blocks, sn_blocks
+        sn = np.zeros((2, len(u_sn) + n_trials))
+        _disk_points(u_sn, window + params.charging_radius, out=sn[:, : len(u_sn)])
+        del u_sn
+    return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials)
 
 
 def _run_chunk(

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import analytic
+from . import analytic, scenario
 from .scenario import ScenarioParams
 
 __all__ = [
@@ -125,17 +125,6 @@ def find_root_bisect(f, bracket, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _mean_derivative_scale(params: ScenarioParams) -> float:
-    """Natural size of d(mean)/d(rho): 2 P lam_p pi sigma."""
-    return (
-        2.0
-        * params.pb_power
-        * params.pb_density
-        * math.pi
-        * params.attenuation
-    )
-
-
 def optimal_radius_mean(params: ScenarioParams) -> RadiusOptimum:
     """Radius maximizing mean received power.
 
@@ -146,8 +135,8 @@ def optimal_radius_mean(params: ScenarioParams) -> RadiusOptimum:
     where the optimum landed, with radii within 0.05 of the seam labeled
     medium density.
     """
-    analytic._checked(params)
-    scale = _mean_derivative_scale(params)
+    scenario.validate(params)
+    scale = analytic._slope_scale(params)
     evals = 0
 
     def deriv_at(rho: float) -> float:
@@ -203,7 +192,7 @@ def d_gamma_ccdf_d_rho(params: ScenarioParams, threshold: float) -> float:
     the closed-form alternative drags in exotic incomplete-gamma-log
     integrals for no accuracy gain at this tolerance.
     """
-    analytic._checked(params)
+    scenario.validate(params)
     rho = params.charging_radius
     h = 1e-5 * max(rho, 1.0)
     if rho <= h:
@@ -218,6 +207,12 @@ def d_gamma_ccdf_d_rho(params: ScenarioParams, threshold: float) -> float:
     coarse = central(h)
     fine = central(0.5 * h)
     return (4.0 * fine - coarse) / 3.0
+
+
+def _check_threshold(threshold: float) -> None:
+    """A reach-probability threshold must be finite and positive."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
 
 
 def _active_residual(params: ScenarioParams, threshold: float, rho: float) -> float:
@@ -249,9 +244,8 @@ def optimal_radius_active(params: ScenarioParams, threshold: float) -> RadiusOpt
     derivative sign pattern, and refines any interior maximum by bisecting
     the numeric derivative.
     """
-    analytic._checked(params)
-    if not (threshold > 0):
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    scenario.validate(params)
+    _check_threshold(threshold)
     n = params.sectors
     rho_max = math.sqrt(n * math.log(1e8) / (params.sn_density * math.pi))
     rho_max = max(rho_max, 100.0 * _GRID_LO)
@@ -264,32 +258,29 @@ def optimal_radius_active(params: ScenarioParams, threshold: float) -> RadiusOpt
 
     ratio = (rho_max / _GRID_LO) ** (1.0 / (_GRID_POINTS - 1))
     grid = [_GRID_LO * ratio**i for i in range(_GRID_POINTS)]
-    values = [ccdf_at(r) for r in grid]
-    floor = 1e-12 * max(abs(v) for v in values)
-    pattern = _sign_pattern(values, floor)
-
     known = {(1, -1), (-1, 1, -1), (-1, 1), (), (-1,), (1,)}
-    if tuple(s for s, _ in pattern) not in known:
-        # densify around each direction change and retry once
+    for scan in range(2):
+        values = [ccdf_at(r) for r in grid]
+        floor = 1e-12 * max(abs(v) for v in values)
+        pattern = _sign_pattern(values, floor)
+        signs = tuple(s for s, _ in pattern)
+        if signs in known:
+            break
+        if scan:
+            raise ClassificationError(
+                "objective has more than two stationary points on the scan grid; "
+                f"direction pattern {list(signs)}"
+            )
+        # densify around each direction change and scan once more
         refined = list(grid)
         for _, i in pattern:
             lo_i = grid[max(i - 1, 0)]
             hi_i = grid[min(i + 2, len(grid) - 1)]
             step = (hi_i / lo_i) ** (1.0 / 30.0)
             refined.extend(lo_i * step**j for j in range(1, 30))
-        refined = sorted(set(refined))
-        values = [ccdf_at(r) for r in refined]
-        grid = refined
-        floor = 1e-12 * max(abs(v) for v in values)
-        pattern = _sign_pattern(values, floor)
-        if tuple(s for s, _ in pattern) not in known:
-            raise ClassificationError(
-                "objective has more than two stationary points on the scan grid; "
-                f"direction pattern {[s for s, _ in pattern]}"
-            )
+        grid = sorted(set(refined))
 
     omni_value = analytic.gamma_ccdf_omni(threshold, params)
-    signs = tuple(s for s, _ in pattern)
     if signs not in {(-1, 1), (), (-1,), (1,)}:
         # the maximum sits at the final rising-to-falling turn
         turn = pattern[-1][1]

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 __all__ = [
+    "MAX_SECTORS",
     "ScenarioParams",
     "ParameterError",
     "ConfigError",
@@ -24,6 +25,10 @@ __all__ = [
     "params_from_mapping",
     "params_to_mapping",
 ]
+
+#: Sector counts above this are rejected: the closed forms' binomial sums
+#: would need more than double precision to keep the identity tolerances.
+MAX_SECTORS = 64
 
 # Relative tolerance for agreement between a directly-given attenuation and
 # one derived from the wavelength.
@@ -106,8 +111,8 @@ def validation_errors(params: ScenarioParams) -> list[str]:
 
     if not isinstance(params.sectors, int) or isinstance(params.sectors, bool):
         errors.append("invalid sector count: sectors must be an integer")
-    elif params.sectors < 1:
-        errors.append("invalid sector count")
+    elif not 1 <= params.sectors <= MAX_SECTORS:
+        errors.append(f"invalid sector count: need 1 <= sectors <= {MAX_SECTORS}")
 
     if not isinstance(params.path_loss_exp, (int, float)):
         errors.append("path_loss_exp must be a number")

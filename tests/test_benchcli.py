@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import types
 
 import numpy as np
@@ -304,6 +305,18 @@ def test_active_prob_grid_rows():
         active_prob_grid(params, (1.0,), 0.0, config)
 
 
+def test_active_prob_grid_rejects_threshold_before_simulating(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("ran Monte Carlo for a bad threshold")
+
+    monkeypatch.setattr(benchcli.mcsim, "run_trials", no_trials)
+    params, _ = load_config()
+    config = SimConfig(trials=10, master_seed=6, window_radius=10.0)
+    for bad in (0.0, -1e-4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            active_prob_grid(params, (1.0,), bad, config)
+
+
 # --- command line ---
 
 
@@ -428,6 +441,14 @@ def test_cli_bad_config_key(tmp_path, capsys):
 def test_cli_bad_scenario_value(capsys):
     assert main(["analytic", "--set", "path_loss_exp=1.5"]) == 1
     assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_cli_rejects_too_many_sectors(capsys):
+    # main returning (not raising) is the no-traceback guarantee
+    for argv in (["analytic"], ["simulate", "--trials", "5"]):
+        assert main(argv + ["--set", "sectors=200"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid scenario" in err and "sector" in err
 
 
 def test_cli_validate(capsys):

@@ -19,7 +19,7 @@ from beamharvest.radopt import (
     optimal_radius_active,
     optimal_radius_mean,
 )
-from beamharvest.scenario import ScenarioParams
+from beamharvest.scenario import ParameterError, ScenarioParams
 
 
 def params_for(power=10.0, sn=0.2, sectors=4, pb=0.1, alpha=3.0, rho=1.0):
@@ -208,9 +208,21 @@ def test_active_optimum_is_a_local_max_for_interior_cases():
             assert r.objective >= nearby * (1.0 - 1e-12)
 
 
-def test_active_optimum_rejects_bad_threshold():
-    with pytest.raises(ValueError, match="threshold"):
-        optimal_radius_active(params_for(), 0.0)
+def test_active_optimum_rejects_bad_threshold(monkeypatch):
+    def no_objective(*args):
+        raise AssertionError("evaluated the objective for a bad threshold")
+
+    monkeypatch.setattr(analytic, "gamma_ccdf", no_objective)
+    for bad in (0.0, -1e-4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            optimal_radius_active(params_for(), bad)
+
+
+def test_optimizers_share_the_sector_cap():
+    with pytest.raises(ParameterError, match="sector"):
+        optimal_radius_mean(params_for(sectors=65))
+    with pytest.raises(ParameterError, match="sector"):
+        optimal_radius_active(params_for(sectors=65), 1e-4)
 
 
 def test_result_container_fields():

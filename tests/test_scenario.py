@@ -91,6 +91,12 @@ def test_sector_count_guard():
         "sector" in e for e in validation_errors(make_params(sectors=2.0))
     )
     assert validation_errors(make_params(sectors=1)) == []
+    # the closed forms' cap is a scenario rule, so every entry point shares it
+    assert validation_errors(make_params(sectors=64)) == []
+    assert any(
+        "invalid sector count" in e
+        for e in validation_errors(make_params(sectors=65))
+    )
 
 
 def test_validation_collects_all_errors():
