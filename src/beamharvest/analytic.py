@@ -16,6 +16,7 @@ two branches agree at the seam. Functions are pure and thread-safe.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,14 +84,11 @@ def branch_of(params: ScenarioParams) -> BranchTag:
     return BranchTag.RHO_ABOVE_ONE
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
+@functools.cache  # a table: every caller has n <= MAX_SECTORS
 def _binom(n: int, k: int) -> float:
     if k < 0 or k > n:
         return 0.0
-    return math.exp(_log_binom(n, k))
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
 
 
 def _occupancy(params: ScenarioParams) -> tuple[float, float, float]:

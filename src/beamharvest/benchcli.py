@@ -415,8 +415,13 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
     stream differs), so pairwise differences cancel the geometry noise and
     the confidence intervals come from the per-trial deltas. The expected
     orderings checked are mean: greedy >= robust >= uniform, and active
-    probability: robust >= uniform >= greedy.
+    probability: robust >= uniform >= greedy. Fewer than two trials leave
+    the deltas without a spread, so they are a ConfigError.
     """
+    if config.trials < 2:
+        raise ConfigError(
+            f"paired intervals need at least 2 trials, got {config.trials!r}"
+        )
     threshold = params.power_threshold
     report = {"pb_power_w": list(map(float, sweep)), "entries": []}
     for pp in sweep:

@@ -10,7 +10,8 @@ validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "MAX_SECTORS",
@@ -86,13 +87,27 @@ class ScenarioParams:
                 )
 
     def with_(self, **changes) -> "ScenarioParams":
-        """Copy with fields replaced (attenuation re-derived if wavelength moves)."""
+        """Copy with fields replaced (attenuation re-derived if wavelength moves).
+
+        The copy is a new instance, so validate() checks it afresh; an
+        unknown field name raises TypeError.
+        """
         if "wavelength" in changes and "attenuation" not in changes:
             changes["attenuation"] = None
-        return replace(self, **changes)
+        values = self.__dict__.copy()  # the fields, and _errors once checked
+        values.pop("_errors", None)  # the copy is checked afresh
+        return ScenarioParams(**values | changes)
+
+    @cached_property
+    def _errors(self) -> tuple[str, ...]:
+        # validity is a pure function of the frozen fields: check once per
+        # instance (cached_property writes __dict__, bypassing the freeze)
+        return tuple(validation_errors(self))
 
 
 def _finite_positive(value, name: str, errors: list[str]) -> None:
+    if type(value) is float and 0.0 < value < math.inf:
+        return  # the common case, settled by one comparison chain
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         errors.append(f"{name} must be a number")
     elif not math.isfinite(value):
@@ -102,49 +117,51 @@ def _finite_positive(value, name: str, errors: list[str]) -> None:
 
 
 def validation_errors(params: ScenarioParams) -> list[str]:
-    """Names of every violated invariant; empty list when valid."""
+    """Names of every violated invariant; empty list when valid.
+
+    Not cached: validate() keeps this result once per instance.
+    """
     errors: list[str] = []
     _finite_positive(params.pb_power, "pb_power", errors)
     _finite_positive(params.pb_density, "pb_density", errors)
     _finite_positive(params.sn_density, "sn_density", errors)
     _finite_positive(params.charging_radius, "charging_radius", errors)
 
-    if not isinstance(params.sectors, int) or isinstance(params.sectors, bool):
+    sectors = params.sectors
+    if not isinstance(sectors, int) or isinstance(sectors, bool):
         errors.append("invalid sector count: sectors must be an integer")
-    elif not 1 <= params.sectors <= MAX_SECTORS:
+    elif not 1 <= sectors <= MAX_SECTORS:
         errors.append(f"invalid sector count: need 1 <= sectors <= {MAX_SECTORS}")
 
-    if not isinstance(params.path_loss_exp, (int, float)):
+    alpha = params.path_loss_exp
+    if not isinstance(alpha, (int, float)):
         errors.append("path_loss_exp must be a number")
-    elif not math.isfinite(params.path_loss_exp):
+    elif not math.isfinite(alpha):
         errors.append("path_loss_exp must be finite")
-    elif params.path_loss_exp <= 2:
+    elif alpha <= 2:
         errors.append("mean diverges")  # closed forms divide by alpha - 2
 
-    if not isinstance(params.power_threshold, (int, float)) or isinstance(
-        params.power_threshold, bool
-    ):
+    threshold = params.power_threshold
+    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
         errors.append("power_threshold must be a number")
-    elif not math.isfinite(params.power_threshold) or params.power_threshold < 0:
+    elif not math.isfinite(threshold) or threshold < 0:
         errors.append("power_threshold must be nonnegative and finite")
 
-    if params.attenuation is None:
+    attenuation = params.attenuation
+    if attenuation is None:
         errors.append("attenuation unspecified (give attenuation or wavelength)")
     else:
-        _finite_positive(params.attenuation, "attenuation", errors)
+        _finite_positive(attenuation, "attenuation", errors)
 
-    if params.wavelength is not None:
-        _finite_positive(params.wavelength, "wavelength", errors)
-        if (
-            not errors
-            and params.attenuation is not None
-            and params.wavelength > 0
-        ):
-            derived = sigma_from_wavelength(params.wavelength)
-            if abs(params.attenuation - derived) > _SIGMA_AGREEMENT_RTOL * derived:
+    wavelength = params.wavelength
+    if wavelength is not None:
+        _finite_positive(wavelength, "wavelength", errors)
+        if not errors and attenuation is not None and wavelength > 0:
+            derived = sigma_from_wavelength(wavelength)
+            if abs(attenuation - derived) > _SIGMA_AGREEMENT_RTOL * derived:
                 errors.append(
                     "attenuation inconsistent with wavelength "
-                    f"(given {params.attenuation!r}, derived {derived!r})"
+                    f"(given {attenuation!r}, derived {derived!r})"
                 )
     return errors
 
@@ -152,9 +169,10 @@ def validation_errors(params: ScenarioParams) -> list[str]:
 def validate(params: ScenarioParams) -> ScenarioParams:
     """Return params unchanged if every invariant holds, else ParameterError.
 
-    Idempotent: a valid instance passes through untouched.
+    Idempotent: a valid instance passes through untouched. The check runs
+    once per instance; later calls on it cost O(1).
     """
-    errors = validation_errors(params)
+    errors = params._errors
     if errors:
         raise ParameterError(errors)
     return params

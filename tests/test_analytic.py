@@ -155,6 +155,17 @@ def test_gain_values():
         gain(-1, 4)
 
 
+def test_binomial_table_matches_the_uncached_formula():
+    def oracle(n, k):
+        return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+
+    for n in range(MAX_SECTORS + 1):
+        for k in range(n + 1):
+            assert an._binom(n, k) == oracle(n, k)  # bit for bit
+        assert an._binom(n, -1) == 0.0
+        assert an._binom(n, n + 1) == 0.0
+
+
 # --- Laplace transforms ---
 
 

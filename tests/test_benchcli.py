@@ -293,6 +293,18 @@ def test_compare_schemes_single_sector_ties():
         assert verdict["delta"] == 0.0
 
 
+def test_compare_schemes_rejects_fewer_than_two_trials(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("ran Monte Carlo without a spread to report")
+
+    monkeypatch.setattr(benchcli.mcsim, "run_trials", no_trials)
+    params, _ = load_config(overrides=("power_threshold_w=1e-4",))
+    for trials in (0, 1):
+        config = SimConfig(trials=trials, master_seed=4, window_radius=10.0)
+        with pytest.raises(ConfigError, match="at least 2 trials"):
+            compare_schemes(params, (5.0,), config)
+
+
 def test_active_prob_grid_rows():
     params, _ = load_config(overrides=("power_threshold_w=1e-4",))
     config = SimConfig(trials=150, master_seed=6, window_radius=10.0)

@@ -1,8 +1,11 @@
 """Monte Carlo engine: reproducibility contract, geometry, allocation rules."""
 
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +549,28 @@ def test_exact_zone_radius_bounds():
     assert mcsim._exact_zone_radius(params_for()) >= 20.0
     assert mcsim._exact_zone_radius(params_for(charging_radius=90.0)) == 270.0
     assert mcsim._exact_zone_radius(params_for(path_loss_exp=2.05)) <= 300.0
+
+
+def test_bench_probe_window_is_the_engine_window(monkeypatch):
+    # bench/workloads.py mirrors the AUTO window so its stage probes draw the
+    # networks the engine draws; a sizing change must move both
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads_mirror", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    kinds = set()
+    for n in (1, 4, 64):
+        for alpha in (2.05, 3.0, 5.0):
+            for rho in (0.5, 10.0, 150.0):
+                pr = params_for(sectors=n, path_loss_exp=alpha, charging_radius=rho)
+                zone = mcsim._exact_zone_radius(pr)
+                assert workloads.exact_zone_radius(pr) == zone
+                if zone in (20.0, 300.0):
+                    kinds.add(zone)
+                else:
+                    kinds.add("3 rho" if zone == 3.0 * rho else "interior")
+    assert kinds == {20.0, 300.0, "3 rho", "interior"}
 
 
 def test_config_guards():

@@ -1,12 +1,13 @@
 """Scenario parameter validation, the key=value config text and the key mapping."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamharvest import scenario
+from beamharvest import radopt, scenario
 from beamharvest.benchcli import _read_config
 from beamharvest.scenario import (
     CONFIG_DEFAULTS,
@@ -222,3 +223,87 @@ def test_valid_params_round_trip_mapping(power, rho, alpha, sectors):
     )
     assert validation_errors(p) == []
     assert params_from_mapping(params_to_mapping(p)) == p
+
+
+# --- one check per instance ---
+
+
+def test_validation_runs_once_per_instance_during_an_optimization(monkeypatch):
+    checked = []  # holds each instance, so no id is reused while counting
+    uncached = scenario.validation_errors
+
+    def counting(params):
+        checked.append(params)
+        return uncached(params)
+
+    monkeypatch.setattr(scenario, "validation_errors", counting)
+    validates = []
+    for module in (scenario, radopt.analytic):
+        def counting_validate(params, inner=module.validate):
+            validates.append(params)
+            return inner(params)
+
+        monkeypatch.setattr(module, "validate", counting_validate)
+    radopt.optimal_radius_active(params_from_mapping({}), 1e-4)
+    assert len(checked) > 1  # every with_ copy is checked afresh
+    assert len({id(p) for p in checked}) == len(checked)
+    assert {id(p) for p in validates} == {id(p) for p in checked}
+    assert len(validates) > len(checked)
+
+
+def test_invalid_instance_raises_on_every_validate():
+    p = make_params(pb_power=-1.0)
+    for _ in range(3):
+        with pytest.raises(ParameterError, match="pb_power must be positive"):
+            validate(p)
+
+
+def test_copy_of_a_validated_instance_is_checked_afresh():
+    p = validate(make_params())
+    bad = p.with_(charging_radius=-1.0)
+    with pytest.raises(ParameterError, match="charging_radius must be positive"):
+        validate(bad)
+    assert validate(p) is p
+    assert validate(bad.with_(charging_radius=2.0)) == p
+
+
+def test_validated_instance_survives_pickle():
+    p = validate(make_params())
+    again = pickle.loads(pickle.dumps(p))
+    assert again == p and hash(again) == hash(p)
+    assert validate(again) is again
+
+
+def test_with_rejects_unknown_field():
+    with pytest.raises(TypeError, match="bogus"):
+        validate(make_params()).with_(bogus=1)
+
+
+def test_validation_messages_keep_their_order():
+    p = make_params(
+        pb_power="x",
+        pb_density=math.inf,
+        sn_density=0,
+        charging_radius=True,
+        sectors=65,
+        path_loss_exp=math.nan,
+        power_threshold=-1.0,
+        attenuation=-1.0,
+        wavelength=0.0,
+    )
+    assert validation_errors(p) == [
+        "pb_power must be a number",
+        "pb_density must be finite",
+        "sn_density must be positive",
+        "charging_radius must be a number",
+        "invalid sector count: need 1 <= sectors <= 64",
+        "path_loss_exp must be finite",
+        "power_threshold must be nonnegative and finite",
+        "attenuation must be positive",
+        "wavelength must be positive",
+    ]
+    # ints pass where floats do, bools never do
+    assert validation_errors(make_params(pb_power=5, charging_radius=2)) == []
+    assert validation_errors(make_params(sectors=True)) == [
+        "invalid sector count: sectors must be an integer"
+    ]
