@@ -91,17 +91,39 @@ def _binom(n: int, k: int) -> float:
     return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
 
 
+@functools.cache
+def _binom_row(n: int) -> tuple[float, ...]:
+    """C(n, k) for k = 0..n, read by the loops that run over every k."""
+    return tuple(_binom(n, k) for k in range(n + 1))
+
+
+# The last scenario _occupancy saw and its result: gamma_approx asks twice
+# for the same instance (mean, then variance). One tuple, swapped whole, so
+# a reader in another thread sees a matching pair; holding the instance keeps
+# its identity from being reused.
+_last_occupancy: tuple = (None, None)
+
+
 def _occupancy(params: ScenarioParams) -> tuple[float, float, float]:
     """(p, q, p^N): sector-empty probability, complement, all-empty probability.
 
     p^N is evaluated as exp(-lambda_s pi rho^2) directly so it stays accurate
-    when p itself underflows.
+    when p itself underflows. Raises RangeError when rho^2 overflows.
     """
-    x = params.sn_density * math.pi * params.charging_radius**2 / params.sectors
-    p = math.exp(-x)
-    q = -math.expm1(-x)
-    p_all = math.exp(-params.sn_density * math.pi * params.charging_radius**2)
-    return p, q, p_all
+    global _last_occupancy
+    last, result = _last_occupancy
+    if last is params:
+        return result
+    try:
+        x = params.sn_density * math.pi * params.charging_radius**2 / params.sectors
+        p_all = math.exp(-params.sn_density * math.pi * params.charging_radius**2)
+    except OverflowError:
+        raise specfun.RangeError(
+            f"charging_radius {params.charging_radius!r} squared overflows"
+        ) from None
+    result = (math.exp(-x), -math.expm1(-x), p_all)
+    _last_occupancy = (params, result)
+    return result
 
 
 def _geo_sum(p: float, n_terms: int, first: int) -> float:
@@ -329,6 +351,13 @@ def mean_power_omni(params: ScenarioParams) -> float:
     )
 
 
+def _square_overflow(params: ScenarioParams) -> specfun.RangeError:
+    return specfun.RangeError(
+        f"pb_power {params.pb_power!r} or attenuation {params.attenuation!r} "
+        "squared overflows"
+    )
+
+
 def _gain_square_sum(p: float, q: float, n: int) -> float:
     """sum over M of (N/M)^2 C(N-1,M-1) p^(N-M) q^(M-1).
 
@@ -336,10 +365,11 @@ def _gain_square_sum(p: float, q: float, n: int) -> float:
     prefactors with 1/q poles; pairing them with this sum keeps everything
     finite as q -> 0, where the sum tends to N^2).
     """
+    row = _binom_row(n - 1)
     acc = 0.0
     for m in range(1, n + 1):
         g = n / m
-        acc += g * g * _binom(n - 1, m - 1) * p ** (n - m) * q ** (m - 1)
+        acc += g * g * row[m - 1] * p ** (n - m) * q ** (m - 1)
     return acc
 
 
@@ -351,12 +381,15 @@ def variance_power(params: ScenarioParams) -> float:
     alpha = params.path_loss_exp
     n = params.sectors
     t_sum = _gain_square_sum(p, q, n)
-    scale = (
-        params.pb_density
-        * params.pb_power**2
-        * params.attenuation**2
-        * math.pi
-    )
+    try:
+        scale = (
+            params.pb_density
+            * params.pb_power**2
+            * params.attenuation**2
+            * math.pi
+        )
+    except OverflowError:
+        raise _square_overflow(params) from None
     if rho <= 1.0:
         iso = alpha / (alpha - 1.0)
         return scale * (
@@ -374,14 +407,17 @@ def variance_omni(params: ScenarioParams) -> float:
     """Variance under omni transmission: lam P^2 sigma^2 pi a/(a-1)."""
     validate(params)
     alpha = params.path_loss_exp
-    return (
-        params.pb_density
-        * params.pb_power**2
-        * params.attenuation**2
-        * math.pi
-        * alpha
-        / (alpha - 1.0)
-    )
+    try:
+        return (
+            params.pb_density
+            * params.pb_power**2
+            * params.attenuation**2
+            * math.pi
+            * alpha
+            / (alpha - 1.0)
+        )
+    except OverflowError:
+        raise _square_overflow(params) from None
 
 
 def near_far_mean_ratios(params: ScenarioParams) -> tuple[float, float]:
@@ -397,9 +433,18 @@ def near_far_mean_ratios(params: ScenarioParams) -> tuple[float, float]:
 
 
 def _moment_match(mean: float, var: float) -> GammaApprox:
-    if not (mean > 0.0) or not (var > 0.0):
-        raise ValueError("moment matching needs strictly positive mean and variance")
-    return GammaApprox(shape=mean * mean / var, scale=var / mean)
+    try:
+        shape = mean * mean / var
+        scale = var / mean
+    except ZeroDivisionError:
+        shape = scale = 0.0
+    if 0.0 < shape < math.inf and 0.0 < scale < math.inf:
+        return GammaApprox(shape=shape, scale=scale)
+    # a valid scenario gets here only when its moments under- or overflow
+    raise specfun.RangeError(
+        "moment matching needs a positive mean and variance whose shape and "
+        f"scale fit in double precision, got mean {mean!r}, variance {var!r}"
+    )
 
 
 def gamma_approx(params: ScenarioParams) -> GammaApprox:

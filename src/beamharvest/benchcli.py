@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytic, mcsim, radopt, scenario
+from . import __version__, analytic, mcsim, radopt, scenario, specfun
 from .mcsim import Allocation, SimConfig
 from .scenario import ConfigError, ParameterError
 
@@ -744,6 +744,9 @@ def main(argv=None) -> int:
         return 1
     except (radopt.BracketError, radopt.ClassificationError) as exc:
         print(f"optimizer failure: {exc}", file=sys.stderr)
+        return 1
+    except specfun.RangeError as exc:
+        print(f"outside the supported numeric range: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

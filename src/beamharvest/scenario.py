@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = [
     "MAX_SECTORS",
@@ -96,13 +95,20 @@ class ScenarioParams:
             changes["attenuation"] = None
         values = self.__dict__.copy()  # the fields, and _errors once checked
         values.pop("_errors", None)  # the copy is checked afresh
-        return ScenarioParams(**values | changes)
+        values.update(changes)
+        if len(values) != _N_FIELDS:
+            unknown = sorted(set(changes) - set(_FIELDS))
+            raise TypeError(f"ScenarioParams has no field {', '.join(unknown)}")
+        # the fields dataclass __init__ would set, without its nine
+        # object.__setattr__ calls; __post_init__ runs as it would there
+        copy = object.__new__(ScenarioParams)
+        copy.__dict__.update(values)
+        copy.__post_init__()
+        return copy
 
-    @cached_property
-    def _errors(self) -> tuple[str, ...]:
-        # validity is a pure function of the frozen fields: check once per
-        # instance (cached_property writes __dict__, bypassing the freeze)
-        return tuple(validation_errors(self))
+
+_FIELDS = tuple(ScenarioParams.__dataclass_fields__)
+_N_FIELDS = len(_FIELDS)
 
 
 def _finite_positive(value, name: str, errors: list[str]) -> None:
@@ -170,9 +176,14 @@ def validate(params: ScenarioParams) -> ScenarioParams:
     """Return params unchanged if every invariant holds, else ParameterError.
 
     Idempotent: a valid instance passes through untouched. The check runs
-    once per instance; later calls on it cost O(1).
+    once per instance and its outcome is kept in the instance's __dict__
+    (validity is a pure function of the frozen fields); later calls on it
+    cost one dict lookup.
     """
-    errors = params._errors
+    state = params.__dict__
+    errors = state.get("_errors")
+    if errors is None:
+        errors = state["_errors"] = tuple(validation_errors(params))
     if errors:
         raise ParameterError(errors)
     return params

@@ -43,6 +43,7 @@ _MAX_ITER = 4000
 # Lanczos g=7, n=9 coefficients (max relative error ~1e-15 over the right
 # half-plane).
 _LANCZOS_G = 7.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LANCZOS = (
     0.99999999999980993,
     676.5203681218851,
@@ -70,10 +71,20 @@ def _check_sx(s: float, x: float) -> None:
 
 
 def _lanczos_sum(z: float) -> float:
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i - 1.0)
-    return acc
+    # sum of _LANCZOS[i] / (z + i - 1) for i >= 1, written out term by term
+    # (same operations in the same order as the loop it replaces)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS
+    return (
+        c0
+        + c1 / (z + 1.0 - 1.0)
+        + c2 / (z + 2.0 - 1.0)
+        + c3 / (z + 3.0 - 1.0)
+        + c4 / (z + 4.0 - 1.0)
+        + c5 / (z + 5.0 - 1.0)
+        + c6 / (z + 6.0 - 1.0)
+        + c7 / (z + 7.0 - 1.0)
+        + c8 / (z + 8.0 - 1.0)
+    )
 
 
 def log_gamma_function(k: float) -> float:
@@ -84,12 +95,17 @@ def log_gamma_function(k: float) -> float:
         raise DomainError(f"log_gamma_function requires k > 0, got {k!r}")
     if k > S_MAX:
         raise RangeError(f"shape k={k!r} exceeds supported maximum {S_MAX!r}")
+    return _log_gamma(k)
+
+
+def _log_gamma(k: float) -> float:
+    """ln Gamma(k) for a k already checked to lie in (0, S_MAX]."""
     if k < 0.5:
-        return math.log(math.pi / math.sin(math.pi * k)) - log_gamma_function(1.0 - k)
+        return math.log(math.pi / math.sin(math.pi * k)) - _log_gamma(1.0 - k)
     z = k - 1.0
     t = z + _LANCZOS_G + 0.5
     return (
-        0.5 * math.log(2.0 * math.pi)
+        _HALF_LOG_2PI
         + (z + 0.5) * math.log(t)
         - t
         + math.log(_lanczos_sum(z + 1.0))
@@ -100,36 +116,40 @@ def _log_lower_series(s: float, x: float) -> float:
     """ln gamma(s,x) by power series, for 0 < x < s + 1."""
     ap = s
     term = 1.0 / s
+    if term == math.inf:  # an infinite total never meets the stopping test
+        raise RangeError(f"shape s={s!r} is too small: 1/s overflows")
     total = term
+    eps = _EPS
     for _ in range(_MAX_ITER):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * eps:  # every term and the total are positive
             return math.log(total) + s * math.log(x) - x
     raise ArithmeticError(f"gamma({s!r}, {x!r}) series did not converge")
 
 
 def _q_contfrac(s: float, x: float) -> float:
     """Regularized Q(s,x) by modified-Lentz continued fraction; for x >= s + 1."""
+    tiny, eps = _TINY, _EPS
     b = x + 1.0 - s
-    c = 1.0 / _TINY
+    c = 1.0 / tiny
     d = 1.0 / b
     h = d
     for n in range(1, _MAX_ITER + 1):
         an = -n * (n - s)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        if -tiny < d < tiny:
+            d = tiny
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
-            log_pre = s * math.log(x) - x - log_gamma_function(s)
+        if -eps < delta - 1.0 < eps:
+            log_pre = s * math.log(x) - x - _log_gamma(s)
             if log_pre < -745.0:
                 return 0.0
             return math.exp(log_pre) * h
@@ -146,7 +166,7 @@ def regularized_gamma_q(k: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x < k + 1.0:
-        q = 1.0 - math.exp(_log_lower_series(k, x) - log_gamma_function(k))
+        q = 1.0 - math.exp(_log_lower_series(k, x) - _log_gamma(k))
     else:
         q = _q_contfrac(k, x)
     return min(max(q, 0.0), 1.0)
@@ -166,7 +186,7 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
         log_value = _log_lower_series(s, x)
     else:
         # q = Q(s,x) is well inside (0, 0.7] here, so log1p loses nothing
-        log_value = log_gamma_function(s) + math.log1p(-_q_contfrac(s, x))
+        log_value = _log_gamma(s) + math.log1p(-_q_contfrac(s, x))
     if log_value > _LOG_MAX:
         raise RangeError(
             f"gamma({s!r}, {x!r}) overflows double precision; "

@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import closed_form_digest
 import quad_oracle as qo
 from beamharvest import analytic as an
 from beamharvest.analytic import (
@@ -219,6 +220,22 @@ def test_sector_cap_enforced():
         mean_power(params_for(sectors=MAX_SECTORS + 1))
 
 
+def test_moments_out_of_double_range_raise_range_error():
+    # each scenario is valid, but rho^2, P^2 or the variance leaves doubles
+    with pytest.raises(RangeError, match="charging_radius"):
+        mean_power(params_for(rho=1e200))
+    with pytest.raises(RangeError, match="pb_power"):
+        variance_power(params_for(power=1e300))
+    with pytest.raises(RangeError, match="pb_power"):
+        an.variance_omni(params_for(power=1e300))
+    with pytest.raises(RangeError, match="moment matching"):
+        gamma_approx(params_for(power=1e-300))  # variance underflows to 0
+    with pytest.raises(RangeError, match="moment matching"):
+        gamma_approx(params_for(pb=1e300))  # mean^2 overflows the shape
+    with pytest.raises(ValueError):  # a RangeError is a ValueError
+        gamma_ccdf(1e-4, params_for(power=1e300))
+
+
 def test_log_laplace_derivatives_give_moments():
     # one-sided stencils at s=0; h calibrated so truncation ~1e-6
     h = 1.0
@@ -367,3 +384,17 @@ def test_derivative_series_and_direct_forms_agree():
             assert an._w_outer_over_nq2(p, q, n) == pytest.approx(
                 p * an._w_inner_over_nq2(p, q, n), rel=1e-11
             )
+
+
+# --- bitwise pin ---
+
+
+def test_closed_forms_match_their_bitwise_digest():
+    # mean, variance, Gamma CCDF at two thresholds and d(mean)/d(rho) over
+    # N 1-8, four sensor densities and eight radii around the seam; any
+    # one-ulp move in any of the 3,840 values changes the digest
+    lines = closed_form_digest.closed_form_lines()
+    assert len(lines) == 768
+    assert closed_form_digest.digest(lines) == (
+        "f3a60dab232da3d8491a2c9ed35bba68e0be14e876ae0f0e7ace731d6813402f"
+    )

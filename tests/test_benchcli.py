@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +403,30 @@ def test_cli_optimize_active_needs_threshold(capsys):
     for bad in ("0", "nan", "inf", "-1e-4"):
         assert main(["optimize-active", f"--threshold={bad}"]) == 2
         assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--set", "charging_radius_m=1e200"],  # rho^2 overflows
+        ["analytic", "--set", "pb_power_w=1e300"],  # P^2 overflows
+        ["optimize-active", "--set", "pb_power_w=1e300"],
+        ["analytic", "--set", "pb_power_w=1e-300"],  # the variance underflows
+    ],
+)
+def test_cli_out_of_range_scenarios_exit_cleanly(argv):
+    src = Path(benchcli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "beamharvest.benchcli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("outside the supported numeric range: ")
+    assert done.stderr.count("\n") == 1 and done.stdout == ""
 
 
 def test_cli_figure_unknown_id(capsys):

@@ -277,6 +277,97 @@ def test_validated_instance_survives_pickle():
 def test_with_rejects_unknown_field():
     with pytest.raises(TypeError, match="bogus"):
         validate(make_params()).with_(bogus=1)
+    # the kept check outcome is not a field either: a copy cannot be handed one
+    with pytest.raises(TypeError, match="_errors"):
+        validate(make_params()).with_(_errors=())
+
+
+# --- with_ copies are constructor-built instances ---
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(min_value=-3, max_value=70),
+    st.booleans(),
+    st.just("x"),
+)
+_FIELD_VALUES = {
+    "pb_power": _NUMBER,
+    "pb_density": _NUMBER,
+    "sn_density": _NUMBER,
+    "sectors": _NUMBER,
+    "charging_radius": _NUMBER,
+    "path_loss_exp": _NUMBER,
+    "attenuation": st.one_of(st.none(), _NUMBER),
+    "wavelength": st.one_of(st.none(), st.floats(allow_nan=False)),
+    "power_threshold": _NUMBER,
+}
+
+
+def _outcome(build):
+    """What building and then validating an instance gives: the instance's
+    fields, hash, repr and check messages, or the exception raised."""
+    try:
+        p = build()
+    except Exception as exc:  # the constructor's own errors count too
+        return "build", type(exc), str(exc)
+    fields = tuple(getattr(p, name) for name in _FIELD_VALUES)
+    try:
+        validate(p)
+        errors = []
+    except ParameterError as exc:
+        errors = exc.errors
+    return p, fields, hash(p), repr(p), errors
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    changes=st.fixed_dictionaries({}, optional=_FIELD_VALUES),
+    checked_first=st.booleans(),
+)
+def test_with_copy_matches_the_constructor(changes, checked_first):
+    base = make_params()
+    if checked_first:
+        validate(base)
+    fields = {name: getattr(base, name) for name in _FIELD_VALUES}
+    direct = dict(fields, **changes)
+    if "wavelength" in changes and "attenuation" not in changes:
+        direct["attenuation"] = None  # with_ re-derives it, as documented
+    got = _outcome(lambda: base.with_(**changes))
+    want = _outcome(lambda: ScenarioParams(**direct))
+    if got[0] == "build":
+        assert got == want
+        return
+    assert got[1:] == want[1:]
+    assert got[0] == want[0]
+    assert type(got[0]) is ScenarioParams
+
+
+def test_wavelength_change_rederives_attenuation():
+    p = validate(make_params())
+    q = p.with_(wavelength=0.25)
+    assert q.attenuation == sigma_from_wavelength(0.25)
+    assert validate(q) is q
+
+
+def test_attenuation_only_change_keeps_wavelength_and_is_checked():
+    p = validate(make_params())
+    q = p.with_(attenuation=2.0 * p.attenuation)
+    assert q.wavelength == p.wavelength == 0.1
+    with pytest.raises(ParameterError, match="inconsistent with wavelength"):
+        validate(q)
+    agreeing = p.with_(attenuation=p.attenuation * (1.0 + 1e-12))
+    assert validate(agreeing) is agreeing
+
+
+def test_copy_of_a_validated_instance_survives_pickle_and_is_checked_afresh():
+    p = validate(make_params())
+    q = p.with_(charging_radius=0.5)
+    again = pickle.loads(pickle.dumps(q))
+    assert again == q and hash(again) == hash(q) and repr(again) == repr(q)
+    assert validate(again) is again
+    bad = pickle.loads(pickle.dumps(p.with_(sn_density=-1.0)))
+    with pytest.raises(ParameterError, match="sn_density must be positive"):
+        validate(bad)
 
 
 def test_validation_messages_keep_their_order():

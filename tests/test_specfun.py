@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_form_digest
 from beamharvest.specfun import (
     DomainError,
     RangeError,
@@ -113,6 +114,19 @@ def test_range_errors():
         regularized_gamma_q(1.5e4, 1.0)  # s beyond supported range
 
 
+def test_shape_whose_reciprocal_overflows_is_out_of_range():
+    # 1/s is inf, so the series could never converge: refused at once
+    for s in (5e-324, 1e-309):
+        with pytest.raises(RangeError, match="1/s overflows"):
+            regularized_gamma_q(s, 0.5)
+        with pytest.raises(RangeError, match="1/s overflows"):
+            lower_incomplete_gamma(s, 0.5)
+    # the continued fraction needs no 1/s and still answers
+    assert regularized_gamma_q(5e-324, 2.0) == 0.0
+    # a shape this small whose reciprocal is finite still converges
+    assert 0.0 <= regularized_gamma_q(1e-300, 0.5) <= 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     s=st.floats(min_value=0.01, max_value=200.0),
@@ -153,3 +167,14 @@ def test_exponential_special_case():
         assert lower_incomplete_gamma(1.0, x) == pytest.approx(
             -math.expm1(-x), rel=1e-14
         )
+
+
+def test_kernel_matches_its_bitwise_digest():
+    # Q, gamma and ln Gamma on a grid through the series, continued-fraction
+    # and reflection branches: catches any change of the Lanczos ln Gamma
+    # (math.lgamma differs from it by up to 2.9e-11) or of the loop order
+    lines = closed_form_digest.specfun_lines()
+    assert len(lines) == 187
+    assert closed_form_digest.digest(lines) == (
+        "b165e6255c4ad4aa789995a746eb1d1e3a08e717e0deed2178f5dd05cba6eb28"
+    )
