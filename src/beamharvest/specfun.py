@@ -71,8 +71,8 @@ def _check_sx(s: float, x: float) -> None:
 
 
 def _lanczos_sum(z: float) -> float:
-    # sum of _LANCZOS[i] / (z + i - 1) for i >= 1, written out term by term
-    # (same operations in the same order as the loop it replaces)
+    # sum of _LANCZOS[i] / (z + i - 1) for i >= 1, term by term; (z + i) - 1
+    # rounds differently from z + (i - 1), and the pinned values use the former
     c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS
     return (
         c0
