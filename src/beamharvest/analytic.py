@@ -15,7 +15,6 @@ two branches agree at the seam. Functions are pure and thread-safe.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -25,9 +24,7 @@ from .scenario import MAX_SECTORS, ScenarioParams, validate
 
 __all__ = [
     "MAX_SECTORS",
-    "BranchTag",
     "GammaApprox",
-    "branch_of",
     "sector_empty_prob",
     "gain",
     "reception_prob_near",
@@ -55,13 +52,6 @@ __all__ = [
 LAPLACE_ARG_MAX = 1.0e6
 
 
-class BranchTag(enum.Enum):
-    """Which side of the path-loss clamp the charging radius falls on."""
-
-    RHO_AT_MOST_ONE = "RhoAtMostOne"
-    RHO_ABOVE_ONE = "RhoAboveOne"
-
-
 @dataclass(frozen=True)
 class GammaApprox:
     """Moment-matched Gamma law: shape k = E^2/V, scale theta = V/E (watts)."""
@@ -76,12 +66,6 @@ class GammaApprox:
     @property
     def variance(self) -> float:
         return self.shape * self.scale * self.scale
-
-
-def branch_of(params: ScenarioParams) -> BranchTag:
-    if params.charging_radius <= 1.0:
-        return BranchTag.RHO_AT_MOST_ONE
-    return BranchTag.RHO_ABOVE_ONE
 
 
 @functools.cache  # a table: every caller has n <= MAX_SECTORS
@@ -525,7 +509,7 @@ def _slope_scale(params: ScenarioParams) -> float:
 def d_mean_d_rho(params: ScenarioParams) -> float:
     """Derivative of mean_power with respect to the charging radius, W/m.
 
-    Evaluates the branch matching branch_of(params); the two branch formulas
+    Evaluates the rho <= 1 or the rho > 1 branch; the two branch formulas
     take the same value at rho = 1.
     """
     validate(params)

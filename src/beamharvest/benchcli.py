@@ -39,11 +39,8 @@ __all__ = [
     "main",
 ]
 
-#: Default wavelength: 0.1 m, i.e. sigma = (0.1 / 4 pi)^2.
-_DEFAULT_WAVELENGTH = 0.1
-
-_CCDF_TRIALS = 50_000
-_CURVE_TRIALS = 20_000
+#: Trial count of simulation runs that name none.
+_DEFAULT_TRIALS = 20_000
 
 #: Master seed of figure and simulation runs that name none.
 _DEFAULT_SEED = 20260819
@@ -65,7 +62,7 @@ class FigureId(enum.Enum):
 class ExperimentSpec:
     """One figure run: id, key=value overrides, output dir, seed, trials.
 
-    trials=0 keeps each figure's default budget (50k for CCDF figures,
+    trials=0 keeps each figure's default budget (50k for the CCDF figure,
     20k per Monte Carlo curve point); Fig5-Fig7 run no Monte Carlo and
     take only 0.
     """
@@ -75,39 +72,6 @@ class ExperimentSpec:
     output_dir: str = "."
     seed: int = _DEFAULT_SEED
     trials: int = 0
-
-
-def _figure_base(figure_id: FigureId) -> dict:
-    """Scenario defaults mirroring each reference figure's caption."""
-    common = {
-        "pb_density_per_m2": 0.1,
-        "sn_density_per_m2": 0.2,
-        "sectors": 4,
-        "path_loss_exp": 3.0,
-        "wavelength_m": _DEFAULT_WAVELENGTH,
-    }
-    per_figure = {
-        FigureId.FIG2: {"pb_power_w": 5.0, "charging_radius_m": 2.0},
-        FigureId.FIG3: {"pb_power_w": 10.0, "charging_radius_m": 1.0},
-        FigureId.FIG4: {
-            "pb_power_w": 1.0,
-            "charging_radius_m": 1.0,
-            "power_threshold_w": 1e-4,
-        },
-        FigureId.FIG5: {"pb_power_w": 2.0, "charging_radius_m": 1.0},
-        FigureId.FIG6: {"pb_power_w": 2.0, "charging_radius_m": 1.0},
-        FigureId.FIG7: {
-            "pb_power_w": 2.0,
-            "charging_radius_m": 1.0,
-            "power_threshold_w": 1e-4,
-        },
-        FigureId.FIG8: {
-            "pb_power_w": 2.0,
-            "charging_radius_m": 1.0,
-            "power_threshold_w": 1e-4,
-        },
-    }
-    return {**common, **per_figure[figure_id]}
 
 
 def _derive_seed(master_seed: int, *parts) -> int:
@@ -145,8 +109,8 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _mc_summary(params, trials, seed, allocation=Allocation.UNIFORM, workers=1):
-    cfg = SimConfig(trials=trials, master_seed=seed, allocation=allocation)
+def _mc_summary(params, trials, seed, workers):
+    cfg = SimConfig(trials=trials, master_seed=seed)
     return mcsim.run_trials(params, cfg, workers=workers)
 
 
@@ -165,9 +129,8 @@ def _fig2_curves(values, seed, trials, sink, workers):
         "threshold_w,ccdf",
         zip(thresholds, gamma),
     )
-    n = trials or _CCDF_TRIALS
-    _progress(f"fig2: simulating {n} trials")
-    summary = _mc_summary(params, n, _derive_seed(seed, "fig2"), workers=workers)
+    _progress(f"fig2: simulating {trials} trials")
+    summary = _mc_summary(params, trials, _derive_seed(seed, "fig2"), workers)
     rows = [(t, *_reach(summary.samples, t)) for t in thresholds]
     sink.add("fig2_empirical_ccdf.csv", "threshold_w,ccdf,ci95", rows)
 
@@ -185,7 +148,6 @@ def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
     reaching power_threshold_w. names are the curve, omni and Monte Carlo
     file names, with "{}" for the level.
     """
-    n = trials or _CURVE_TRIALS
     threshold = values["power_threshold_w"] if active else None
     column, ci = ("active_prob", "ci95") if active else ("mean_power_w", "ci95_w")
     curve_name, omni_name, mc_name = names
@@ -208,11 +170,23 @@ def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
         for i, rho in enumerate(_MC_RHOS):
             _progress(f"{fig} {tag}={level}: mc point {i + 1}/{len(_MC_RHOS)}")
             p = params.with_(charging_radius=rho)
-            s = _mc_summary(p, n, _derive_seed(seed, fig, level, rho), workers=workers)
+            s = _mc_summary(p, trials, _derive_seed(seed, fig, level, rho), workers)
             stat = _reach(s.samples, threshold) if active else (s.mean, s.mean_ci95)
             mc_rows.append((rho, *stat))
         sink.add(mc_name.format(level), f"rho_m,{column},{ci}", mc_rows)
 
+
+# Fig3's omni line does not depend on the sensor density: one file
+_fig3_curves = functools.partial(
+    _radius_sweep, fig="fig3", key="sn_density_per_m2", tag="ls",
+    levels=(0.2, 0.8, 1.6), rho_grid=np.linspace(0.1, 4.0, 40), active=False,
+    names=("fig3_mean_ls{}.csv", "fig3_mean_omni.csv", "fig3_mc_ls{}.csv"),
+)
+_fig4_curves = functools.partial(
+    _radius_sweep, fig="fig4", key="pb_power_w", tag="pp",
+    levels=(1.0, 3.0, 10.0), rho_grid=np.linspace(0.25, 5.0, 40), active=True,
+    names=("fig4_gamma_pp{}.csv", "fig4_omni_pp{}.csv", "fig4_mc_pp{}.csv"),
+)
 
 #: Axes of the optimum sweeps (a scenario key and its points) and their
 #: beacon powers.
@@ -248,10 +222,23 @@ def _optimum_sweep(values, seed, trials, sink, workers, *, sweeps):
             sink.add(name.format(pp), f"{key},{column}", rows)
 
 
+_fig5_curves = functools.partial(_optimum_sweep, sweeps=(
+    ("fig5a_rho_star.csv", _SECTORS, None, "rho_star_m"),
+    ("fig5b_estar_pp{}.csv", _SECTORS, _MEAN_POWERS, "mean_power_w"),
+))
+_fig6_curves = functools.partial(_optimum_sweep, sweeps=(
+    ("fig6a_rho_star.csv", _DENSITIES, None, "rho_star_m"),
+    ("fig6b_estar_pp{}.csv", _DENSITIES, _MEAN_POWERS, "mean_power_w"),
+))
+_fig7_curves = functools.partial(_optimum_sweep, sweeps=(
+    ("fig7a_fstar_pp{}.csv", _SECTORS, _ACTIVE_POWERS, "active_prob"),
+    ("fig7b_fstar_pp{}.csv", _DENSITIES, _ACTIVE_POWERS, "active_prob"),
+))
+
+
 def _fig8_curves(values, seed, trials, sink, workers):
     powers = (2.0, 4.0, 6.0, 8.0, 10.0)
     threshold = values["power_threshold_w"]
-    n = trials or _CURVE_TRIALS
     schemes = (Allocation.GREEDY, Allocation.ROBUST, Allocation.UNIFORM)
     mean_rows = {s: [] for s in schemes}
     active_rows = {s: [] for s in schemes}
@@ -261,19 +248,14 @@ def _fig8_curves(values, seed, trials, sink, workers):
         rho_star = radopt.optimal_radius_mean(params).radius
         at_star = params.with_(charging_radius=rho_star)
         for s in schemes:
+            # one seed per power: the mean run and every grid radius share it
+            cfg = SimConfig(trials=trials, allocation=s,
+                            master_seed=_derive_seed(seed, "fig8", pp))
             _progress(f"fig8 pp={pp}: mean run, {s.value}")
-            summ = _mc_summary(
-                at_star, n, _derive_seed(seed, "fig8", pp), allocation=s,
-                workers=workers,
-            )
+            summ = mcsim.run_trials(at_star, cfg, workers=workers)
             mean_rows[s].append((pp, summ.mean, summ.mean_ci95))
             _progress(f"fig8 pp={pp}: active grid, {s.value}")
-            grid = active_prob_grid(
-                params, rho_grid, threshold,
-                SimConfig(trials=n, master_seed=_derive_seed(seed, "fig8", pp),
-                          allocation=s),
-                workers=workers,
-            )
+            grid = active_prob_grid(params, rho_grid, threshold, cfg, workers=workers)
             best = max(grid, key=lambda row: row[1])
             active_rows[s].append((pp, best[1], best[2]))
     for s in schemes:
@@ -304,59 +286,46 @@ def active_prob_grid(params, rho_values, threshold, config, workers=1):
     return rows
 
 
-_FIGURE_BUILDERS = {
-    FigureId.FIG2: _fig2_curves,
-    # Fig3's omni line does not depend on the sensor density: one file
-    FigureId.FIG3: functools.partial(
-        _radius_sweep, fig="fig3", key="sn_density_per_m2", tag="ls",
-        levels=(0.2, 0.8, 1.6), rho_grid=np.linspace(0.1, 4.0, 40), active=False,
-        names=("fig3_mean_ls{}.csv", "fig3_mean_omni.csv", "fig3_mc_ls{}.csv"),
-    ),
-    FigureId.FIG4: functools.partial(
-        _radius_sweep, fig="fig4", key="pb_power_w", tag="pp",
-        levels=(1.0, 3.0, 10.0), rho_grid=np.linspace(0.25, 5.0, 40), active=True,
-        names=("fig4_gamma_pp{}.csv", "fig4_omni_pp{}.csv", "fig4_mc_pp{}.csv"),
-    ),
-    FigureId.FIG5: functools.partial(_optimum_sweep, sweeps=(
-        ("fig5a_rho_star.csv", _SECTORS, None, "rho_star_m"),
-        ("fig5b_estar_pp{}.csv", _SECTORS, _MEAN_POWERS, "mean_power_w"),
-    )),
-    FigureId.FIG6: functools.partial(_optimum_sweep, sweeps=(
-        ("fig6a_rho_star.csv", _DENSITIES, None, "rho_star_m"),
-        ("fig6b_estar_pp{}.csv", _DENSITIES, _MEAN_POWERS, "mean_power_w"),
-    )),
-    FigureId.FIG7: functools.partial(_optimum_sweep, sweeps=(
-        ("fig7a_fstar_pp{}.csv", _SECTORS, _ACTIVE_POWERS, "active_prob"),
-        ("fig7b_fstar_pp{}.csv", _DENSITIES, _ACTIVE_POWERS, "active_prob"),
-    )),
-    FigureId.FIG8: _fig8_curves,
-}
+#: The scenario every figure starts from: the config defaults without the
+#: threshold, which only the figures that plot reach list (_REACH).
+_FIGURE_BASE = dict(scenario.CONFIG_DEFAULTS)
+_REACH = {"power_threshold_w": _FIGURE_BASE.pop("power_threshold_w")}
 
-#: Figures built from the closed forms alone: they take no trial count.
-_NO_MONTE_CARLO = (FigureId.FIG5, FigureId.FIG6, FigureId.FIG7)
+#: Each figure's scenario values over _FIGURE_BASE, its default trial budget
+#: (0: closed forms only, no trials accepted) and its builder.
+_FIGURES = {
+    FigureId.FIG2: ({}, 50_000, _fig2_curves),
+    FigureId.FIG3: (dict(pb_power_w=10.0, charging_radius_m=1.0), 20_000, _fig3_curves),
+    FigureId.FIG4: (dict(pb_power_w=1.0, charging_radius_m=1.0, **_REACH), 20_000, _fig4_curves),
+    FigureId.FIG5: (dict(pb_power_w=2.0, charging_radius_m=1.0), 0, _fig5_curves),
+    FigureId.FIG6: (dict(pb_power_w=2.0, charging_radius_m=1.0), 0, _fig6_curves),
+    FigureId.FIG7: (dict(pb_power_w=2.0, charging_radius_m=1.0, **_REACH), 0, _fig7_curves),
+    FigureId.FIG8: (dict(pb_power_w=2.0, charging_radius_m=1.0, **_REACH), 20_000, _fig8_curves),
+}
 
 
 def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     """Produce one figure's CSV set plus manifest.json in spec.output_dir.
 
-    Returns the manifest mapping. Reruns with an identical spec produce
-    byte-identical files regardless of worker count.
+    Returns the manifest mapping, whose trials is the budget the figure
+    ran. Reruns with an identical spec produce byte-identical files
+    regardless of worker count.
     """
+    figure_values, budget, build = _FIGURES[spec.figure_id]
     trials = spec.trials
     if not mcsim._is_int(trials) or trials < 0:
         raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
-    if trials and spec.figure_id in _NO_MONTE_CARLO:
+    if trials and not budget:
         raise ConfigError(
             f"{spec.figure_id.value} runs no Monte Carlo; trials must be 0, "
             f"got {trials!r}"
         )
-    values = _figure_base(spec.figure_id)
+    trials = trials or budget
+    values = {**_FIGURE_BASE, **figure_values}
     _read_config(values, overrides=spec.overrides)
     scenario.params_from_mapping(values)  # fail fast on bad overrides
     sink = _CsvSink()
-    _FIGURE_BUILDERS[spec.figure_id](
-        values, spec.seed, spec.trials, sink, workers
-    )
+    build(values, spec.seed, trials, sink, workers)
     out_dir = Path(spec.output_dir)
     listing = sink.write(out_dir)
     inputs = {
@@ -369,8 +338,7 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
         "figure": spec.figure_id.value,
         "params": values,
         "seed": spec.seed,
-        "trials": spec.trials
-        or (_CCDF_TRIALS if spec.figure_id == FigureId.FIG2 else _CURVE_TRIALS),
+        "trials": trials,
         "content_hash": hashlib.sha256(
             json.dumps(inputs, sort_keys=True).encode()
         ).hexdigest(),
@@ -522,7 +490,7 @@ def load_config(path=None, overrides=()) -> tuple:
     defaults, and overrides apply after file values.
     """
     scen: dict = {}
-    sim = {"trials": _CURVE_TRIALS, "master_seed": _DEFAULT_SEED}
+    sim = {"trials": _DEFAULT_TRIALS, "master_seed": _DEFAULT_SEED}
     _read_config(scen, sim, path, overrides)
     return scenario.params_from_mapping(scen), SimConfig(**sim)
 

@@ -658,9 +658,11 @@ def run_trials(
 
     Output is a pure function of (params, config); workers only split the
     trial range across processes and results merge by trial index.
+    Raises specfun.RangeError, as the closed forms do, when rho^2 overflows.
     """
     validate(params)
     _check_config(params, config)
+    analytic._occupancy(params)  # the closed forms' rho^2 range check
     n = config.trials
     if workers is None or workers < 1:
         workers = 1

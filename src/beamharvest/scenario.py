@@ -56,7 +56,10 @@ def sigma_from_wavelength(wavelength: float) -> float:
         raise ParameterError(["wavelength must be a finite number"])
     if wavelength <= 0:
         raise ParameterError(["wavelength must be positive"])
-    return (wavelength / (4.0 * math.pi)) ** 2
+    try:
+        return (wavelength / (4.0 * math.pi)) ** 2
+    except OverflowError:
+        raise ParameterError(["wavelength too large: attenuation overflows"]) from None
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,10 @@ class ScenarioParams:
     power_threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.attenuation is None and self.wavelength is not None:
-            if isinstance(self.wavelength, (int, float)) and self.wavelength > 0:
-                object.__setattr__(
-                    self, "attenuation", sigma_from_wavelength(self.wavelength)
-                )
+        if self.attenuation is None and (
+            isinstance(self.wavelength, (int, float)) and self.wavelength > 0
+        ):
+            object.__setattr__(self, "attenuation", sigma_from_wavelength(self.wavelength))
 
     def with_(self, **changes) -> "ScenarioParams":
         """Copy with fields replaced (attenuation re-derived if wavelength moves).
@@ -163,7 +165,10 @@ def validation_errors(params: ScenarioParams) -> list[str]:
     if wavelength is not None:
         _finite_positive(wavelength, "wavelength", errors)
         if not errors and attenuation is not None and wavelength > 0:
-            derived = sigma_from_wavelength(wavelength)
+            try:
+                derived = sigma_from_wavelength(wavelength)
+            except ParameterError as exc:
+                return exc.errors
             if abs(attenuation - derived) > _SIGMA_AGREEMENT_RTOL * derived:
                 errors.append(
                     "attenuation inconsistent with wavelength "
@@ -193,18 +198,20 @@ def validate(params: ScenarioParams) -> ScenarioParams:
 # Scenario config keys (benchcli reads the key=value text that carries them)
 # ---------------------------------------------------------------------------
 
-#: Exactly the recognized scenario config keys. Anything else is an error.
-CONFIG_KEYS = (
-    "pb_power_w",
-    "pb_density_per_m2",
-    "sn_density_per_m2",
-    "sectors",
-    "charging_radius_m",
-    "path_loss_exp",
-    "wavelength_m",
-    "sigma_linear",
-    "power_threshold_w",
-)
+#: Each recognized scenario config key and the ScenarioParams field it
+#: sets. Anything else is an error.
+_KEY_FIELDS = {
+    "pb_power_w": "pb_power",
+    "pb_density_per_m2": "pb_density",
+    "sn_density_per_m2": "sn_density",
+    "sectors": "sectors",
+    "charging_radius_m": "charging_radius",
+    "path_loss_exp": "path_loss_exp",
+    "power_threshold_w": "power_threshold",
+    "sigma_linear": "attenuation",
+    "wavelength_m": "wavelength",
+}
+CONFIG_KEYS = tuple(_KEY_FIELDS)
 
 #: Baseline scenario used when a config omits keys: 5 W beacons at 0.1 /m^2,
 #: sensors at 0.2 /m^2, four sectors, 2 m charging radius, alpha = 3,
@@ -235,32 +242,18 @@ def params_from_mapping(values: dict[str, float | int]) -> ScenarioParams:
     if "sigma_linear" in values and "wavelength_m" not in values:
         merged.pop("wavelength_m", None)
     merged.update(values)
-    params = ScenarioParams(
-        pb_power=float(merged["pb_power_w"]),
-        pb_density=float(merged["pb_density_per_m2"]),
-        sn_density=float(merged["sn_density_per_m2"]),
-        sectors=int(merged["sectors"]),
-        charging_radius=float(merged["charging_radius_m"]),
-        path_loss_exp=float(merged["path_loss_exp"]),
-        attenuation=float(merged["sigma_linear"]) if "sigma_linear" in merged else None,
-        wavelength=float(merged["wavelength_m"]) if "wavelength_m" in merged else None,
-        power_threshold=float(merged["power_threshold_w"]),
-    )
+    params = ScenarioParams(**{
+        field: int(merged[key]) if key == "sectors" else float(merged[key])
+        for key, field in _KEY_FIELDS.items()
+        if key in merged
+    })
     return validate(params)
 
 
 def params_to_mapping(params: ScenarioParams) -> dict[str, float | int]:
     """Config-key view of a scenario (for manifests and config echo)."""
-    out: dict[str, float | int] = {
-        "pb_power_w": params.pb_power,
-        "pb_density_per_m2": params.pb_density,
-        "sn_density_per_m2": params.sn_density,
-        "sectors": params.sectors,
-        "charging_radius_m": params.charging_radius,
-        "path_loss_exp": params.path_loss_exp,
-        "power_threshold_w": params.power_threshold,
-        "sigma_linear": params.attenuation,
+    return {
+        key: getattr(params, field)
+        for key, field in _KEY_FIELDS.items()
+        if field != "wavelength" or params.wavelength is not None
     }
-    if params.wavelength is not None:
-        out["wavelength_m"] = params.wavelength
-    return out

@@ -15,10 +15,8 @@ import closed_form_digest
 import quad_oracle as qo
 from beamharvest import analytic as an
 from beamharvest.analytic import (
-    BranchTag,
     LAPLACE_ARG_MAX,
     MAX_SECTORS,
-    branch_of,
     d_mean_d_rho,
     gain,
     gamma_approx,
@@ -296,8 +294,6 @@ def test_mean_approaches_omni_at_extreme_radii():
 def test_branch_seam_is_continuous(pr):
     inner = pr.with_(charging_radius=1.0)
     outer = pr.with_(charging_radius=math.nextafter(1.0, 2.0))
-    assert branch_of(inner) is BranchTag.RHO_AT_MOST_ONE
-    assert branch_of(outer) is BranchTag.RHO_ABOVE_ONE
     assert mean_power(inner) == pytest.approx(mean_power(outer), rel=1e-9)
     assert variance_power(inner) == pytest.approx(variance_power(outer), rel=1e-9)
     assert laplace_total(50.0, inner) == pytest.approx(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamharvest import benchcli, scenario
+from beamharvest import benchcli, mcsim, scenario
 from beamharvest.benchcli import (
     ExperimentSpec,
     FigureId,
@@ -177,14 +177,15 @@ def test_run_figure_worker_invariant(tmp_path):
 
 #: sha256 over the sorted "name sha256" lines of every file (CSVs and
 #: manifest.json) that each figure writes at seed 11 with PINNED_TRIALS and
-#: the manifest's version fields set to "pinned".
+#: the manifest's version fields set to "pinned". Fig5-Fig7 were re-recorded
+#: when their manifests' trials went from 20000 to 0, the budget they run.
 FIGURE_PINS = {
     "Fig2": "416278a3e2d0ef43c76d9fb4a585fef370d616d0727412a342c11f86c2d168c8",
     "Fig3": "e41742e5705045dd7d9bf51c4a82e09a9d0a327a4704c790958ca8af636f0779",
     "Fig4": "cbb603942a835f6bc0a3b984ac5ff06968af40387fa979fc1bb179caebf3b93c",
-    "Fig5": "6ef6ebd08d47717a8b51dd665e2562644ec73fdbc59b6088cc13724861d0228a",
-    "Fig6": "1961b9621c0de76b9626604329220e4161a85f5128eb5d9c1dc8d14f1ec79bc4",
-    "Fig7": "c4868b89dc1b35c988148eff266498bb0ab747ceac90575adc7f553a1c3cc29c",
+    "Fig5": "f185cf22caafcc0588e6d80d027d4800fb80821c47ea7f77884a77b63e722512",
+    "Fig6": "ce2d0fbc2c357e03a221431b3056f3e40a2cb93629d473dff285c1f54368c0c6",
+    "Fig7": "06f426e2098b01c9b01bef78b86779a88ae25834670f943e0c8431010ce9fa0f",
     "Fig8": "7413b52987591acb30472e3caf1b39fb66d2d6d537fd6b837295db9d355ed151",
 }
 PINNED_TRIALS = {FigureId.FIG2: 300, FigureId.FIG3: 40, FigureId.FIG4: 40,
@@ -254,9 +255,50 @@ def test_cli_figure_rejects_bad_trials(tmp_path, capsys):
 
 
 def test_figure_base_tables_cover_all_ids():
+    assert set(benchcli._FIGURES) == set(FigureId)
+    for values, budget, build in benchcli._FIGURES.values():
+        # a valid scenario, over the same base run_figure uses
+        scenario.params_from_mapping({**benchcli._FIGURE_BASE, **values})
+        assert mcsim._is_int(budget) and budget >= 0 and callable(build)
+
+
+def _record_run_trials(monkeypatch, fake=False):
+    """Patch mcsim.run_trials to log each config; fake=True skips the work."""
+    calls, real = [], benchcli.mcsim.run_trials
+
+    def logged(params, config, workers=1):
+        calls.append(config)
+        if fake:
+            x = np.linspace(0.0, 1e-3, 7)
+            return types.SimpleNamespace(samples=x, mean=float(x.mean()), mean_ci95=0.0)
+        return real(params, config, workers=workers)
+
+    monkeypatch.setattr(benchcli.mcsim, "run_trials", logged)
+    return calls
+
+
+def test_manifest_trials_is_the_budget_the_figure_ran(tmp_path, monkeypatch):
+    calls = _record_run_trials(monkeypatch)
     for fid in FigureId:
-        values = benchcli._figure_base(fid)
-        assert scenario.params_from_mapping(values) is not None
+        calls.clear()
+        manifest = run_figure(ExperimentSpec(
+            fid, output_dir=str(tmp_path / fid.value), seed=11,
+            trials=PINNED_TRIALS.get(fid, 0),
+        ))
+        assert manifest["trials"] == PINNED_TRIALS.get(fid, 0)
+        assert [c.trials for c in calls] == [manifest["trials"]] * len(calls)
+        assert bool(calls) == (fid in PINNED_TRIALS)
+
+
+def test_default_budget_reaches_every_run(tmp_path, monkeypatch):
+    calls = _record_run_trials(monkeypatch, fake=True)
+    budgets = {FigureId.FIG2: 50_000, FigureId.FIG3: 20_000,
+               FigureId.FIG4: 20_000, FigureId.FIG8: 20_000}
+    for fid in FigureId:
+        calls.clear()
+        manifest = run_figure(ExperimentSpec(fid, output_dir=str(tmp_path / fid.value)))
+        assert manifest["trials"] == budgets.get(fid, 0)
+        assert {c.trials for c in calls} == ({budgets[fid]} if fid in budgets else set())
 
 
 # --- scheme comparison ---
@@ -412,6 +454,13 @@ def test_cli_optimize_active_needs_threshold(capsys):
         ["analytic", "--set", "pb_power_w=1e300"],  # P^2 overflows
         ["optimize-active", "--set", "pb_power_w=1e300"],
         ["analytic", "--set", "pb_power_w=1e-300"],  # the variance underflows
+        # the Monte Carlo engine's rho^2 (only radii whose square overflows:
+        # a large finite one asks for billions of points per trial)
+        ["simulate", "--trials", "5", "--set", "charging_radius_m=1e200"],
+        # (wavelength / 4 pi)^2 overflows: an invalid scenario, derived or
+        # checked against a given attenuation
+        ["analytic", "--set", "wavelength_m=1e300"],
+        ["analytic", "--set", "wavelength_m=1e300", "--set", "sigma_linear=1e-4"],
     ],
 )
 def test_cli_out_of_range_scenarios_exit_cleanly(argv):
@@ -425,7 +474,11 @@ def test_cli_out_of_range_scenarios_exit_cleanly(argv):
     )
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("outside the supported numeric range: ")
+    invalid = any(item.startswith("wavelength_m=") for item in argv)
+    assert done.stderr.startswith(
+        "invalid scenario: wavelength too large" if invalid
+        else "outside the supported numeric range: "
+    )
     assert done.stderr.count("\n") == 1 and done.stdout == ""
 
 

@@ -29,6 +29,7 @@ from beamharvest.mcsim import (
     trial_stream,
 )
 from beamharvest.scenario import ConfigError, ParameterError, ScenarioParams
+from beamharvest.specfun import RangeError
 
 SIGMA = 6.332573977646111e-05
 
@@ -599,6 +600,21 @@ def test_run_trials_shares_the_sector_cap():
     # the closed forms' sector cap is a scenario rule, so it binds here too
     with pytest.raises(ParameterError, match="sector"):
         run_trials(params_for(sectors=65), SimConfig(trials=5, master_seed=1))
+
+
+def test_run_trials_shares_the_radius_range(monkeypatch):
+    # a radius whose square overflows is out of range for the closed forms,
+    # and here too, before any draw
+    def no_draws(*args, **kwargs):
+        raise AssertionError("run_trials drew before its range check")
+
+    monkeypatch.setattr(mcsim, "_run_chunk", no_draws)
+    for rho in (1e155, 1e200):
+        params = params_for(charging_radius=rho)
+        with pytest.raises(RangeError, match="charging_radius"):
+            analytic.mean_power(params)
+        with pytest.raises(RangeError, match="charging_radius"):
+            run_trials(params, SimConfig(trials=5, master_seed=1))
 
 
 # --- aggregation and output formats ---

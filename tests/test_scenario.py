@@ -51,6 +51,20 @@ def test_sigma_requires_positive():
         sigma_from_wavelength(float("inf"))
 
 
+def test_wavelength_whose_attenuation_overflows_is_invalid():
+    message = "wavelength too large: attenuation overflows"
+    with pytest.raises(ParameterError, match=message):
+        sigma_from_wavelength(1e300)
+    # derived on construction, or checked against a given attenuation
+    with pytest.raises(ParameterError, match=message):
+        make_params(wavelength=1e300)
+    assert validation_errors(make_params(wavelength=1e300, attenuation=1e-4)) == [
+        message
+    ]
+    big = 1e154  # its square is finite
+    assert sigma_from_wavelength(big) == (big / (4.0 * math.pi)) ** 2
+
+
 def test_attenuation_derived_from_wavelength():
     p = make_params()
     assert p.attenuation == pytest.approx(sigma_from_wavelength(0.1), rel=0)
@@ -203,6 +217,23 @@ def test_sigma_and_wavelength_must_agree():
         {"sigma_linear": sigma_from_wavelength(0.1), "wavelength_m": 0.1}
     )
     assert consistent.attenuation == pytest.approx(6.332573977646111e-05)
+
+
+def test_every_config_key_sets_its_own_field():
+    # distinct values, so two keys sharing or swapping fields would show
+    values = {
+        "pb_power_w": 7.5, "pb_density_per_m2": 0.15, "sn_density_per_m2": 0.35,
+        "sectors": 7, "charging_radius_m": 2.5, "path_loss_exp": 3.5,
+        "power_threshold_w": 2e-4, "wavelength_m": 0.2,
+        "sigma_linear": sigma_from_wavelength(0.2),
+    }
+    assert set(values) == set(CONFIG_KEYS)
+    p = params_from_mapping(values)
+    fields = (p.pb_power, p.pb_density, p.sn_density, p.sectors, p.charging_radius,
+              p.path_loss_exp, p.power_threshold, p.wavelength, p.attenuation)
+    assert fields == tuple(values.values())
+    assert type(p.sectors) is int
+    assert params_to_mapping(p) == values
 
 
 def test_config_keys_spelled_with_units():
