@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamharvest import benchcli, mcsim, scenario
+from beamharvest import benchcli, scenario
 from beamharvest.benchcli import (
     ExperimentSpec,
     FigureId,
@@ -259,7 +259,7 @@ def test_figure_base_tables_cover_all_ids():
     for values, budget, build in benchcli._FIGURES.values():
         # a valid scenario, over the same base run_figure uses
         scenario.params_from_mapping({**benchcli._FIGURE_BASE, **values})
-        assert mcsim._is_int(budget) and budget >= 0 and callable(build)
+        assert isinstance(budget, int) and budget >= 0 and callable(build)
 
 
 def _record_run_trials(monkeypatch, fake=False):
