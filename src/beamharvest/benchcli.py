@@ -109,11 +109,6 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _mc_summary(params, trials, seed, workers):
-    cfg = SimConfig(trials=trials, master_seed=seed)
-    return mcsim.run_trials(params, cfg, workers=workers)
-
-
 def _reach(samples, threshold) -> tuple:
     """Fraction of samples at or above threshold, with its 95% CI half-width."""
     frac = float(np.mean(samples >= threshold))
@@ -130,7 +125,8 @@ def _fig2_curves(values, seed, trials, sink, workers):
         zip(thresholds, gamma),
     )
     _progress(f"fig2: simulating {trials} trials")
-    summary = _mc_summary(params, trials, _derive_seed(seed, "fig2"), workers)
+    cfg = SimConfig(trials=trials, master_seed=_derive_seed(seed, "fig2"))
+    summary = mcsim.run_trials(params, cfg, workers=workers)
     rows = [(t, *_reach(summary.samples, t)) for t in thresholds]
     sink.add("fig2_empirical_ccdf.csv", "threshold_w,ccdf,ci95", rows)
 
@@ -170,7 +166,9 @@ def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
         for i, rho in enumerate(_MC_RHOS):
             _progress(f"{fig} {tag}={level}: mc point {i + 1}/{len(_MC_RHOS)}")
             p = params.with_(charging_radius=rho)
-            s = _mc_summary(p, trials, _derive_seed(seed, fig, level, rho), workers)
+            cfg = SimConfig(trials=trials,
+                            master_seed=_derive_seed(seed, fig, level, rho))
+            s = mcsim.run_trials(p, cfg, workers=workers)
             stat = _reach(s.samples, threshold) if active else (s.mean, s.mean_ci95)
             mc_rows.append((rho, *stat))
         sink.add(mc_name.format(level), f"rho_m,{column},{ci}", mc_rows)
@@ -332,7 +330,7 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
         "figure": spec.figure_id.value,
         "values": values,
         "seed": spec.seed,
-        "trials": spec.trials,
+        "trials": trials,
     }
     manifest = {
         "figure": spec.figure_id.value,

@@ -7,9 +7,10 @@ idealize away), and records the power collected at the origin sensor.
 Reproducibility contract: every random draw comes from a counter-based
 stream keyed by (master_seed, trial_index, substream), so a run is
 bit-identical no matter how trials are scheduled across workers. Network
-geometry lives on substream 0 and allocation tie-breaks on a per-scheme
-substream, which makes runs that differ only in the allocation scheme see
-identical networks (paired comparisons come out of the seeding for free).
+geometry lives on substream 0 and greedy's tie-breaks, the only allocation
+draws, on substream 2, which makes runs that differ only in the allocation
+scheme see identical networks (paired comparisons come out of the seeding
+for free).
 
 Window policy: with an explicit window_radius the field is truncated there
 and the truncation bias is the caller's concern. In AUTO mode the field is
@@ -29,7 +30,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +45,6 @@ __all__ = [
     "TrialSummary",
     "trial_stream",
     "draw_network",
-    "sector_of",
-    "pb_beam_state",
     "received_power_origin",
     "run_trials",
     "empirical_ccdf",
@@ -91,8 +90,6 @@ class NetworkSample:
     pb_points: np.ndarray
     sn_points: np.ndarray
     pb_orientations: np.ndarray
-    pb_window_radius: float
-    sn_window_radius: float
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,6 @@ class TrialSummary:
     mean: float
     variance: float
     mean_ci95: float
-    ccdf: tuple[tuple[float, float], ...] = field(repr=False)
 
 
 def _is_int(value) -> bool:
@@ -136,16 +132,15 @@ def _check_config(params: ScenarioParams, config: SimConfig) -> None:
 
 
 def trial_stream(master_seed: int, trial_index: int, substream: int = 0) -> np.random.Generator:
-    """Counter-based RNG stream for one trial, independent of scheduling."""
-    key = np.array([master_seed, trial_index], dtype=np.uint64)
-    counter = np.array([0, 0, 0, substream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    """Counter-based RNG stream for one trial, independent of scheduling:
+    Philox keyed by (master_seed, trial_index), counter (0, 0, 0, substream)."""
+    return _TrialStreams(master_seed).at(trial_index, substream)
 
 
 class _TrialStreams:
     """trial_stream for many trials from one Philox generator: at() resets
-    its key, counter and buffered bits to those trial_stream would start
-    from, so the draws are identical without building a generator per
+    its key, counter and buffered bits to a fresh stream's, so the draws do
+    not depend on what was drawn before, without building a generator per
     trial."""
 
     def __init__(self, master_seed: int) -> None:
@@ -161,14 +156,9 @@ class _TrialStreams:
         return self._generator
 
 
-#: Allocation tie-break streams sit on per-scheme substreams so schemes never
-#: perturb each other's geometry (substream 0 is the network).
-_ALLOC_SUBSTREAM = {
-    Allocation.UNIFORM: 1,
-    Allocation.GREEDY: 2,
-    Allocation.ROBUST: 3,
-    Allocation.FORCED_OMNI: 4,
-}
+#: Greedy's tie-break draws sit on their own substream so they never perturb
+#: the geometry (substream 0 is the network); no other scheme draws.
+_GREEDY_SUBSTREAM = 2
 
 
 def _disk_uniform(density: float, radius: float, stream: np.random.Generator) -> np.ndarray:
@@ -229,26 +219,7 @@ def draw_network(
         pb_points=_disk_points(u_pb, pb_window_radius).T,
         sn_points=sn,
         pb_orientations=orient * (_TWO_PI / params.sectors),
-        pb_window_radius=float(pb_window_radius),
-        sn_window_radius=float(sn_window),
     )
-
-
-def sector_of(pb, target, orientation: float, sectors: int) -> int:
-    """Index of the beacon's sector containing the direction to target.
-
-    Sectors are half-open arcs [k*2pi/N, (k+1)*2pi/N) measured from the
-    beacon's orientation.
-    """
-    dx = float(target[0]) - float(pb[0])
-    dy = float(target[1]) - float(pb[1])
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("target coincides with the beacon; direction undefined")
-    rel = math.fmod(math.atan2(dy, dx) - orientation, _TWO_PI)
-    if rel < 0.0:
-        rel += _TWO_PI
-    # adding 2pi can round up to exactly 2pi; the modulus folds that to 0
-    return int(rel // (_TWO_PI / sectors)) % sectors
 
 
 @functools.lru_cache(maxsize=32)
@@ -398,41 +369,6 @@ def _pairs_bucketed(
         yield i, j, dx, dy
 
 
-def pb_beam_state(
-    counts, scheme: Allocation, sectors: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Per-sector intensity gains of one beacon given its sensor counts.
-
-    Gains always sum to N (power conservation). Greedy needs an RNG stream
-    for its uniform tie-break among maximal sectors.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (sectors,):
-        raise ValueError(f"expected {sectors} sector counts, got shape {counts.shape}")
-    if (counts < 0).any():
-        raise ValueError("sector counts must be nonnegative")
-    occupied = int(np.count_nonzero(counts))
-    if occupied == 0 or scheme is Allocation.FORCED_OMNI:
-        return np.ones(sectors, dtype=np.float64)
-    gains = np.zeros(sectors, dtype=np.float64)
-    if scheme is Allocation.UNIFORM:
-        gains[counts > 0] = sectors / occupied
-    elif scheme is Allocation.ROBUST:
-        gains = sectors * counts / counts.sum()
-    elif scheme is Allocation.GREEDY:
-        top = np.nonzero(counts == counts.max())[0]
-        if len(top) == 1:
-            pick = top[0]
-        else:
-            if rng is None:
-                raise ValueError("greedy tie-break needs an RNG stream")
-            pick = top[int(rng.random() * len(top)) % len(top)]
-        gains[pick] = float(sectors)
-    else:
-        raise ValueError(f"unknown allocation scheme {scheme!r}")
-    return gains
-
-
 def _origin_gains(
     pb: np.ndarray,
     trial_pb: np.ndarray,
@@ -447,9 +383,13 @@ def _origin_gains(
 
     Beacons and sensors are (2, n) arrays of x and y rows carrying trial
     labels; a sensor occupies a beacon's sector when both share a trial and
-    lie within the charging radius.
-    Beacon b gets pb_beam_state(counts_b, scheme)[k_b], k_b being its sector
-    holding the origin. Greedy breaks ties with tie_draws[b], one uniform
+    lie within the charging radius. The gain is the beacon's in its sector
+    k holding the origin: 1 when no sector is occupied; otherwise uniform
+    gives N / (occupied sectors) if k is occupied, robust N * count_k /
+    (sensors in the disk), and greedy N if k is the one it picks among the
+    sectors tied for the most sensors, 0 elsewhere, so a beacon's gains sum
+    to N. Greedy picks the int(u * ties)-th tied sector in sector order
+    (the last if that rounds up to ties) for u = tie_draws[b], one uniform
     per beacon whether or not it ties, which keeps the stream layout fixed.
     """
     n_pb = pb.shape[1]
@@ -599,10 +539,10 @@ def _batch_powers(
     )
     ties = None
     if scheme is Allocation.GREEDY:
-        sub = _ALLOC_SUBSTREAM[scheme]
-        ties = np.concatenate(
-            [streams.at(start + k, sub).random(len(u)) for k, u in enumerate(pb_blocks)]
-        )
+        ties = np.concatenate([
+            streams.at(start + k, _GREEDY_SUBSTREAM).random(len(u))
+            for k, u in enumerate(pb_blocks)
+        ])
     t_pb = np.repeat(np.arange(n_trials), [len(u) for u in pb_blocks])
     pb = _disk_points(np.concatenate(pb_blocks).reshape(-1, 2), window)
     del pb_blocks
@@ -662,10 +602,10 @@ def run_trials(
     """
     validate(params)
     _check_config(params, config)
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     analytic._occupancy(params)  # the closed forms' rho^2 range check
     n = config.trials
-    if workers is None or workers < 1:
-        workers = 1
     workers = min(workers, n)
     if workers == 1:
         samples = _run_chunk(params, config, 0, n)
@@ -684,14 +624,7 @@ def run_trials(
     mean = float(np.mean(samples))
     variance = float(np.var(samples, ddof=1)) if n > 1 else 0.0
     ci = 1.96 * math.sqrt(variance / n) if n > 1 else 0.0
-    ccdf = empirical_ccdf(samples, _default_thresholds(samples))
-    return TrialSummary(
-        samples=samples,
-        mean=mean,
-        variance=variance,
-        mean_ci95=ci,
-        ccdf=tuple(ccdf),
-    )
+    return TrialSummary(samples=samples, mean=mean, variance=variance, mean_ci95=ci)
 
 
 def empirical_ccdf(samples, thresholds) -> list[tuple[float, float]]:
@@ -722,7 +655,8 @@ def samples_to_csv(summary: TrialSummary, path) -> None:
 def summary_to_json(
     summary: TrialSummary, params: ScenarioParams, config: SimConfig
 ) -> str:
-    """Structured run report: statistics, CCDF table, config echo."""
+    """Structured run report: statistics, CCDF table (at 50 thresholds
+    spaced geometrically over the positive samples), config echo."""
     window = (
         AUTO_WINDOW
         if config.window_radius == AUTO_WINDOW
@@ -737,6 +671,9 @@ def summary_to_json(
         "allocation": config.allocation.value,
         "window_radius": window,
         "params": params_to_mapping(params),
-        "ccdf": [[t, p] for t, p in summary.ccdf],
+        "ccdf": [
+            [t, p]
+            for t, p in empirical_ccdf(summary.samples, _default_thresholds(summary.samples))
+        ],
     }
     return json.dumps(doc, sort_keys=True, indent=2)

@@ -290,6 +290,18 @@ def test_manifest_trials_is_the_budget_the_figure_ran(tmp_path, monkeypatch):
         assert bool(calls) == (fid in PINNED_TRIALS)
 
 
+def test_manifest_hashes_the_resolved_budget(tmp_path, monkeypatch, capsys):
+    # the default budget and the same budget named explicitly run the same
+    # figure, so they write the same manifest, content_hash included
+    _record_run_trials(monkeypatch, fake=True)
+    outs = [tmp_path / "default", tmp_path / "named"]
+    assert main(["figure", "fig2", "--out", str(outs[0])]) == 0
+    assert main(["figure", "fig2", "--trials", "50000", "--out", str(outs[1])]) == 0
+    capsys.readouterr()
+    first, second = ((out / "manifest.json").read_bytes() for out in outs)
+    assert first == second
+
+
 def test_default_budget_reaches_every_run(tmp_path, monkeypatch):
     calls = _record_run_trials(monkeypatch, fake=True)
     budgets = {FigureId.FIG2: 50_000, FigureId.FIG3: 20_000,
@@ -542,6 +554,15 @@ def test_cli_rejects_too_many_sectors(capsys):
         assert main(argv + ["--set", "sectors=200"]) == 1
         err = capsys.readouterr().err
         assert "invalid scenario" in err and "sector" in err
+
+
+def test_cli_rejects_nonpositive_workers(tmp_path, capsys):
+    for workers in ("0", "-3"):
+        out = tmp_path / workers
+        argv = ["simulate", "--trials", "5", "--workers", workers, "--out", str(out)]
+        assert main(argv) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_validate(capsys):

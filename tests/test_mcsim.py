@@ -20,16 +20,15 @@ from beamharvest.mcsim import (
     SimConfig,
     draw_network,
     empirical_ccdf,
-    pb_beam_state,
     received_power_origin,
     run_trials,
     samples_to_csv,
-    sector_of,
     summary_to_json,
     trial_stream,
 )
 from beamharvest.scenario import ConfigError, ParameterError, ScenarioParams
 from beamharvest.specfun import RangeError
+from mc_oracle import pb_beam_state, scalar_origin_gains, sector_of
 
 SIGMA = 6.332573977646111e-05
 
@@ -55,37 +54,7 @@ def one_beacon_sample(pb_xy, orientation, extra_sensors=()):
         pb_points=np.array([pb_xy], dtype=np.float64),
         sn_points=sensors.astype(np.float64),
         pb_orientations=np.array([orientation], dtype=np.float64),
-        pb_window_radius=50.0,
-        sn_window_radius=55.0,
     )
-
-
-class FixedDraw:
-    """Stands in for a Generator whose next uniform is known in advance."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def scalar_origin_gains(sample, params, scheme, tie_draws=None):
-    """Reference for mcsim's gain kernel, one beacon at a time: brute-force
-    sector counts through sector_of, then pb_beam_state's entry for the
-    sector holding the origin. Greedy's tie-break for beacon b uses the
-    uniform tie_draws[b]."""
-    rho = params.charging_radius
-    out = []
-    for b, (pb, orient) in enumerate(zip(sample.pb_points, sample.pb_orientations)):
-        d = sample.sn_points - pb
-        counts = np.zeros(params.sectors, dtype=np.int64)
-        for sn in sample.sn_points[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= rho * rho]:
-            counts[sector_of(pb, sn, orient, params.sectors)] += 1
-        rng = None if tie_draws is None else FixedDraw(tie_draws[b])
-        gains = pb_beam_state(counts, scheme, params.sectors, rng)
-        out.append(gains[sector_of(pb, (0.0, 0.0), orient, params.sectors)])
-    return np.array(out, dtype=np.float64)
 
 
 def kernel_origin_gains(sample, params, scheme, tie_draws=None):
@@ -115,17 +84,29 @@ def test_trial_stream_is_reproducible_and_keyed():
 
 
 def test_rekeyed_streams_match_trial_stream():
-    # integers(..., dtype=uint32) leaves half a word buffered; re-keying
-    # must drop it along with the key and counter
-    streams = mcsim._TrialStreams(2**64 - 1)
+    # the stream layout: Philox keyed by (seed, trial), counter (0, 0, 0,
+    # substream). integers(..., dtype=uint32) leaves half a word buffered;
+    # re-keying must drop it along with the key and counter
+    seed = 2**64 - 1
+    streams = mcsim._TrialStreams(seed)
     for i, sub in ((0, 0), (5, 2), (5, 0), (2**40, 3), (0, 0)):
+        fresh = np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64),
+            counter=np.array([0, 0, 0, sub], dtype=np.uint64),
+        ))
         draws = []
-        for g in (trial_stream(2**64 - 1, i, sub), streams.at(i, sub)):
+        for g in (fresh, streams.at(i, sub), trial_stream(seed, i, sub)):
             draws.append(
                 [g.integers(0, 9, 3, dtype=np.uint32), g.poisson(40.0, 4), g.random(3)]
             )
-        for want, got in zip(*draws):
-            assert np.array_equal(want, got)
+        for want, *got in zip(*draws):
+            assert all(np.array_equal(want, g) for g in got)
+
+
+def test_trial_stream_rejects_out_of_range_keys():
+    for args in ((2**64, 0), (-1, 0), (1, 2**64), (1, -1), (1, 0, 2**64), (1, 0, -1)):
+        with pytest.raises(OverflowError):
+            trial_stream(*args)
 
 
 # --- geometry ---
@@ -210,10 +191,11 @@ def test_draw_network_shapes():
     pr = params_for(charging_radius=2.0)
     sample = draw_network(pr, 10.0, trial_stream(1, 0))
     assert sample.pb_points.shape[1] == 2
-    assert sample.sn_window_radius == 12.0
     # origin sensor is always row zero
     assert np.array_equal(sample.sn_points[0], np.zeros(2))
     assert np.hypot(sample.pb_points[:, 0], sample.pb_points[:, 1]).max() <= 10.0
+    # sensors cover the window plus rho, so every beacon sees its whole disk
+    assert np.hypot(sample.sn_points[:, 0], sample.sn_points[:, 1]).max() <= 12.0
     assert (sample.pb_orientations >= 0).all()
     assert (sample.pb_orientations < 2.0 * math.pi / pr.sectors).all()
 
@@ -222,42 +204,23 @@ def test_draw_network_shapes():
 
 
 def test_pb_beam_state_idle_and_forced():
-    assert np.array_equal(pb_beam_state([0, 0, 0, 0], Allocation.UNIFORM, 4), np.ones(4))
-    assert np.array_equal(
-        pb_beam_state([3, 0, 2, 0], Allocation.FORCED_OMNI, 4), np.ones(4)
-    )
+    assert pb_beam_state([0, 0, 0, 0], Allocation.UNIFORM) == [1.0] * 4
+    assert pb_beam_state([3, 0, 2, 0], Allocation.FORCED_OMNI) == [1.0] * 4
 
 
 def test_pb_beam_state_uniform_and_robust():
-    np.testing.assert_allclose(
-        pb_beam_state([2, 0, 1, 0], Allocation.UNIFORM, 4), [2.0, 0.0, 2.0, 0.0]
-    )
-    np.testing.assert_allclose(
-        pb_beam_state([2, 0, 1, 0], Allocation.ROBUST, 4),
-        [8.0 / 3.0, 0.0, 4.0 / 3.0, 0.0],
-    )
+    assert pb_beam_state([2, 0, 1, 0], Allocation.UNIFORM) == [2.0, 0.0, 2.0, 0.0]
+    assert pb_beam_state([2, 0, 1, 0], Allocation.ROBUST) == [8.0 / 3.0, 0.0, 4.0 / 3.0, 0.0]
 
 
 def test_pb_beam_state_greedy():
-    np.testing.assert_allclose(
-        pb_beam_state([3, 1, 0, 0], Allocation.GREEDY, 4), [4.0, 0.0, 0.0, 0.0]
-    )
-    with pytest.raises(ValueError, match="tie-break"):
-        pb_beam_state([1, 0, 1, 0], Allocation.GREEDY, 4)
-    rng = np.random.default_rng(0)
+    assert pb_beam_state([3, 1, 0, 0], Allocation.GREEDY, 0.9) == [4.0, 0.0, 0.0, 0.0]
     picks = set()
-    for _ in range(40):
-        g = pb_beam_state([1, 0, 1, 0], Allocation.GREEDY, 4, rng)
-        assert g.sum() == 4.0
-        picks.add(int(np.argmax(g)))
+    for u in np.random.default_rng(0).random(40):
+        g = pb_beam_state([1, 0, 1, 0], Allocation.GREEDY, u)
+        assert sum(g) == 4.0
+        picks.add(g.index(4.0))
     assert picks == {0, 2}
-
-
-def test_pb_beam_state_input_guards():
-    with pytest.raises(ValueError):
-        pb_beam_state([1, 2, 3], Allocation.UNIFORM, 4)
-    with pytest.raises(ValueError):
-        pb_beam_state([1, -1, 0, 0], Allocation.UNIFORM, 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,11 +229,12 @@ def test_pb_beam_state_input_guards():
     scheme=st.sampled_from(
         [Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY, Allocation.FORCED_OMNI]
     ),
+    u=st.floats(0.0, 1.0, exclude_max=True),
 )
-def test_beam_gains_conserve_power(counts, scheme):
-    gains = pb_beam_state(counts, scheme, 5, np.random.default_rng(3))
-    assert gains.sum() == pytest.approx(5.0, rel=1e-12)
-    assert (gains >= 0).all()
+def test_beam_gains_conserve_power(counts, scheme, u):
+    gains = pb_beam_state(counts, scheme, u)
+    assert sum(gains) == pytest.approx(5.0, rel=1e-12)
+    assert min(gains) >= 0.0
 
 
 # --- single-realization power ---
@@ -320,8 +284,6 @@ def test_power_empty_network():
         pb_points=np.empty((0, 2)),
         sn_points=np.zeros((1, 2)),
         pb_orientations=np.empty(0),
-        pb_window_radius=5.0,
-        sn_window_radius=6.0,
     )
     assert received_power_origin(sample, params_for()) == 0.0
 
@@ -367,8 +329,8 @@ def test_batched_engine_matches_composed_ops():
         batched = mcsim._batch_powers(pr, scheme, seed, 0, 12, window)
         for i in range(12):
             sample = draw_network(pr, window, trial_stream(seed, i))
-            sub = mcsim._ALLOC_SUBSTREAM[scheme]
-            u = trial_stream(seed, i, substream=sub).random(len(sample.pb_points))
+            # greedy's tie-breaks are on substream 2; the other schemes ignore u
+            u = trial_stream(seed, i, substream=2).random(len(sample.pb_points))
             gains = scalar_origin_gains(sample, pr, scheme, u)
             dist = np.hypot(sample.pb_points[:, 0], sample.pb_points[:, 1])
             atten = np.maximum(dist, 1.0) ** -pr.path_loss_exp
@@ -378,7 +340,7 @@ def test_batched_engine_matches_composed_ops():
             # same draws, gains and summation order as the batch: exact
             assert batched[i] == pr.pb_power * pr.attenuation * total
             single = received_power_origin(
-                sample, pr, scheme, trial_stream(seed, i, substream=sub)
+                sample, pr, scheme, trial_stream(seed, i, substream=2)
             )
             # one trial through the batch's own reduction
             assert single == batched[i]
@@ -594,6 +556,9 @@ def test_config_guards():
             params_for(charging_radius=0.5),
             SimConfig(trials=5, master_seed=1, window_radius=True),
         )
+    for workers in (0, -3, None, 2.0, True):
+        with pytest.raises(ConfigError, match="workers"):
+            run_trials(pr, SimConfig(trials=5, master_seed=1), workers=workers)
 
 
 def test_run_trials_shares_the_sector_cap():
