@@ -265,13 +265,53 @@ def _sectors_toward(
     return sec
 
 
-def _grid_split(params: ScenarioParams) -> int:
-    """Join cells per charging radius. A finer grid trims the candidates a
-    beacon reads toward its disk but adds cells and strips, which pays only
-    when a rho-wide cell holds many sensors: about the square root of half
-    that expected count was fastest over the Fig. 3 sweep."""
+#: Fewest sensors a join cell expects. Below this the cells stop shrinking
+#: with rho, so a trial holds at most about 4 / (pi * 0.04) = 32 cells per
+#: expected sensor (rho = 1e-3 m would otherwise need 1.6e9 cells a trial).
+#: Every figure and benchmark point has lambda_s rho^2 >= 0.05, so their
+#: grids stay rho / split wide.
+_CELL_SENSORS_MIN = 0.04
+
+#: Most candidate pairs one chunk of a strip holds; a beacon with more gets a
+#: chunk of its own. Chunks keep the pair stage's temporaries at a fixed,
+#: cache-sized footprint whatever the batch size.
+_CHUNK_CANDIDATES = 8192
+
+#: Most sector keys (1 MiB) _origin_gains holds before it bins them: one
+#: bincount per batch at the default deployment, a few where pairs are
+#: dense, so the keys' memory does not grow with the batch either.
+_KEYS_HELD = 1 << 17
+
+
+def _join_grid(params: ScenarioParams) -> tuple[int, float]:
+    """Join cells per charging radius, and the smallest cell side.
+
+    A finer grid trims the candidates a beacon reads toward its disk but adds
+    cells and strips, which pays only when a rho-wide cell holds many
+    sensors: about the square root of half that expected count was fastest
+    over the Fig. 3 sweep. The floor keeps a cell's expected sensors at
+    _CELL_SENSORS_MIN or more."""
     per_cell = params.sn_density * params.charging_radius**2
-    return max(1, round(math.sqrt(per_cell / 2.0)))
+    split = max(1, round(math.sqrt(per_cell / 2.0)))
+    return split, math.sqrt(_CELL_SENSORS_MIN / params.sn_density)
+
+
+def _key_order(key: np.ndarray) -> np.ndarray:
+    """Stable argsort of nonnegative int64 keys, computed in place in key.
+
+    Each key is packed as key << bits | index, bits = (len - 1).bit_length(),
+    and the packed values get one np.sort. They stay below 2**63, so stay
+    signed and order like (key, index), while key < 2**(63 - bits). The
+    pair join's keys are below its n_keys, which _batch_size keeps under
+    about 4e5 in batches of two or more trials. A one-trial batch holds at
+    most about 32 cells per expected sensor, so it would take some 5e8
+    sensors (8 GiB of coordinates) in one trial to reach the bound."""
+    bits = max(len(key) - 1, 0).bit_length()
+    key <<= bits
+    key |= np.arange(len(key))
+    key.sort()
+    key &= (1 << bits) - 1
+    return key
 
 
 def _pairs_bucketed(
@@ -281,31 +321,39 @@ def _pairs_bucketed(
     trial_sn: np.ndarray,
     rho: float,
     split: int,
+    min_cell: float,
 ):
-    """Beacon-sensor pairs within rho and in the same trial, one column strip
-    at a time: yields (i, j, dx, dy), beacon and sensor indices with
-    dx, dy = sn[:, j] - pb[:, i], the offsets the distance test used.
+    """Beacon-sensor pairs within rho and in the same trial.
+
+    Returns (order, chunks). The chunks iterator walks one column strip at a
+    time and yields (i, dx, dy, pos, kept) per chunk: the kept pairs' beacon
+    indices i and offsets dx, dy = sn[:, j] - pb[:, i], the ones the
+    distance test used, with j = order[pos[kept]] the sensor indices (pos
+    holds the chunk's candidates' positions in the sorted sensors).
 
     Points are (2, n) arrays of x and y rows. Sensors are bucketed into a
-    uniform grid of cells a hair wider than rho / split, its bounds taken
-    from the points, with one block of cells per trial label so batches of
-    concatenated trials join without cross-talk. A counting pass (bincount,
-    then cumsum in place) over the dense cell keys gives end[key], the number
-    of sensors in cells up to key, into the sensors sorted by key. A column's
-    cells have consecutive keys, so a beacon reads each column of its
-    neighbourhood as one strip end[first - 1] : end[last]. The rows are
-    trimmed to the disk: a cell a columns and b rows beyond the beacon's
-    adjacent ones is read only if a^2 + b^2 < split^2. Only the pair *set*
-    matters downstream (integer sector counts), so neither the sort nor the
-    join order carries floating-point sensitivity, and the sort need not be
-    stable.
+    uniform grid of cells a hair wider than rho / split, and no narrower than
+    min_cell, its bounds taken from the points, with one block of cells per
+    trial label so batches of concatenated trials join without cross-talk. A
+    counting pass (bincount, then cumsum in place) over the dense cell keys
+    gives end[key], the number of sensors in cells up to key, into the
+    sensors sorted by key. A column's cells have consecutive keys, so a
+    beacon reads each column of its neighbourhood as one strip
+    end[first - 1] : end[last]. The rows are trimmed to the disk: a cell a
+    columns and b rows beyond the beacon's adjacent ones is read only if
+    a^2 + b^2 < split^2; cells wider than rho / split only widen what is
+    read. A strip is read in chunks of whole beacons holding at most
+    _CHUNK_CANDIDATES candidates between them, so no pair is split or read
+    twice. Only the pair *set* matters downstream (integer sector counts),
+    so neither the sort nor the join order carries floating-point
+    sensitivity.
     """
     if pb.shape[1] == 0:
-        return
+        return np.empty(0, dtype=np.int64), iter(())
     # a pair can pass the rounded distance test yet lie just over rho apart
     # (beacon (2, 0.5), sensor (1 - 2**-53, 0.5), rho = 1); the margin keeps
     # such pairs strictly inside the stencil, and the test alone decides
-    cell = rho * (1.0 + 2.0**-20) / split
+    cell = max(rho * (1.0 + 2.0**-20) / split, min_cell)
     # bounds from the raw extremes: floor(x / cell) is monotone in x
     lo_x, lo_y = (math.floor(min(sn[d].min(), pb[d].min()) / cell) for d in (0, 1))
     hi_x, hi_y = (math.floor(max(sn[d].max(), pb[d].max()) / cell) for d in (0, 1))
@@ -332,41 +380,57 @@ def _pairs_bucketed(
         return out
 
     key = cell_keys(sn, trial_sn)
-    order = np.argsort(key)
     end = np.bincount(key, minlength=n_keys)
-    del key
     np.cumsum(end, out=end)
+    order = _key_order(key)
+    del key
     # sensor coordinates in key order, so a strip is one contiguous run
     sx = sn[0].take(order)
     sy = sn[1].take(order)
     base = cell_keys(pb, trial_pb)
-    beacons = np.arange(pb.shape[1])
-    for ox in range(-split, split + 1):
-        # rows read on either side of the beacon's row
-        reach = 1 + math.isqrt(split * split - max(abs(ox) - 1, 0) ** 2 - 1)
-        left = end.take(base + (ox * span - reach - 1))
-        n_hit = end.take(base + (ox * span + reach))
-        n_hit -= left
-        ends = np.cumsum(n_hit)
-        # candidate c of beacon b sits at sorted position
-        # left[b] + c - (ends[b] - n_hit[b])
-        left -= ends
-        left += n_hit
-        pos = np.repeat(left, n_hit)
-        pos += np.arange(ends[-1])
-        i = np.repeat(beacons, n_hit)
-        dx = sx.take(pos)
-        dx -= pb[0].take(i)
-        dy = sy.take(pos)
-        dy -= pb[1].take(i)
-        d2 = dx * dx
-        d2 += dy * dy
-        kept = np.flatnonzero(d2 <= rho * rho)
-        del d2
-        # rebinding frees the candidate arrays while the caller holds the strip
-        i, j, dx, dy = i.take(kept), order.take(pos.take(kept)), dx.take(kept), dy.take(kept)
-        del pos, kept
-        yield i, j, dx, dy
+
+    def chunks():
+        beacons = np.arange(pb.shape[1])
+        for ox in range(-split, split + 1):
+            # rows read on either side of the beacon's row
+            reach = 1 + math.isqrt(split * split - max(abs(ox) - 1, 0) ** 2 - 1)
+            left = end.take(base + (ox * span - reach - 1))
+            n_hit = end.take(base + (ox * span + reach))
+            n_hit -= left
+            ends = np.cumsum(n_hit)
+            # candidate c of the strip, of beacon b, sits at sorted position
+            # left[b] + c - (ends[b] - n_hit[b])
+            left -= ends
+            left += n_hit
+            lo = 0
+            while lo < len(ends):
+                first = int(ends[lo] - n_hit[lo])
+                hi = int(ends.searchsorted(first + _CHUNK_CANDIDATES, side="right"))
+                hi = max(hi, lo + 1)
+                n = n_hit[lo:hi]
+                pos = np.repeat(left[lo:hi], n)
+                pos += np.arange(first, int(ends[hi - 1]))
+                i = np.repeat(beacons[lo:hi], n)
+                dx = sx.take(pos)
+                dx -= pb[0].take(i)
+                dy = sy.take(pos)
+                dy -= pb[1].take(i)
+                d2 = dx * dx
+                d2 += dy * dy
+                kept = np.flatnonzero(d2 <= rho * rho)
+                del d2
+                yield i.take(kept), dx.take(kept), dy.take(kept), pos, kept
+                lo = hi
+
+    return order, chunks()
+
+
+def _add_bins(counts, keys: list, size: int) -> np.ndarray:
+    """counts (an array, or 0) plus the bincount of the listed key arrays."""
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *keys])
+    binned = np.bincount(keys, minlength=size)
+    binned += counts
+    return binned
 
 
 def _origin_gains(
@@ -394,16 +458,20 @@ def _origin_gains(
     """
     n_pb = pb.shape[1]
     n_sec = params.sectors
-    counts = np.zeros(n_pb * n_sec, dtype=np.int64)
-    strips = _pairs_bucketed(
-        pb, trial_pb, sn, trial_sn, params.charging_radius, _grid_split(params)
+    _, chunks = _pairs_bucketed(
+        pb, trial_pb, sn, trial_sn, params.charging_radius, *_join_grid(params)
     )
-    for i, _, dx, dy in strips:
+    # each kept pair's key beacon * N + sector, binned _KEYS_HELD at a time
+    counts, keys, held = 0, [], 0
+    for i, dx, dy, _, _ in chunks:
         sec = _sectors_toward(dx, dy, orientations.take(i), n_sec)
         i *= n_sec
         i += sec
-        counts += np.bincount(i, minlength=n_pb * n_sec)
-    counts = counts.reshape(n_pb, n_sec)
+        keys.append(i)
+        held += len(i)
+        if held >= _KEYS_HELD:
+            counts, keys, held = _add_bins(counts, keys, n_pb * n_sec), [], 0
+    counts = _add_bins(counts, keys, n_pb * n_sec).reshape(n_pb, n_sec)
     k = _sectors_toward(-pb[0], -pb[1], orientations, n_sec)
     rows = np.arange(n_pb)
     occupied = np.count_nonzero(counts, axis=1)
@@ -476,21 +544,20 @@ def _tail_mean(params: ScenarioParams, radius: float) -> float:
 def _batch_size(params: ScenarioParams, window: float) -> int:
     """Trials fused per vectorized pass, sized to bound working-set memory.
 
-    Per trial, the pair stage holds an entry per sensor (its sorted copy),
-    per join cell of side rho/split over the sensor window (the CSR index,
-    so small radii fill a batch with cells, not points) and, one strip at a
-    time, per candidate pair. Candidates are counted over a beacon's whole
-    3x3 block of rho-wide cells, though a strip reads at most a third of
-    that: the margin covers the strip's offset, distance and index arrays
-    and the kept pairs' sector arrays."""
+    Per trial, the pair stage holds an entry per beacon (its cell key and
+    strip bounds), per sensor (its sorted copy) and per join cell over the
+    sensor window (the CSR index; the cell floor keeps small radii from
+    filling a batch with cells). Candidate pairs are read in chunks of a
+    fixed size and sector keys binned _KEYS_HELD at a time, so neither
+    grows with the batch."""
     rho = params.charging_radius
-    split = _grid_split(params)
+    split, min_cell = _join_grid(params)
+    cell = max(rho / split, min_cell)
     sn_window = window + rho
     expect_pb = params.pb_density * math.pi * window * window
     expect_sn = params.sn_density * math.pi * sn_window**2
-    expect_pairs = expect_pb * 9.0 * params.sn_density * rho**2
-    cells = (2.0 * (sn_window / rho + 1.0) * split + 2.0) ** 2
-    rows = max(expect_pb, expect_sn, expect_pairs, cells, 1.0)
+    cells = (2.0 * (sn_window / cell + split) + 2.0) ** 2
+    rows = max(expect_pb, expect_sn, cells, 1.0)
     return int(min(256, max(1, 4.0e5 / rows)))
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -303,9 +304,15 @@ def test_origin_gains_match_pb_beam_state(scheme):
         u = np.random.default_rng(seed).random(len(sample.pb_points))
         runs = []
         for draws in (u, (u + 0.5) % 1.0):
+            want = scalar_origin_gains(sample, pr, scheme, draws)
             got = kernel_origin_gains(sample, pr, scheme, draws)
-            assert np.array_equal(got, scalar_origin_gains(sample, pr, scheme, draws))
+            assert np.array_equal(got, want)
             runs.append(got)
+            # three-candidate chunks, binned as soon as one key is held
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mcsim, "_CHUNK_CANDIDATES", 3)
+                patch.setattr(mcsim, "_KEYS_HELD", 1)
+                assert np.array_equal(kernel_origin_gains(sample, pr, scheme, draws), want)
         moved += int(np.count_nonzero(runs[0] != runs[1]))
     # only greedy reads the draws, and there moving them must resolve some
     # tie the other way
@@ -374,9 +381,11 @@ def brute_force_pairs(pb, t_pb, sn, t_sn, rho):
     return {(int(i), int(j)) for i, j in zip(*np.nonzero(near))}
 
 
-def joined_pairs(pb, t_pb, sn, t_sn, rho, split=1):
-    strips = list(mcsim._pairs_bucketed(pb.T, t_pb, sn.T, t_sn, rho, split))
-    i, j, dx, dy = (np.concatenate([s[k] for s in strips] + [np.empty(0)]) for k in range(4))
+def joined_pairs(pb, t_pb, sn, t_sn, rho, split=1, min_cell=0.0):
+    order, chunks = mcsim._pairs_bucketed(pb.T, t_pb, sn.T, t_sn, rho, split, min_cell)
+    # only the tests map the kept pairs' sorted positions to sensor indices
+    parts = [(i, order[pos[kept]], dx, dy) for i, dx, dy, pos, kept in chunks]
+    i, j, dx, dy = (np.concatenate([s[k] for s in parts] + [np.empty(0)]) for k in range(4))
     i, j = i.astype(np.int64), j.astype(np.int64)
     # the offsets are the sector step's input: bitwise sensor minus beacon
     assert np.array_equal(dx, sn[j, 0] - pb[i, 0])
@@ -392,10 +401,18 @@ def joined_pairs(pb, t_pb, sn, t_sn, rho, split=1):
     trials=st.integers(1, 3),
     rho=st.sampled_from([0.5, 1.0, 2.0]),
     split=st.integers(1, 5),
+    coarse=st.sampled_from([0.0, 1.0, 2.5]),
 )
-def test_pair_join_matches_brute_force(data, trials, rho, split):
+def test_pair_join_matches_brute_force(data, trials, rho, split, coarse):
+    # coarse sets the cell floor in radii: 0 leaves cells rho / split wide
     batch = lattice_batch(data.draw, trials, rho)
-    assert joined_pairs(*batch, rho, split) == brute_force_pairs(*batch, rho)
+    want = brute_force_pairs(*batch, rho)
+    # chunks of at most 1 or 3 candidates split each strip many times and
+    # give a beacon with more candidates a chunk of its own
+    for limit in (mcsim._CHUNK_CANDIDATES, 1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_CHUNK_CANDIDATES", limit)
+            assert joined_pairs(*batch, rho, split, coarse * rho) == want
 
 
 def test_pair_join_counts_distance_rho_as_inside():
@@ -415,6 +432,81 @@ def test_pair_join_counts_distance_rho_as_inside():
         assert joined_pairs(*batch, 1.0, split) == want == {(0, 0)}
 
 
+def test_pair_join_key_order_is_a_stable_argsort_up_to_63_bits():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 1000, 1025):
+        bits = (n - 1).bit_length()
+        # the largest key the packing holds at this length, and its neighbours
+        top = 2 ** (63 - bits) - 1
+        key = rng.choice(np.array([0, 1, 7, top - 1, top]), n)
+        got = mcsim._key_order(key.copy())
+        assert np.array_equal(got, np.argsort(key, kind="stable")), n
+
+
+def join_cells_per_trial(params, window):
+    """Upper bound on a trial's join keys: the sensor window in cells of the
+    join's side, plus the 2 * split + 2 margin cells each way."""
+    split, min_cell = mcsim._join_grid(params)
+    cell = max(params.charging_radius * (1.0 + 2.0**-20) / split, min_cell)
+    side = 2.0 * (window + params.charging_radius) / cell + 2 * split + 3
+    return side * side
+
+
+def test_pair_join_keys_fit_the_packed_sort_at_the_sizing_extremes():
+    # the packed sort needs n_keys < 2**(63 - bits(n_sensors)); scan the
+    # sizing rule over radii 1e-3 to 150 m and sensor densities over six
+    # decades, each with the sensors a trial holds at 8 sigma
+    most_keys = 0
+    for rho in (1e-3, 0.02, 0.5, 2.0, 10.0, 150.0):
+        for sn in (1e-3, 0.2, 1.6, 50.0, 1e3):
+            for pb in (0.01, 0.1, 10.0):
+                pr = params_for(charging_radius=rho, sn_density=sn, pb_density=pb)
+                window = mcsim._exact_zone_radius(pr)
+                trials = mcsim._batch_size(pr, window)
+                expect_sn = sn * math.pi * (window + rho) ** 2
+                n_sn = trials * math.ceil(expect_sn + 8.0 * math.sqrt(expect_sn) + 9.0)
+                n_keys = trials * math.ceil(join_cells_per_trial(pr, window))
+                assert n_keys.bit_length() + n_sn.bit_length() <= 63, (rho, sn, pb)
+                # the cell floor: a trial's cells stay within a small
+                # multiple of its expected sensors
+                cells = join_cells_per_trial(pr, window)
+                assert cells <= 48.0 * expect_sn + 4096.0, (rho, sn, pb)
+                if trials > 1:
+                    most_keys = max(most_keys, n_keys)
+    # batches of two or more trials hold at most about 4e5 cells between them
+    assert 2**18 < most_keys < 2**20
+
+
+def test_tiny_charging_radius_runs_in_bounded_memory():
+    # rho = 1e-3 m, where radopt's scan starts: rho-wide cells would index
+    # 1.6e9 cells a trial (12 GiB of counts); the cell floor keeps the grid
+    # near 32 cells per expected sensor. Checked before running, so a lost
+    # floor fails here rather than in the allocator
+    pr = params_for(charging_radius=1e-3)
+    window = 20.0
+    expect_sn = pr.sn_density * math.pi * (window + 1e-3) ** 2
+    assert join_cells_per_trial(pr, window) <= 48.0 * expect_sn
+    config = SimConfig(trials=4, master_seed=13, window_radius=window)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = run_trials(pr, config).samples
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0
+    assert peak <= 4 * 2**20
+    for i in range(4):
+        sample = draw_network(pr, window, trial_stream(13, i))
+        gains = scalar_origin_gains(sample, pr, Allocation.UNIFORM, np.zeros(len(sample.pb_points)))
+        dist = np.hypot(sample.pb_points[:, 0], sample.pb_points[:, 1])
+        total = 0.0
+        for g, a in zip(gains, np.maximum(dist, 1.0) ** -pr.path_loss_exp):
+            total += g * a
+        assert got[i] == pr.pb_power * pr.attenuation * total
+
+
 def test_batch_grouping_does_not_change_results():
     pr = params_for()
     whole = mcsim._batch_powers(pr, Allocation.UNIFORM, 4, 0, 9, 10.0)
@@ -426,11 +518,12 @@ def test_batch_grouping_does_not_change_results():
 
 
 def test_batch_memory_peak():
-    # Fig. 3 deployment at lambda_s 1.6, rho 1: the largest sensor batch of
-    # its sweep (176 trials, ~400k sensors). A join that returned index
-    # pairs, re-gathered their coordinates and kept the raw draws alive
-    # peaked at 44.7-45.6 MiB in this batch (NumPy 2.4.6); the strip-wise
-    # join peaks near 30 MiB
+    # Fig. 3 deployment at lambda_s 1.6, rho 1: of the sweep's twelve points,
+    # the batch with the largest traced peak under the sizing rule (176
+    # trials, ~400k sensors). With NumPy 2.4.6 it peaked at 44.7-45.6 MiB
+    # when the join returned index pairs and re-gathered their coordinates,
+    # at 30.4 MiB when it read whole strips, and at 23.1 MiB with chunked
+    # strips; the bound is that peak plus 10%
     pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=1.0)
     window = mcsim._exact_zone_radius(pr)
     stop = mcsim._batch_size(pr, window)
@@ -440,7 +533,7 @@ def test_batch_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 44.9 * 2**20
+    assert peak <= 25.4 * 2**20
 
 
 def test_run_trials_deterministic_and_worker_invariant():
