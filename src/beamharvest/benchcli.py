@@ -313,6 +313,7 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     trials = spec.trials
     if not mcsim._is_int(trials) or trials < 0:
         raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
+    mcsim._check_seed(spec.seed)
     if trials and not budget:
         raise ConfigError(
             f"{spec.figure_id.value} runs no Monte Carlo; trials must be 0, "

@@ -107,15 +107,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 def _check_config(params: ScenarioParams, config: SimConfig) -> None:
     if not _is_int(config.trials) or config.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {config.trials!r}")
-    if not _is_int(config.master_seed) or not (
-        0 <= config.master_seed < 1 << 64
-    ):
-        raise ConfigError(
-            f"master_seed must be a 64-bit unsigned integer, got {config.master_seed!r}"
-        )
+    _check_seed(config.master_seed)
     if not isinstance(config.allocation, Allocation):
         raise ConfigError(f"unknown allocation scheme {config.allocation!r}")
     if config.window_radius != AUTO_WINDOW:

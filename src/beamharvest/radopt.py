@@ -6,12 +6,12 @@ whose derivative is taken numerically (optimal_radius_active). Both report
 the stationary-point structure they found through a case label.
 
 The reach-probability objective returns to its omnidirectional value at both
-radius extremes, so its landscape is classified by the derivative sign
-pattern along a log grid: rising-then-falling is a single interior maximum;
-falling-rising-falling adds a shallow dip before the maximum; a curve that
-only dips never beats omnidirectional operation and is flagged as a boundary
-case instead of an interior optimum. The scan verifies at most two
-stationary points and refuses to guess if the landscape disagrees.
+radius extremes, so one log-grid scan reads its derivative sign pattern.
+Every rising-to-falling turn is a local maximum, and the highest is refined,
+however many stationary points the scan sees: Case1 when the objective rises
+straight to it, Case2 when a dip or a lower peak comes first. If no peak
+clears the omnidirectional value, directionality never helps and the result
+is a boundary case instead of an interior optimum.
 """
 
 from __future__ import annotations
@@ -240,9 +240,11 @@ def optimal_radius_active(params: ScenarioParams, threshold: float) -> RadiusOpt
 
     Scans a 400-point log grid up to the radius where the sector-empty
     probability drops below 1e-8 (past it the directional gain is spent and
-    the objective sits on its omnidirectional plateau), classifies the
-    derivative sign pattern, and refines any interior maximum by bisecting
-    the numeric derivative.
+    the objective sits on its omnidirectional plateau). The local maximum
+    with the highest grid value is refined by bisecting the numeric
+    derivative if it clears the omnidirectional value by _PLATEAU_TOL
+    (Case1 if it is the scan's first turn, Case2 otherwise); else the
+    result is the Case3 boundary at the grid's end.
     """
     scenario.validate(params)
     _check_threshold(threshold)
@@ -258,32 +260,14 @@ def optimal_radius_active(params: ScenarioParams, threshold: float) -> RadiusOpt
 
     ratio = (rho_max / _GRID_LO) ** (1.0 / (_GRID_POINTS - 1))
     grid = [_GRID_LO * ratio**i for i in range(_GRID_POINTS)]
-    known = {(1, -1), (-1, 1, -1), (-1, 1), (), (-1,), (1,)}
-    for scan in range(2):
-        values = [ccdf_at(r) for r in grid]
-        floor = 1e-12 * max(abs(v) for v in values)
-        pattern = _sign_pattern(values, floor)
-        signs = tuple(s for s, _ in pattern)
-        if signs in known:
-            break
-        if scan:
-            raise ClassificationError(
-                "objective has more than two stationary points on the scan grid; "
-                f"direction pattern {list(signs)}"
-            )
-        # densify around each direction change and scan once more
-        refined = list(grid)
-        for _, i in pattern:
-            lo_i = grid[max(i - 1, 0)]
-            hi_i = grid[min(i + 2, len(grid) - 1)]
-            step = (hi_i / lo_i) ** (1.0 / 30.0)
-            refined.extend(lo_i * step**j for j in range(1, 30))
-        grid = sorted(set(refined))
-
+    values = [ccdf_at(r) for r in grid]
+    pattern = _sign_pattern(values, 1e-12 * max(abs(v) for v in values))
+    # every rising-to-falling turn is a local maximum; refine the highest
+    turns = [k for k, (s, _) in enumerate(pattern) if k and s < 0]
+    peak = max(turns, key=lambda k: values[pattern[k][1]], default=None)
     omni_value = analytic.gamma_ccdf_omni(threshold, params)
-    if signs not in {(-1, 1), (), (-1,), (1,)}:
-        # the maximum sits at the final rising-to-falling turn
-        turn = pattern[-1][1]
+    if peak is not None and values[pattern[peak][1]] - omni_value > _PLATEAU_TOL:
+        turn = pattern[peak][1]
         lo = grid[max(turn - 1, 0)]
         hi = grid[min(turn + 2, len(grid) - 1)]
 
@@ -294,22 +278,16 @@ def optimal_radius_active(params: ScenarioParams, threshold: float) -> RadiusOpt
 
         rho_star = find_root_bisect(slope_at, (lo, hi), tol=1e-12 * hi)
         objective = ccdf_at(rho_star)
-        best_grid = max(range(len(grid)), key=lambda i: values[i])
-        if values[best_grid] > objective:
-            # bisection landed on a worse turn than the scan saw; trust the scan
-            rho_star = grid[best_grid]
-            objective = values[best_grid]
-        if objective - omni_value > _PLATEAU_TOL:
-            label = ActiveCase.CASE1 if signs == (1, -1) else ActiveCase.CASE2
-            residual = _active_residual(params, threshold, rho_star)
-            evals += 8
-            return RadiusOptimum(
-                radius=rho_star,
-                objective=objective,
-                case_label=label,
-                derivative_residual=residual,
-                evaluations=evals,
-            )
+        residual = _active_residual(params, threshold, rho_star)
+        evals += 8
+        return RadiusOptimum(
+            radius=rho_star,
+            objective=objective,
+            # Case1: the objective rises straight to the peak
+            case_label=ActiveCase.CASE1 if peak == 1 else ActiveCase.CASE2,
+            derivative_residual=residual,
+            evaluations=evals,
+        )
 
     # never meaningfully above the omnidirectional plateau: boundary optimum
     return RadiusOptimum(

@@ -507,6 +507,16 @@ def test_cli_figure_fig5(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_cli_figure_rejects_the_seeds_simulate_rejects(tmp_path, capsys):
+    out = tmp_path / "f6"
+    assert main(["figure", "fig6", "--out", str(out), "--seed", "-3"]) == 2
+    assert "master_seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="master_seed"):
+        run_figure(ExperimentSpec(FigureId.FIG6, output_dir=str(out), seed="abc"))
+    assert not out.exists()
+
+
 def test_cli_figure_reads_config_file(tmp_path, capsys):
     cfg = tmp_path / "f.cfg"
     cfg.write_text("pb_power_w = 99  # overrides the figure's 2.0\nsectors = 3\n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -96,7 +97,8 @@ def test_mean_optimum_high_density():
 
 
 def test_mean_optimum_beats_fine_grid():
-    for sn in (0.2, 0.8, 1.6):
+    # 5.0 and 10.0 put the optimum below 0.5 m, where the bracket walks inward
+    for sn in (0.2, 0.8, 1.6, 5.0, 10.0):
         pr = params_for(sn=sn)
         best = optimal_radius_mean(pr)
         lo, hi = 1e-3, 50.0
@@ -206,6 +208,66 @@ def test_active_optimum_is_a_local_max_for_interior_cases():
                 1e-4, pr.with_(charging_radius=r.radius * shift)
             )
             assert r.objective >= nearby * (1.0 - 1e-12)
+
+
+def test_active_optimum_refines_the_highest_of_several_peaks():
+    # the scan sees peaks near 0.09 m and 2.3 m (direction pattern
+    # [1, -1, 1, -1]); the higher, second one is the answer
+    pr = params_for(power=1.7030699764674786, pb=0.16041927273506926,
+                    sn=0.060509768275147265, sectors=13, alpha=3.364118288219027)
+    r = optimal_radius_active(pr, 1.5466508874234999e-4)
+    assert r.case_label is ActiveCase.CASE2
+    assert r.radius == pytest.approx(2.2884670313026714, rel=1e-12)
+    assert r.objective == pytest.approx(0.892695555986038, rel=1e-12)
+    assert r.derivative_residual <= 1e-8
+
+
+def test_active_optimum_takes_a_first_peak_above_a_later_one(monkeypatch):
+    # a synthetic landscape: bumps at 0.1 m (height 0.3) and 3 m (0.2) over
+    # an omnidirectional value of 0.5; the higher peak comes first, so the
+    # objective rises straight to it
+    def two_bumps(threshold, params):
+        x = math.log(params.charging_radius)
+        return (0.5 + 0.3 * math.exp(-((x - math.log(0.1)) ** 2))
+                + 0.2 * math.exp(-((x - math.log(3.0)) ** 2)))
+
+    monkeypatch.setattr(analytic, "gamma_ccdf", two_bumps)
+    monkeypatch.setattr(analytic, "gamma_ccdf_omni", lambda threshold, params: 0.5)
+    r = optimal_radius_active(params_for(), 1e-4)
+    assert r.case_label is ActiveCase.CASE1
+    assert r.radius == pytest.approx(0.1, rel=1e-4)
+    assert r.objective == pytest.approx(0.8, rel=1e-4)
+
+
+def test_active_optimum_near_one_plateau_is_a_boundary_without_bisection():
+    # the objective humps less than the plateau tolerance above omni, where
+    # the derivative has no sign change to bisect: no refinement is tried
+    pr = params_for(power=0.6661361678432475, pb=0.9386527938918893,
+                    sn=0.01720126739757135, sectors=16, alpha=3.8116893855816207)
+    r = optimal_radius_active(pr, 5.3126973706594343e-05)
+    assert r.case_label is ActiveCase.CASE3_BOUNDARY
+    assert r.evaluations == 400
+
+
+def test_active_optimum_answers_and_beats_a_fine_grid_on_random_scenarios():
+    ratio = (1e3 / 1e-3) ** (1.0 / 1999.0)
+    grid = [1e-3 * ratio**i for i in range(2000)]
+    rng = random.Random(5)
+    interior = 0
+    for _ in range(40):
+        pr = params_for(power=10 ** rng.uniform(-1, 1.5), pb=10 ** rng.uniform(-2, 0),
+                        sn=10 ** rng.uniform(-2, 0.7), sectors=rng.randint(1, 16),
+                        alpha=rng.uniform(2.2, 5))
+        threshold = 10 ** rng.uniform(-6, -2)
+        r = optimal_radius_active(pr, threshold)
+        if r.case_label is ActiveCase.CASE3_BOUNDARY:
+            continue
+        interior += 1
+        grid_best = max(
+            analytic.gamma_ccdf(threshold, pr.with_(charging_radius=r)) for r in grid
+        )
+        assert r.objective >= grid_best * (1.0 - 1e-12), pr
+    assert interior > 0
 
 
 def test_active_optimum_rejects_bad_threshold(monkeypatch):
