@@ -35,8 +35,8 @@ for power in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0):
     )
 
 print(
-    "\nCase1/Case2: interior optimum (the two differ in which side of the\n"
-    "path-loss clamp the search brackets). Case3Boundary: the reach curve\n"
-    "flattens into the all-beacons-beaming plateau and the printed radius is\n"
-    "just where the curve stops moving."
+    "\nCase1/Case2: interior optimum. In Case1 the reach curve rises straight\n"
+    "to its highest peak; in Case2 it passes a dip or a lower peak first.\n"
+    "Case3Boundary: the reach curve flattens into the all-beacons-beaming\n"
+    "plateau and the printed radius is just where the curve stops moving."
 )

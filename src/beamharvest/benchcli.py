@@ -97,12 +97,15 @@ class _CsvSink:
     def write(self, out_dir: Path) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
         listing = {}
-        for name in sorted(self.files):
-            body = self.files[name]
-            path = out_dir / name
-            path.write_text(body)
+        for name, body in sorted(self.files.items()):
+            mcsim._write_new(out_dir / name, body)
             listing[name] = hashlib.sha256(body.encode()).hexdigest()
         return listing
+
+
+def _check_out_dir(out: Path) -> None:
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ConfigError(f"output directory {str(out)!r} is blocked by a file")
 
 
 def _progress(msg: str) -> None:
@@ -319,13 +322,14 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
             f"{spec.figure_id.value} runs no Monte Carlo; trials must be 0, "
             f"got {trials!r}"
         )
+    out_dir = Path(spec.output_dir)
+    _check_out_dir(out_dir)
     trials = trials or budget
     values = {**_FIGURE_BASE, **figure_values}
     _read_config(values, overrides=spec.overrides)
     scenario.params_from_mapping(values)  # fail fast on bad overrides
     sink = _CsvSink()
     build(values, spec.seed, trials, sink, workers)
-    out_dir = Path(spec.output_dir)
     listing = sink.write(out_dir)
     inputs = {
         "figure": spec.figure_id.value,
@@ -344,8 +348,8 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
         "files": listing,
         "versions": {"beamharvest": __version__, "numpy": np.__version__},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    mcsim._write_new(
+        out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
     return manifest
 
@@ -526,13 +530,15 @@ def _cmd_analytic(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params, config = _gather(args)
+    if args.out:
+        _check_out_dir(Path(args.out))
     summary = mcsim.run_trials(params, config, workers=args.workers)
     text = mcsim.summary_to_json(summary, params, config)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         mcsim.samples_to_csv(summary, out / "samples.csv")
-        (out / "summary.json").write_text(text + "\n")
+        mcsim._write_new(out / "summary.json", text + "\n")
         _progress(f"wrote {out / 'samples.csv'} and {out / 'summary.json'}")
     else:
         print(text)
@@ -718,6 +724,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

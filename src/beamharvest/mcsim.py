@@ -31,6 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -707,16 +708,21 @@ def empirical_ccdf(samples, thresholds) -> list[tuple[float, float]]:
     return out
 
 
+def _write_new(path: Path, text: str) -> None:
+    """Write text to path as a new UTF-8 file, replacing (never writing through)
+    what is there: on ext4, truncating a file written moments ago stalls."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(text.encode("utf-8"))
+
+
 def samples_to_csv(summary: TrialSummary, path) -> None:
     """Write per-trial powers as CSV with columns trial_index, power_w.
 
     Floats are rendered with repr (shortest round-trip), so identical runs
     produce byte-identical files.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial_index,power_w\n")
-        for i, value in enumerate(summary.samples):
-            fh.write(f"{i},{float(value)!r}\n")
+    rows = (f"{i},{float(value)!r}\n" for i, value in enumerate(summary.samples))
+    _write_new(Path(path), "".join(["trial_index,power_w\n", *rows]))
 
 
 def summary_to_json(

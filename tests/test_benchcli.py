@@ -1,5 +1,6 @@
 """Config loading, figure harness determinism, scheme comparison, CLI."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -515,6 +516,81 @@ def test_cli_figure_rejects_the_seeds_simulate_rejects(tmp_path, capsys):
     with pytest.raises(ConfigError, match="master_seed"):
         run_figure(ExperimentSpec(FigureId.FIG6, output_dir=str(out), seed="abc"))
     assert not out.exists()
+
+
+def test_cli_out_blocked_by_a_file_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the output path was checked")
+
+    monkeypatch.setattr(benchcli.mcsim, "run_trials", no_trials)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep me\n")
+    for out in (blocker, blocker / "sub"):
+        for argv in (["figure", "fig3", "--trials", "5"], ["simulate", "--trials", "5"]):
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "blocked by a file" in err and len(err.splitlines()) == 1
+        with pytest.raises(ConfigError, match="blocked by a file"):
+            run_figure(ExperimentSpec(FigureId.FIG3, output_dir=str(out), trials=5))
+    assert blocker.read_text() == "keep me\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+def test_cli_output_write_error_is_one_line(tmp_path, capsys):
+    out = tmp_path / "runs"
+    (out / "samples.csv").mkdir(parents=True)
+    argv = ["simulate", "--trials", "5", "--set", "window_radius=8", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and len(err.splitlines()) == 1
+
+
+def _link_outputs(out: Path, names, keep: Path) -> dict:
+    """Hard-link each output elsewhere; return the bytes the links hold."""
+    keep.mkdir()
+    for name in names:
+        os.link(out / name, keep / name)
+    return {name: (keep / name).read_bytes() for name in names}
+
+
+def test_figure_rerun_writes_new_files(tmp_path):
+    out = tmp_path / "f5"
+    run_figure(ExperimentSpec(FigureId.FIG5, output_dir=str(out), seed=3))
+    old = _link_outputs(out, ("fig5a_rho_star.csv", "manifest.json"), tmp_path / "keep")
+    (tmp_path / "outside.csv").write_bytes(b"outside\n")
+    (out / "fig5b_estar_pp2.0.csv").unlink()
+    (out / "fig5b_estar_pp2.0.csv").symlink_to(tmp_path / "outside.csv")
+    # a longer junk file at an output name must not leave a tail behind
+    (out / "fig5b_estar_pp4.0.csv").write_bytes(b"junk," * 20_000)
+    spec = ExperimentSpec(FigureId.FIG5, overrides=("sn_density_per_m2=0.4",), seed=4)
+    fresh = tmp_path / "fresh"
+    manifest = run_figure(dataclasses.replace(spec, output_dir=str(out)))
+    run_figure(dataclasses.replace(spec, output_dir=str(fresh)))
+    for name, body in old.items():
+        assert (tmp_path / "keep" / name).read_bytes() == body
+        assert (out / name).read_bytes() != body
+    assert (tmp_path / "outside.csv").read_bytes() == b"outside\n"
+    assert not (out / "fig5b_estar_pp2.0.csv").is_symlink()
+    for name in [*manifest["files"], "manifest.json"]:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_simulate_rerun_writes_new_files(tmp_path, capsys):
+    out, fresh = tmp_path / "runs", tmp_path / "fresh"
+    argv = ["simulate", "--trials", "5", "--set", "window_radius=8", "--out"]
+    assert main(argv + [str(out), "--seed", "1"]) == 0
+    old = _link_outputs(out, ("samples.csv", "summary.json"), tmp_path / "keep")
+    # a longer junk file at an output name must not leave a tail behind
+    (out / "samples.csv").unlink()
+    (out / "samples.csv").write_bytes(b"junk," * 20_000)
+    assert main(argv + [str(out), "--seed", "2"]) == 0
+    assert main(argv + [str(fresh), "--seed", "2"]) == 0
+    capsys.readouterr()
+    for name, body in old.items():
+        assert (tmp_path / "keep" / name).read_bytes() == body
+        assert (out / name).read_bytes() == (fresh / name).read_bytes() != body
 
 
 def test_cli_figure_reads_config_file(tmp_path, capsys):
