@@ -95,10 +95,9 @@ class _CsvSink:
         self.files[name] = "\n".join(lines) + "\n"
 
     def write(self, out_dir: Path) -> dict:
-        out_dir.mkdir(parents=True, exist_ok=True)
         listing = {}
         for name, body in sorted(self.files.items()):
-            mcsim._write_new(out_dir / name, body)
+            mcsim._write_new(out_dir / name, [body])
             listing[name] = hashlib.sha256(body.encode()).hexdigest()
         return listing
 
@@ -349,7 +348,7 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
         "versions": {"beamharvest": __version__, "numpy": np.__version__},
     }
     mcsim._write_new(
-        out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        out_dir / "manifest.json", [json.dumps(manifest, sort_keys=True, indent=2) + "\n"]
     )
     return manifest
 
@@ -536,9 +535,8 @@ def _cmd_simulate(args) -> int:
     text = mcsim.summary_to_json(summary, params, config)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         mcsim.samples_to_csv(summary, out / "samples.csv")
-        mcsim._write_new(out / "summary.json", text + "\n")
+        mcsim._write_new(out / "summary.json", [text + "\n"])
         _progress(f"wrote {out / 'samples.csv'} and {out / 'summary.json'}")
     else:
         print(text)
@@ -724,7 +722,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except mcsim.OutputError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
 

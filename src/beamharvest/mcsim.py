@@ -27,6 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import enum
 import functools
+import itertools
 import json
 import math
 import os
@@ -708,11 +709,22 @@ def empirical_ccdf(samples, thresholds) -> list[tuple[float, float]]:
     return out
 
 
-def _write_new(path: Path, text: str) -> None:
-    """Write text to path as a new UTF-8 file, replacing (never writing through)
-    what is there: on ext4, truncating a file written moments ago stalls."""
-    path.unlink(missing_ok=True)
-    path.write_bytes(text.encode("utf-8"))
+class OutputError(OSError):
+    """An output file or its directory could not be written."""
+
+
+def _write_new(path: Path, chunks) -> None:
+    """Stream text chunks to path as a new UTF-8 file with LF line ends. What was
+    at path, a link included, is unlinked, not written through. That also skips
+    ext4's crash-safety flush (auto_da_alloc) on rewrite, and nothing calls
+    fsync: an output is durable only once the OS writes it back."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise OutputError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def samples_to_csv(summary: TrialSummary, path) -> None:
@@ -722,7 +734,7 @@ def samples_to_csv(summary: TrialSummary, path) -> None:
     produce byte-identical files.
     """
     rows = (f"{i},{float(value)!r}\n" for i, value in enumerate(summary.samples))
-    _write_new(Path(path), "".join(["trial_index,power_w\n", *rows]))
+    _write_new(Path(path), itertools.chain(["trial_index,power_w\n"], rows))
 
 
 def summary_to_json(
