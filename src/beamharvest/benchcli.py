@@ -653,7 +653,9 @@ _FLAGS = {
     "seed": dict(type=int, help="master seed (64-bit)"),
     "trials": dict(type=int, help="Monte Carlo trial count"),
     "out": dict(help="output directory"),
-    "workers": dict(type=int, default=1, help="worker processes (default 1)"),
+    "workers": dict(type=int, default=1,
+                    help="worker processes (default 1); each runs up to two "
+                         "threads when there are CPUs to spare"),
 }
 
 

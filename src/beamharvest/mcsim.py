@@ -6,11 +6,11 @@ idealize away), and records the power collected at the origin sensor.
 
 Reproducibility contract: every random draw comes from a counter-based
 stream keyed by (master_seed, trial_index, substream), so a run is
-bit-identical no matter how trials are scheduled across workers. Network
-geometry lives on substream 0 and greedy's tie-breaks, the only allocation
-draws, on substream 2, which makes runs that differ only in the allocation
-scheme see identical networks (paired comparisons come out of the seeding
-for free).
+bit-identical no matter how trials are scheduled across worker processes
+and the threads each runs its batches on. Network geometry lives on
+substream 0 and greedy's tie-breaks, the only allocation draws, on
+substream 2, which makes runs that differ only in the allocation scheme see
+identical networks (paired comparisons come out of the seeding for free).
 
 Window policy: with an explicit window_radius the field is truncated there
 and the truncation bias is the caller's concern. In AUTO mode the field is
@@ -630,9 +630,40 @@ def _batch_powers(
     return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials)
 
 
+#: Fewest expected beacons and sensors in a batch split between threads,
+#: unless the whole batch holds fewer. Below it a batch spends its time in
+#: NumPy calls too short to release the GIL: at lambda_s 0.2-0.8, rho
+#: 0.25-0.5 (batches of 14-53 trials, bound by the join's cell count)
+#: quarter batches ran 0.7-0.86x one thread, and 1.3-1.5x with this floor.
+_SPLIT_POINTS_MIN = 32768
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _threads_per_worker(workers: int) -> int:
+    """Threads each worker process runs its batches on: two overlap one
+    batch's GIL-bound Philox loop with another's GIL-free NumPy stages, when
+    the usable CPUs leave each of the workers a second one."""
+    return max(1, min(2, _usable_cpus() // workers))
+
+
 def _run_chunk(
-    params: ScenarioParams, config: SimConfig, start: int, stop: int
+    params: ScenarioParams, config: SimConfig, start: int, stop: int, threads: int
 ) -> np.ndarray:
+    """Powers of trials [start, stop), batches run on a pool of threads.
+
+    Each batch writes only its own slice of out, so the samples do not
+    depend on the thread count. With threads > 1 the batch budget is split
+    2 * threads ways, but not below _SPLIT_POINTS_MIN expected points: each
+    thread keeps its own malloc arena, and with two threads half-size
+    batches raised peak memory above one thread's. The pool is joined before
+    returning, so no thread outlives the call; on an error, batches not yet
+    started are cancelled."""
     if config.window_radius == AUTO_WINDOW:
         window = _exact_zone_radius(params)
         tail = _tail_mean(params, window)
@@ -641,11 +672,30 @@ def _run_chunk(
         tail = 0.0
     out = np.empty(stop - start, dtype=np.float64)
     step = _batch_size(params, window)
-    for lo in range(start, stop, step):
+    if threads > 1:
+        points = math.pi * (
+            params.pb_density * window**2
+            + params.sn_density * (window + params.charging_radius) ** 2
+        )
+        floor = math.ceil(_SPLIT_POINTS_MIN / max(points, 1.0))
+        step = min(step, max(step // (2 * threads), floor))
+
+    def batch(lo: int) -> None:
         hi = min(lo + step, stop)
         out[lo - start : hi - start] = _batch_powers(
             params, config.allocation, config.master_seed, lo, hi, window
         )
+
+    pool = concurrent.futures.ThreadPoolExecutor(threads)
+    try:
+        futures = [pool.submit(batch, lo) for lo in range(start, stop, step)]
+        done, _ = concurrent.futures.wait(
+            futures, return_when=concurrent.futures.FIRST_EXCEPTION
+        )
+        for fut in done:
+            fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return out + tail
 
 
@@ -666,7 +716,8 @@ def run_trials(
     """Simulate config.trials independent networks and aggregate.
 
     Output is a pure function of (params, config); workers only split the
-    trial range across processes and results merge by trial index.
+    trial range across processes, each running its batches on up to two
+    threads, and results merge by trial index.
     Raises specfun.RangeError, as the closed forms do, when rho^2 overflows.
     """
     validate(params)
@@ -676,14 +727,17 @@ def run_trials(
     analytic._occupancy(params)  # the closed forms' rho^2 range check
     n = config.trials
     workers = min(workers, n)
+    threads = _threads_per_worker(workers)
     if workers == 1:
-        samples = _run_chunk(params, config, 0, n)
+        samples = _run_chunk(params, config, 0, n, threads)
     else:
         bounds = np.linspace(0, n, workers + 1).astype(int)
         parts: list[np.ndarray | None] = [None] * workers
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_run_chunk, params, config, int(bounds[w]), int(bounds[w + 1])): w
+                pool.submit(
+                    _run_chunk, params, config, int(bounds[w]), int(bounds[w + 1]), threads
+                ): w
                 for w in range(workers)
                 if bounds[w] < bounds[w + 1]
             }

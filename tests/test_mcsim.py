@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -551,6 +552,112 @@ def test_run_trials_deterministic_and_worker_invariant():
     assert first.mean_ci95 == pytest.approx(
         1.96 * math.sqrt(first.variance / 60.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
+def test_run_trials_thread_invariant(monkeypatch, scheme):
+    # 300 trials of 256-trial batches, split into 64-trial ones on two
+    # threads once the points floor is lifted, leave a short last batch
+    # either way; the unpatched run takes the host's own thread rule
+    pr = params_for()
+    window = 8.0
+    assert mcsim._batch_size(pr, window) == 256
+    config = SimConfig(trials=300, master_seed=21, window_radius=window, allocation=scheme)
+    host = run_trials(pr, config).samples
+    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
+    for threads in (1, 2):
+        monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
+        for workers in (1, 2):
+            got = run_trials(pr, config, workers=workers).samples
+            assert np.array_equal(got, host), (threads, workers)
+
+
+def test_run_chunk_threads_under_fast_switching(monkeypatch):
+    # more threads than cores on 32-trial batches of an offset trial range,
+    # switching every microsecond: a batch written outside its own slice,
+    # or state shared between batches, would show
+    pr = params_for()
+    config = SimConfig(trials=300, master_seed=9, window_radius=4.0,
+                       allocation=Allocation.GREEDY)
+    want = run_trials(pr, config).samples[13:213]
+    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mcsim._run_chunk(pr, config, 13, 213, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
+def recorded_batches(monkeypatch, on_call=None):
+    """Patch the batch kernel with one that returns zeros and records each
+    call's trial count, after running on_call(number of the call)."""
+    sizes = []
+    lock = threading.Lock()
+
+    def record(params, scheme, seed, start, stop, window):
+        with lock:
+            sizes.append(stop - start)
+            n = len(sizes)
+        if on_call is not None:
+            on_call(n)
+        return np.zeros(stop - start)
+
+    monkeypatch.setattr(mcsim, "_batch_powers", record)
+    return sizes
+
+
+def test_run_trials_thread_error_cancels_queued_batches(monkeypatch):
+    # 32 two-thread batches; the second raises while the others take 20 ms,
+    # releasing the GIL as a real batch's NumPy stages do
+    def fail_second(n):
+        if n == 2:
+            raise RuntimeError("batch failed")
+        time.sleep(0.02)
+
+    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
+    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
+    calls = recorded_batches(monkeypatch, fail_second)
+    config = SimConfig(trials=32 * 64, master_seed=3, window_radius=8.0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="batch failed"):
+        run_trials(params_for(), config)
+    assert len(calls) < 16
+    assert threading.active_count() == before
+
+
+def test_thread_split_keeps_a_points_floor(monkeypatch):
+    # two threads quarter the batch of a trial with some 2,400 beacons and
+    # sensors, but a trial with some 400, whose quarter batch would hold
+    # fewer than _SPLIT_POINTS_MIN, keeps its whole batch
+    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
+    sizes = recorded_batches(monkeypatch)
+    for pr, split in ((params_for(sn_density=1.6), 4), (params_for(charging_radius=0.25), 1)):
+        batch = mcsim._batch_size(pr, mcsim._exact_zone_radius(pr))
+        sizes.clear()
+        run_trials(pr, SimConfig(trials=3 * batch, master_seed=1))
+        assert sizes == [batch // split] * (3 * split), pr
+
+
+def test_threads_per_worker_rule(monkeypatch):
+    monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+    assert mcsim._threads_per_worker(1) == 2
+    assert mcsim._threads_per_worker(2) == 1
+    monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
+    assert mcsim._threads_per_worker(1) == 1
+    monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 16)
+    assert mcsim._threads_per_worker(1) == 2
+    assert mcsim._threads_per_worker(4) == 2
+    assert mcsim._threads_per_worker(16) == 1
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(mcsim.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 3)
+    assert mcsim._usable_cpus() == 3
+    monkeypatch.setattr(mcsim.os, "cpu_count", lambda: None)
+    assert mcsim._usable_cpus() == 1
 
 
 def test_auto_window_adds_exact_tail_constant():
