@@ -111,10 +111,13 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _reach(samples, threshold) -> tuple:
-    """Fraction of samples at or above threshold, with its 95% CI half-width."""
-    frac = float(np.mean(samples >= threshold))
-    return frac, 1.96 * math.sqrt(max(frac * (1 - frac), 0.0) / len(samples))
+def _reach(samples, thresholds) -> list[tuple[float, float]]:
+    """Fraction of samples at or above each threshold, with its 95% CI half-width."""
+    n = len(samples)
+    return [
+        (frac, 1.96 * math.sqrt(max(frac * (1 - frac), 0.0) / n))
+        for _, frac in mcsim.empirical_ccdf(samples, thresholds)
+    ]
 
 
 def _fig2_curves(values, seed, trials, sink, workers):
@@ -129,7 +132,7 @@ def _fig2_curves(values, seed, trials, sink, workers):
     _progress(f"fig2: simulating {trials} trials")
     cfg = SimConfig(trials=trials, master_seed=_derive_seed(seed, "fig2"))
     summary = mcsim.run_trials(params, cfg, workers=workers)
-    rows = [(t, *_reach(summary.samples, t)) for t in thresholds]
+    rows = [(t, *r) for t, r in zip(thresholds, _reach(summary.samples, thresholds))]
     sink.add("fig2_empirical_ccdf.csv", "threshold_w,ccdf,ci95", rows)
 
 
@@ -171,7 +174,7 @@ def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
             cfg = SimConfig(trials=trials,
                             master_seed=_derive_seed(seed, fig, level, rho))
             s = mcsim.run_trials(p, cfg, workers=workers)
-            stat = _reach(s.samples, threshold) if active else (s.mean, s.mean_ci95)
+            stat = _reach(s.samples, [threshold])[0] if active else (s.mean, s.mean_ci95)
             mc_rows.append((rho, *stat))
         sink.add(mc_name.format(level), f"rho_m,{column},{ci}", mc_rows)
 
@@ -282,7 +285,7 @@ def active_prob_grid(params, rho_values, threshold, config, workers=1):
     for rho in rho_values:
         p = params.with_(charging_radius=float(rho))
         s = mcsim.run_trials(p, config, workers=workers)
-        rows.append((float(rho), *_reach(s.samples, threshold)))
+        rows.append((float(rho), *_reach(s.samples, [threshold])[0]))
     return rows
 
 
@@ -316,6 +319,7 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     if not mcsim._is_int(trials) or trials < 0:
         raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
     mcsim._check_seed(spec.seed)
+    mcsim._check_workers(workers)
     if trials and not budget:
         raise ConfigError(
             f"{spec.figure_id.value} runs no Monte Carlo; trials must be 0, "
@@ -408,8 +412,8 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
             }
             if threshold > 0:
                 stats["active_prob"], stats["active_ci95"] = _reach(
-                    s.samples, threshold
-                )
+                    s.samples, [threshold]
+                )[0]
             entry["schemes"][alloc.value] = stats
         orderings = [("mean_ordering", samples, _MEAN_ORDER)]
         if threshold > 0:

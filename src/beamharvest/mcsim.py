@@ -114,6 +114,11 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
+def _check_workers(workers) -> None:
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+
+
 def _check_config(params: ScenarioParams, config: SimConfig) -> None:
     if not _is_int(config.trials) or config.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {config.trials!r}")
@@ -327,11 +332,11 @@ def _pairs_bucketed(
 ):
     """Beacon-sensor pairs within rho and in the same trial.
 
-    Returns (order, chunks). The chunks iterator walks one column strip at a
-    time and yields (i, dx, dy, pos, kept) per chunk: the kept pairs' beacon
-    indices i and offsets dx, dy = sn[:, j] - pb[:, i], the ones the
-    distance test used, with j = order[pos[kept]] the sensor indices (pos
-    holds the chunk's candidates' positions in the sorted sensors).
+    Returns an iterator that walks one column strip at a time and yields
+    (i, dx, dy) per chunk: the pairs' beacon indices i and offsets
+    dx, dy = sn[:, j] - pb[:, i] for sensor j, the ones the distance test
+    used. The sector counts read nothing else, so sensor indices are not
+    kept.
 
     Points are (2, n) arrays of x and y rows. Sensors are bucketed into a
     uniform grid of cells a hair wider than rho / split, and no narrower than
@@ -351,7 +356,7 @@ def _pairs_bucketed(
     sensitivity.
     """
     if pb.shape[1] == 0:
-        return np.empty(0, dtype=np.int64), iter(())
+        return iter(())
     # a pair can pass the rounded distance test yet lie just over rho apart
     # (beacon (2, 0.5), sensor (1 - 2**-53, 0.5), rho = 1); the margin keeps
     # such pairs strictly inside the stencil, and the test alone decides
@@ -421,10 +426,10 @@ def _pairs_bucketed(
                 d2 += dy * dy
                 kept = np.flatnonzero(d2 <= rho * rho)
                 del d2
-                yield i.take(kept), dx.take(kept), dy.take(kept), pos, kept
+                yield i.take(kept), dx.take(kept), dy.take(kept)
                 lo = hi
 
-    return order, chunks()
+    return chunks()
 
 
 def _add_bins(counts, keys: list, size: int) -> np.ndarray:
@@ -460,12 +465,12 @@ def _origin_gains(
     """
     n_pb = pb.shape[1]
     n_sec = params.sectors
-    _, chunks = _pairs_bucketed(
+    chunks = _pairs_bucketed(
         pb, trial_pb, sn, trial_sn, params.charging_radius, *_join_grid(params)
     )
     # each kept pair's key beacon * N + sector, binned _KEYS_HELD at a time
     counts, keys, held = 0, [], 0
-    for i, dx, dy, _, _ in chunks:
+    for i, dx, dy in chunks:
         sec = _sectors_toward(dx, dy, orientations.take(i), n_sec)
         i *= n_sec
         i += sec
@@ -543,7 +548,15 @@ def _tail_mean(params: ScenarioParams, radius: float) -> float:
     )
 
 
-def _batch_size(params: ScenarioParams, window: float) -> int:
+#: Fewest expected beacons and sensors in a batch split between threads,
+#: unless the whole batch holds fewer. Below it a batch spends its time in
+#: NumPy calls too short to release the GIL: at lambda_s 0.2-0.8, rho
+#: 0.25-0.5 (batches of 14-53 trials, bound by the join's cell count)
+#: quarter batches ran 0.7-0.86x one thread, and 1.3-1.5x with this floor.
+_SPLIT_POINTS_MIN = 32768
+
+
+def _batch_size(params: ScenarioParams, window: float, threads: int = 1) -> int:
     """Trials fused per vectorized pass, sized to bound working-set memory.
 
     Per trial, the pair stage holds an entry per beacon (its cell key and
@@ -551,7 +564,12 @@ def _batch_size(params: ScenarioParams, window: float) -> int:
     sensor window (the CSR index; the cell floor keeps small radii from
     filling a batch with cells). Candidate pairs are read in chunks of a
     fixed size and sector keys binned _KEYS_HELD at a time, so neither
-    grows with the batch."""
+    grows with the batch.
+
+    With threads > 1 the budget is split 2 * threads ways, but not below
+    _SPLIT_POINTS_MIN expected beacons and sensors, nor above the whole
+    batch: each thread keeps its own malloc arena, and with two threads
+    half-size batches raised peak memory above one thread's."""
     rho = params.charging_radius
     split, min_cell = _join_grid(params)
     cell = max(rho / split, min_cell)
@@ -560,7 +578,11 @@ def _batch_size(params: ScenarioParams, window: float) -> int:
     expect_sn = params.sn_density * math.pi * sn_window**2
     cells = (2.0 * (sn_window / cell + split) + 2.0) ** 2
     rows = max(expect_pb, expect_sn, cells, 1.0)
-    return int(min(256, max(1, 4.0e5 / rows)))
+    step = int(min(256, max(1, 4.0e5 / rows)))
+    if threads > 1:
+        floor = math.ceil(_SPLIT_POINTS_MIN / max(expect_pb + expect_sn, 1.0))
+        step = min(step, max(step // (2 * threads), floor))
+    return step
 
 
 def _powers(
@@ -630,14 +652,6 @@ def _batch_powers(
     return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials)
 
 
-#: Fewest expected beacons and sensors in a batch split between threads,
-#: unless the whole batch holds fewer. Below it a batch spends its time in
-#: NumPy calls too short to release the GIL: at lambda_s 0.2-0.8, rho
-#: 0.25-0.5 (batches of 14-53 trials, bound by the join's cell count)
-#: quarter batches ran 0.7-0.86x one thread, and 1.3-1.5x with this floor.
-_SPLIT_POINTS_MIN = 32768
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -655,15 +669,13 @@ def _threads_per_worker(workers: int) -> int:
 def _run_chunk(
     params: ScenarioParams, config: SimConfig, start: int, stop: int, threads: int
 ) -> np.ndarray:
-    """Powers of trials [start, stop), batches run on a pool of threads.
+    """Powers of trials [start, stop), in batches of _batch_size trials run
+    on a pool of threads.
 
     Each batch writes only its own slice of out, so the samples do not
-    depend on the thread count. With threads > 1 the batch budget is split
-    2 * threads ways, but not below _SPLIT_POINTS_MIN expected points: each
-    thread keeps its own malloc arena, and with two threads half-size
-    batches raised peak memory above one thread's. The pool is joined before
-    returning, so no thread outlives the call; on an error, batches not yet
-    started are cancelled."""
+    depend on the thread count. Results are read in batch order; when one
+    raises, the batches already started finish and the rest are cancelled.
+    The pool is joined before returning, so no thread outlives the call."""
     if config.window_radius == AUTO_WINDOW:
         window = _exact_zone_radius(params)
         tail = _tail_mean(params, window)
@@ -671,14 +683,7 @@ def _run_chunk(
         window = float(config.window_radius)
         tail = 0.0
     out = np.empty(stop - start, dtype=np.float64)
-    step = _batch_size(params, window)
-    if threads > 1:
-        points = math.pi * (
-            params.pb_density * window**2
-            + params.sn_density * (window + params.charging_radius) ** 2
-        )
-        floor = math.ceil(_SPLIT_POINTS_MIN / max(points, 1.0))
-        step = min(step, max(step // (2 * threads), floor))
+    step = _batch_size(params, window, threads)
 
     def batch(lo: int) -> None:
         hi = min(lo + step, stop)
@@ -686,16 +691,9 @@ def _run_chunk(
             params, config.allocation, config.master_seed, lo, hi, window
         )
 
-    pool = concurrent.futures.ThreadPoolExecutor(threads)
-    try:
-        futures = [pool.submit(batch, lo) for lo in range(start, stop, step)]
-        done, _ = concurrent.futures.wait(
-            futures, return_when=concurrent.futures.FIRST_EXCEPTION
-        )
-        for fut in done:
-            fut.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        for _ in pool.map(batch, range(start, stop, step)):
+            pass
     return out + tail
 
 
@@ -722,8 +720,7 @@ def run_trials(
     """
     validate(params)
     _check_config(params, config)
-    if not _is_int(workers) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    _check_workers(workers)
     analytic._occupancy(params)  # the closed forms' rho^2 range check
     n = config.trials
     workers = min(workers, n)
@@ -731,19 +728,10 @@ def run_trials(
     if workers == 1:
         samples = _run_chunk(params, config, 0, n, threads)
     else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        parts: list[np.ndarray | None] = [None] * workers
+        bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
+        chunk = functools.partial(_run_chunk, params, config, threads=threads)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _run_chunk, params, config, int(bounds[w]), int(bounds[w + 1]), threads
-                ): w
-                for w in range(workers)
-                if bounds[w] < bounds[w + 1]
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                parts[futures[fut]] = fut.result()
-        samples = np.concatenate([p for p in parts if p is not None])
+            samples = np.concatenate(list(pool.map(chunk, bounds[:-1], bounds[1:])))
     mean = float(np.mean(samples))
     variance = float(np.var(samples, ddof=1)) if n > 1 else 0.0
     ci = 1.96 * math.sqrt(variance / n) if n > 1 else 0.0
@@ -755,12 +743,10 @@ def empirical_ccdf(samples, thresholds) -> list[tuple[float, float]]:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("empirical_ccdf needs at least one sample")
-    ordered = np.sort(samples)
-    out = []
-    for t in np.asarray(thresholds, dtype=np.float64).ravel():
-        idx = np.searchsorted(ordered, t, side="left")
-        out.append((float(t), float((len(ordered) - idx) / len(ordered))))
-    return out
+    thresholds = np.asarray(thresholds, dtype=np.float64).ravel()
+    below = np.searchsorted(np.sort(samples), thresholds, side="left")
+    fractions = (samples.size - below) / samples.size
+    return list(zip(thresholds.tolist(), fractions.tolist()))
 
 
 class OutputError(OSError):

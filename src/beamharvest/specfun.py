@@ -16,7 +16,6 @@ __all__ = [
     "RangeError",
     "S_MAX",
     "X_MAX",
-    "log_gamma_function",
     "lower_incomplete_gamma",
     "regularized_gamma_q",
 ]
@@ -85,17 +84,6 @@ def _lanczos_sum(z: float) -> float:
         + c7 / (z + 7.0 - 1.0)
         + c8 / (z + 8.0 - 1.0)
     )
-
-
-def log_gamma_function(k: float) -> float:
-    """ln Gamma(k) for k > 0; accurate over the whole supported shape range."""
-    if not math.isfinite(k):
-        raise DomainError("argument must be finite")
-    if k <= 0.0:
-        raise DomainError(f"log_gamma_function requires k > 0, got {k!r}")
-    if k > S_MAX:
-        raise RangeError(f"shape k={k!r} exceeds supported maximum {S_MAX!r}")
-    return _log_gamma(k)
 
 
 def _log_gamma(k: float) -> float:

@@ -68,7 +68,7 @@ def specfun_lines() -> list[str]:
     """Q(s, x), gamma(s, x) and ln Gamma(s) over the (s, x) grid."""
     lines = []
     for s in SHAPES:
-        lines.append(repr(s) + " " + _outcome(specfun.log_gamma_function, s))
+        lines.append(repr(s) + " " + _outcome(specfun._log_gamma, s))
         for x in LIMITS:
             q = _outcome(specfun.regularized_gamma_q, s, x)
             lower = _outcome(specfun.lower_incomplete_gamma, s, x)

@@ -651,6 +651,24 @@ def test_cli_rejects_nonpositive_workers(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_figure_rejects_nonpositive_workers_before_any_work(tmp_path, monkeypatch, capsys):
+    # Fig5 runs no Monte Carlo, so only run_figure's own check can refuse it;
+    # Fig3 must refuse before its first Monte Carlo point
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the worker count was checked")
+
+    monkeypatch.setattr(benchcli.mcsim, "run_trials", no_trials)
+    for workers in (0, -2):
+        out = tmp_path / f"w{workers}"
+        with pytest.raises(ConfigError, match="workers"):
+            run_figure(ExperimentSpec(FigureId.FIG5, output_dir=str(out)), workers=workers)
+        for fig in ("fig5", "fig3"):
+            assert main(["figure", fig, "--workers", str(workers), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"config error: workers must be a positive integer, got {workers}"]
+        assert not out.exists()
+
+
 def test_cli_validate(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -382,18 +382,21 @@ def brute_force_pairs(pb, t_pb, sn, t_sn, rho):
     return {(int(i), int(j)) for i, j in zip(*np.nonzero(near))}
 
 
+def pair_offsets(batch, pairs):
+    """Sorted (beacon, dx, dy) of each (beacon, sensor) pair: the offsets are
+    bitwise sensor minus beacon, so a pair read from the wrong sensor, missed
+    or read twice changes the list."""
+    pb, _, sn, _ = batch
+    return sorted(
+        (i, float(sn[j, 0] - pb[i, 0]), float(sn[j, 1] - pb[i, 1])) for i, j in pairs
+    )
+
+
 def joined_pairs(pb, t_pb, sn, t_sn, rho, split=1, min_cell=0.0):
-    order, chunks = mcsim._pairs_bucketed(pb.T, t_pb, sn.T, t_sn, rho, split, min_cell)
-    # only the tests map the kept pairs' sorted positions to sensor indices
-    parts = [(i, order[pos[kept]], dx, dy) for i, dx, dy, pos, kept in chunks]
-    i, j, dx, dy = (np.concatenate([s[k] for s in parts] + [np.empty(0)]) for k in range(4))
-    i, j = i.astype(np.int64), j.astype(np.int64)
-    # the offsets are the sector step's input: bitwise sensor minus beacon
-    assert np.array_equal(dx, sn[j, 0] - pb[i, 0])
-    assert np.array_equal(dy, sn[j, 1] - pb[i, 1])
-    pairs = list(zip(i.tolist(), j.tolist()))
-    assert len(pairs) == len(set(pairs))
-    return set(pairs)
+    chunks = mcsim._pairs_bucketed(pb.T, t_pb, sn.T, t_sn, rho, split, min_cell)
+    return sorted(
+        (i, x, y) for chunk in chunks for i, x, y in zip(*(c.tolist() for c in chunk))
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -407,7 +410,7 @@ def joined_pairs(pb, t_pb, sn, t_sn, rho, split=1, min_cell=0.0):
 def test_pair_join_matches_brute_force(data, trials, rho, split, coarse):
     # coarse sets the cell floor in radii: 0 leaves cells rho / split wide
     batch = lattice_batch(data.draw, trials, rho)
-    want = brute_force_pairs(*batch, rho)
+    want = pair_offsets(batch, brute_force_pairs(*batch, rho))
     # chunks of at most 1 or 3 candidates split each strip many times and
     # give a beacon with more candidates a chunk of its own
     for limit in (mcsim._CHUNK_CANDIDATES, 1, 3):
@@ -423,14 +426,15 @@ def test_pair_join_counts_distance_rho_as_inside():
         pb = np.array([[-1.0, -2.0]])
         sn = np.array([[0.0, 0.0], [-2.0, -2.0], [-1.0, -1.0], [-2.0, -1.25]])
         batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(4, dtype=np.int64))
-        assert joined_pairs(*batch, 1.0, split) == {(0, 1), (0, 2)}
+        want = pair_offsets(batch, {(0, 1), (0, 2)})
+        assert joined_pairs(*batch, 1.0, split) == want
         # the rounded dx is -1.0, so the pair is inside, yet the points are
         # just over rho apart and would sit two rho-wide cells apart
         pb = np.array([[2.0, 0.5]])
         sn = np.array([[1.0 - 2.0**-53, 0.5]])
         batch = (pb, np.zeros(1, dtype=np.int64), sn, np.zeros(1, dtype=np.int64))
-        want = brute_force_pairs(*batch, 1.0)
-        assert joined_pairs(*batch, 1.0, split) == want == {(0, 0)}
+        assert brute_force_pairs(*batch, 1.0) == {(0, 0)}
+        assert joined_pairs(*batch, 1.0, split) == pair_offsets(batch, {(0, 0)})
 
 
 def test_pair_join_key_order_is_a_stable_argsort_up_to_63_bits():
@@ -545,6 +549,12 @@ def test_run_trials_deterministic_and_worker_invariant():
     assert np.array_equal(first.samples, again.samples)
     spread = run_trials(pr, config, workers=3)
     assert np.array_equal(first.samples, spread.samples)
+    # an uneven split (7 trials on 3 workers: 2/2/3) and an oversubscribed
+    # one (2 trials on 4 workers run on 2) merge in trial order too
+    for trials, workers in ((7, 3), (2, 4)):
+        part = SimConfig(trials=trials, master_seed=12, window_radius=8.0)
+        got = run_trials(pr, part, workers=workers).samples
+        assert np.array_equal(got, first.samples[:trials]), (trials, workers)
     assert first.mean == pytest.approx(np.mean(first.samples), rel=1e-15)
     assert first.variance == pytest.approx(
         np.var(first.samples, ddof=1), rel=1e-12
