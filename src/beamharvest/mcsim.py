@@ -148,17 +148,24 @@ class _TrialStreams:
     """trial_stream for many trials from one Philox generator: at() resets
     its key, counter and buffered bits to a fresh stream's, so the draws do
     not depend on what was drawn before, without building a generator per
-    trial."""
+    trial. The state it writes is a fresh Philox's in plain Python ints,
+    which NumPy's setter reads three to four times faster than the arrays of
+    bits.state; only key[1] and counter[3] change, and an index outside
+    0..2**64 - 1 raises OverflowError from the setter's uint64 cast."""
 
     def __init__(self, master_seed: int) -> None:
         self._bits = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         self._generator = np.random.Generator(self._bits)
-        self._state = self._bits.state
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [master_seed, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
 
     def at(self, trial_index: int, substream: int = 0) -> np.random.Generator:
         state = self._state
         state["state"]["key"][1] = trial_index
-        state["state"]["counter"][:] = (0, 0, 0, substream)
+        state["state"]["counter"][3] = substream
         self._bits.state = state
         return self._generator
 
@@ -280,9 +287,12 @@ def _sectors_toward(
 _CELL_SENSORS_MIN = 0.04
 
 #: Most candidate pairs one chunk of a strip holds; a beacon with more gets a
-#: chunk of its own. Chunks keep the pair stage's temporaries at a fixed,
-#: cache-sized footprint whatever the batch size.
-_CHUNK_CANDIDATES = 8192
+#: chunk of its own. Chunks keep the pair stage's temporaries at a fixed
+#: footprint whatever the batch size. Each chunk makes the same ~20 NumPy
+#: calls, so larger chunks let two threads trade the GIL less often. 16,384
+#: ran mc_schemes faster than 8,192 at a lower traced batch peak; 32,768 was
+#: no faster and raised the process's peak RSS by up to 6%.
+_CHUNK_CANDIDATES = 16384
 
 #: Most sector keys (1 MiB) _origin_gains holds before it bins them: one
 #: bincount per batch at the default deployment, a few where pairs are
@@ -556,7 +566,7 @@ def _tail_mean(params: ScenarioParams, radius: float) -> float:
 _SPLIT_POINTS_MIN = 32768
 
 
-def _batch_size(params: ScenarioParams, window: float, threads: int = 1) -> int:
+def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors: bool = True) -> int:
     """Trials fused per vectorized pass, sized to bound working-set memory.
 
     Per trial, the pair stage holds an entry per beacon (its cell key and
@@ -564,23 +574,28 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1) -> int:
     sensor window (the CSR index; the cell floor keeps small radii from
     filling a batch with cells). Candidate pairs are read in chunks of a
     fixed size and sector keys binned _KEYS_HELD at a time, so neither
-    grows with the batch.
+    grows with the batch. Without sensors (forced omni draws none and
+    builds no join grid) only the beacons count, so its batches are larger;
+    batch sizes never change a sample.
 
     With threads > 1 the budget is split 2 * threads ways, but not below
-    _SPLIT_POINTS_MIN expected beacons and sensors, nor above the whole
-    batch: each thread keeps its own malloc arena, and with two threads
-    half-size batches raised peak memory above one thread's."""
-    rho = params.charging_radius
-    split, min_cell = _join_grid(params)
-    cell = max(rho / split, min_cell)
-    sn_window = window + rho
+    _SPLIT_POINTS_MIN expected points (beacons, plus sensors if drawn), nor
+    above the whole batch: each thread keeps its own malloc arena, and with
+    two threads half-size batches raised peak memory above one thread's."""
     expect_pb = params.pb_density * math.pi * window * window
-    expect_sn = params.sn_density * math.pi * sn_window**2
-    cells = (2.0 * (sn_window / cell + split) + 2.0) ** 2
-    rows = max(expect_pb, expect_sn, cells, 1.0)
-    step = int(min(256, max(1, 4.0e5 / rows)))
+    points = rows = expect_pb
+    if sensors:
+        rho = params.charging_radius
+        split, min_cell = _join_grid(params)
+        cell = max(rho / split, min_cell)
+        sn_window = window + rho
+        expect_sn = params.sn_density * math.pi * sn_window**2
+        cells = (2.0 * (sn_window / cell + split) + 2.0) ** 2
+        points = expect_pb + expect_sn
+        rows = max(expect_pb, expect_sn, cells)
+    step = int(min(256, max(1, 4.0e5 / max(rows, 1.0))))
     if threads > 1:
-        floor = math.ceil(_SPLIT_POINTS_MIN / max(expect_pb + expect_sn, 1.0))
+        floor = math.ceil(_SPLIT_POINTS_MIN / max(points, 1.0))
         step = min(step, max(step // (2 * threads), floor))
     return step
 
@@ -592,19 +607,18 @@ def _powers(
     """Power at the origin sensor of each of n_trials trials, watts.
 
     The arguments are _origin_gains', which forced omni never calls (every
-    gain is 1, so it reads no sensors). Each beacon's gain times its path
-    loss max(distance, 1)^(-alpha) is summed per trial in beacon order, then
+    gain is 1, so it reads no sensors and its path losses are summed as
+    they are). Each beacon's gain times its path loss
+    max(distance, 1)^(-alpha) is summed per trial in beacon order, then
     scaled by P * sigma.
     """
-    if scheme is Allocation.FORCED_OMNI:
-        gains = np.ones(pb.shape[1])
-    else:
-        gains = _origin_gains(
-            pb, trial_pb, orientations, sn, trial_sn, params, scheme, tie_draws
-        )
     dist = np.hypot(pb[0], pb[1])
     atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
-    powers = np.bincount(trial_pb, weights=gains * atten, minlength=n_trials)
+    if scheme is not Allocation.FORCED_OMNI:
+        atten *= _origin_gains(
+            pb, trial_pb, orientations, sn, trial_sn, params, scheme, tie_draws
+        )
+    powers = np.bincount(trial_pb, weights=atten, minlength=n_trials)
     return params.pb_power * params.attenuation * powers
 
 
@@ -673,9 +687,11 @@ def _run_chunk(
     on a pool of threads.
 
     Each batch writes only its own slice of out, so the samples do not
-    depend on the thread count. Results are read in batch order; when one
-    raises, the batches already started finish and the rest are cancelled.
-    The pool is joined before returning, so no thread outlives the call."""
+    depend on the thread count. Every batch is submitted at once and the
+    call waits once, until all finish or one raises. Then the first failed
+    batch's exception is raised: batches not yet started are cancelled and
+    those running finish. The pool is joined before returning, so no
+    thread outlives the call."""
     if config.window_radius == AUTO_WINDOW:
         window = _exact_zone_radius(params)
         tail = _tail_mean(params, window)
@@ -683,7 +699,8 @@ def _run_chunk(
         window = float(config.window_radius)
         tail = 0.0
     out = np.empty(stop - start, dtype=np.float64)
-    step = _batch_size(params, window, threads)
+    sensors = config.allocation is not Allocation.FORCED_OMNI
+    step = _batch_size(params, window, threads, sensors)
 
     def batch(lo: int) -> None:
         hi = min(lo + step, stop)
@@ -692,8 +709,12 @@ def _run_chunk(
         )
 
     with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        for _ in pool.map(batch, range(start, stop, step)):
-            pass
+        futures = [pool.submit(batch, lo) for lo in range(start, stop, step)]
+        concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+        failed = [f for f in futures if f.done() and f.exception() is not None]
+        if failed:
+            pool.shutdown(cancel_futures=True)
+            failed[0].result()
     return out + tail
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo engine: reproducibility contract, geometry, allocation rules."""
 
 import importlib.util
+import itertools
 import json
 import math
 import sys
@@ -103,6 +104,31 @@ def test_rekeyed_streams_match_trial_stream():
             )
         for want, *got in zip(*draws):
             assert all(np.array_equal(want, g) for g in got)
+
+
+def test_trial_stream_reset_at_edge_keys():
+    # the re-key writes plain ints into a state dict: at the largest seed,
+    # index and substream, and after a draw that leaves bits buffered (a
+    # uint32 draw keeps half a word), each reset must give the draws of a
+    # freshly keyed stream
+    top = 2**64 - 1
+    partial_draws = (lambda g: g.random(), lambda g: g.integers(0, 9, dtype=np.uint32))
+    for seed in (0, top):
+        streams = mcsim._TrialStreams(seed)
+        for i, sub in itertools.product((0, top), (0, 2, top)):
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array([seed, i], dtype=np.uint64),
+                counter=np.array([0, 0, 0, sub], dtype=np.uint64),
+            ))
+            want = [fresh.random(3), fresh.integers(0, 2**32, 3, dtype=np.uint32),
+                    fresh.poisson(40.0, 4)]
+            for draw in partial_draws:
+                draw(streams.at(i, sub))
+                g = streams.at(i, sub)
+                # raw words first: a bounded draw would reject a leaked zero
+                got = [g.random(3), g.integers(0, 2**32, 3, dtype=np.uint32),
+                       g.poisson(40.0, 4)]
+                assert all(map(np.array_equal, want, got)), (seed, i, sub)
 
 
 def test_trial_stream_rejects_out_of_range_keys():
@@ -648,6 +674,25 @@ def test_thread_split_keeps_a_points_floor(monkeypatch):
         sizes.clear()
         run_trials(pr, SimConfig(trials=3 * batch, master_seed=1))
         assert sizes == [batch // split] * (3 * split), pr
+
+
+@pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
+def test_batch_size_by_scheme(monkeypatch, scheme):
+    # default deployment (5 W, rho 2 m, AUTO window) on one and two threads:
+    # forced omni draws no sensors, so only its ~128 beacons a trial count
+    # toward the row budget and the split floor, and _run_chunk says so
+    pr = params_for(pb_power=5.0, charging_radius=2.0)
+    window = mcsim._exact_zone_radius(pr)
+    omni = scheme is Allocation.FORCED_OMNI
+    sizes = [mcsim._batch_size(pr, window, threads, not omni) for threads in (1, 2)]
+    assert sizes == ([256, 256] if omni else [256, 75])
+    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
+    batches = recorded_batches(monkeypatch)
+    run_trials(pr, SimConfig(trials=3 * sizes[1], master_seed=1, allocation=scheme))
+    assert batches == [sizes[1]] * 3
+    # the thread-invariance test's window: 300 trials end in a short batch
+    # of 256-trial batches, and of 64-trial ones once the floor is lifted
+    assert mcsim._batch_size(params_for(), 8.0, 1, not omni) == 256
 
 
 def test_threads_per_worker_rule(monkeypatch):
