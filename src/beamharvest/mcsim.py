@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,20 +198,17 @@ def _trial_draws(
     return u_pb, orient, u_sn
 
 
-def _disk_points(
-    u_block: np.ndarray, radius: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Points for an (n, 2) uniform block as a (2, n) array of x and y rows,
-    written into out when given."""
-    r = np.sqrt(u_block[:, 0])
+def _disk_points(u_block: np.ndarray, radius: float, out: np.ndarray) -> np.ndarray:
+    """Points for an (n, 2) uniform block as x and y rows, written into the
+    (2, n) array out; the block's first column is overwritten by the radii."""
+    r = np.sqrt(u_block[:, 0], out=u_block[:, 0])
     r *= radius
-    theta = u_block[:, 1] * _TWO_PI
-    if out is None:
-        out = np.empty((2, len(r)))
+    # the angle goes in the y row, which sin then overwrites in place
+    theta = np.multiply(u_block[:, 1], _TWO_PI, out=out[1])
     np.cos(theta, out=out[0])
     out[0] *= r
-    np.sin(theta, out=out[1])
-    out[1] *= r
+    np.sin(theta, out=theta)
+    theta *= r
     return out
 
 
@@ -228,10 +226,10 @@ def draw_network(
         raise ValueError(f"window radius must be positive, got {pb_window_radius!r}")
     sn_window = pb_window_radius + params.charging_radius
     u_pb, orient, u_sn = _trial_draws(params, pb_window_radius, stream, True)
-    sn = np.vstack((np.zeros((1, 2)), _disk_points(u_sn, sn_window).T))
+    sn = _disk_points(u_sn, sn_window, np.empty((2, len(u_sn))))
     return NetworkSample(
-        pb_points=_disk_points(u_pb, pb_window_radius).T,
-        sn_points=sn,
+        pb_points=_disk_points(u_pb, pb_window_radius, np.empty((2, len(u_pb)))).T,
+        sn_points=np.vstack((np.zeros((1, 2)), sn.T)),
         pb_orientations=orient * (_TWO_PI / params.sectors),
     )
 
@@ -288,16 +286,41 @@ _CELL_SENSORS_MIN = 0.04
 
 #: Most candidate pairs one chunk of a strip holds; a beacon with more gets a
 #: chunk of its own. Chunks keep the pair stage's temporaries at a fixed
-#: footprint whatever the batch size. Each chunk makes the same ~20 NumPy
-#: calls, so larger chunks let two threads trade the GIL less often. 16,384
-#: ran mc_schemes faster than 8,192 at a lower traced batch peak; 32,768 was
-#: no faster and raised the process's peak RSS by up to 6%.
+#: footprint whatever the batch size: four workspace buffers of 128 KiB
+#: (the two offsets, the squared distance and a gather temporary), which
+#: grow only for such a beacon. Each chunk makes the same ~20 NumPy calls,
+#: so larger chunks let two threads trade the GIL less often. 16,384 ran
+#: mc_schemes faster than 8,192 at a lower traced batch peak; 32,768 was no
+#: faster and raised the process's peak RSS by up to 6%.
 _CHUNK_CANDIDATES = 16384
 
 #: Most sector keys (1 MiB) _origin_gains holds before it bins them: one
 #: bincount per batch at the default deployment, a few where pairs are
 #: dense, so the keys' memory does not grow with the batch either.
 _KEYS_HELD = 1 << 17
+
+
+class _Workspace:
+    """Scratch arrays that one thread reuses across the chunks and batches
+    of one _run_chunk call, so the allocator does not hand their pages back
+    and fault them in again on every chunk and batch.
+
+    work(role, n, dtype) is a view of exactly n elements of the role's flat
+    buffer of 8-byte items, which grows only when a request exceeds it; the
+    caller writes the whole view before reading it. Arrays never alive at
+    the same time share a role: "a" holds a batch's draws, then the join's
+    sensor keys and sorted coordinates, then the path losses."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, role: str, n: int, dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.pop(role, None)
+        if buf is None or len(buf) < n:
+            buf = None  # free the old buffer before the larger one is made
+            buf = np.empty(n)
+        self._buffers[role] = buf
+        return buf[:n].view(dtype)
 
 
 def _join_grid(params: ScenarioParams) -> tuple[int, float]:
@@ -313,8 +336,9 @@ def _join_grid(params: ScenarioParams) -> tuple[int, float]:
     return split, math.sqrt(_CELL_SENSORS_MIN / params.sn_density)
 
 
-def _key_order(key: np.ndarray) -> np.ndarray:
-    """Stable argsort of nonnegative int64 keys, computed in place in key.
+def _key_order(key: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Stable argsort of nonnegative int64 keys, computed in place in key;
+    scratch, an int64 array as long as key, is overwritten.
 
     Each key is packed as key << bits | index, bits = (len - 1).bit_length(),
     and the packed values get one np.sort. They stay below 2**63, so stay
@@ -324,8 +348,13 @@ def _key_order(key: np.ndarray) -> np.ndarray:
     most about 32 cells per expected sensor, so it would take some 5e8
     sensors (8 GiB of coordinates) in one trial to reach the bound."""
     bits = max(len(key) - 1, 0).bit_length()
+    # the indices, np.arange(len(key)) written into scratch
+    index = np.empty_like(key) if scratch is None else scratch
+    index.fill(1)
+    np.cumsum(index, out=index)
+    index -= 1
     key <<= bits
-    key |= np.arange(len(key))
+    key |= index
     key.sort()
     key &= (1 << bits) - 1
     return key
@@ -339,6 +368,7 @@ def _pairs_bucketed(
     rho: float,
     split: int,
     min_cell: float,
+    work: _Workspace | None = None,
 ):
     """Beacon-sensor pairs within rho and in the same trial.
 
@@ -364,9 +394,16 @@ def _pairs_bucketed(
     twice. Only the pair *set* matters downstream (integer sector counts),
     so neither the sort nor the join order carries floating-point
     sensitivity.
+
+    Scratch comes from work (a fresh _Workspace if None), reused chunk by
+    chunk: its role "a" takes the sensor keys, then the sorted coordinates,
+    so sn must not be a view of it. The yielded arrays are fresh. Gathers
+    write with out= and mode="clip" (mode="raise" would buffer them; every
+    index is in range), which gives the bytes the allocating forms do.
     """
     if pb.shape[1] == 0:
         return iter(())
+    work = _Workspace() if work is None else work
     # a pair can pass the rounded distance test yet lie just over rho apart
     # (beacon (2, 0.5), sensor (1 - 2**-53, 0.5), rho = 1); the margin keeps
     # such pairs strictly inside the stencil, and the test alone decides
@@ -381,46 +418,57 @@ def _pairs_bucketed(
     n_keys = per_trial * (int(max(trial_pb.max(), trial_sn.max())) + 1)
     corner = float((lo_x - split) * span + lo_y - split - 1)
 
-    def cell_keys(xy, trial):
-        # integer-valued doubles, exact far below 2**53
-        key = xy[0] / cell
+    def cell_keys(xy, trial, scratch, out):
+        # integer-valued doubles, exact far below 2**53, built in scratch and
+        # in out, which then takes the int64 keys in place of the row
+        key = np.divide(xy[0], cell, out=scratch)
         np.floor(key, out=key)
         key *= span
-        row = xy[1] / cell
+        row = np.divide(xy[1], cell, out=out)
         np.floor(row, out=row)
         key += row
-        del row
         key -= corner
-        out = key.astype(np.int64)
-        del key
-        out += trial * per_trial
+        out = out.view(np.int64)
+        np.copyto(out, key, casting="unsafe")
+        out += np.multiply(trial, per_trial, out=scratch.view(np.int64))
         return out
 
-    key = cell_keys(sn, trial_sn)
+    # the sensor keys and their order go in the second row of "a" and their
+    # scratch in the first, which then takes the sorted x ("a" held the
+    # caller's draws, dead by now)
+    n_sn = sn.shape[1]
+    sx, sy = work("a", 2 * n_sn).reshape(2, n_sn)
+    key = cell_keys(sn, trial_sn, sx, sy)
     end = np.bincount(key, minlength=n_keys)
     np.cumsum(end, out=end)
-    order = _key_order(key)
-    del key
-    # sensor coordinates in key order, so a strip is one contiguous run
-    sx = sn[0].take(order)
-    sy = sn[1].take(order)
-    base = cell_keys(pb, trial_pb)
+    order = _key_order(key, sx.view(np.int64))
+    # sensor coordinates in key order, so a strip is one contiguous run; y
+    # overwrites the order it is gathered by, one block at a time
+    sn[0].take(order, out=sx, mode="clip")
+    for lo in range(0, n_sn, _CHUNK_CANDIDATES):
+        block = order[lo : lo + _CHUNK_CANDIDATES]
+        sy[lo : lo + len(block)] = sn[1].take(block, out=work("tmp", len(block)), mode="clip")
+    n_pb = pb.shape[1]
+    # the strip bounds' buffer is the beacon keys' scratch first
+    strips = work("strips", 3 * n_pb, np.int64).reshape(3, n_pb)
+    base = cell_keys(pb, trial_pb, strips[0].view(np.float64), work("base", n_pb))
 
     def chunks():
-        beacons = np.arange(pb.shape[1])
+        left, n_hit, ends = strips
+        beacons = np.arange(n_pb)
         for ox in range(-split, split + 1):
             # rows read on either side of the beacon's row
             reach = 1 + math.isqrt(split * split - max(abs(ox) - 1, 0) ** 2 - 1)
-            left = end.take(base + (ox * span - reach - 1))
-            n_hit = end.take(base + (ox * span + reach))
+            end.take(np.add(base, ox * span - reach - 1, out=ends), out=left, mode="clip")
+            end.take(np.add(base, ox * span + reach, out=ends), out=n_hit, mode="clip")
             n_hit -= left
-            ends = np.cumsum(n_hit)
+            np.cumsum(n_hit, out=ends)
             # candidate c of the strip, of beacon b, sits at sorted position
             # left[b] + c - (ends[b] - n_hit[b])
             left -= ends
             left += n_hit
             lo = 0
-            while lo < len(ends):
+            while lo < n_pb:
                 first = int(ends[lo] - n_hit[lo])
                 hi = int(ends.searchsorted(first + _CHUNK_CANDIDATES, side="right"))
                 hi = max(hi, lo + 1)
@@ -428,14 +476,16 @@ def _pairs_bucketed(
                 pos = np.repeat(left[lo:hi], n)
                 pos += np.arange(first, int(ends[hi - 1]))
                 i = np.repeat(beacons[lo:hi], n)
-                dx = sx.take(pos)
-                dx -= pb[0].take(i)
-                dy = sy.take(pos)
-                dy -= pb[1].take(i)
-                d2 = dx * dx
-                d2 += dy * dy
+                m = len(i)
+                dx = sx.take(pos, out=work("dx", m), mode="clip")
+                dy = sy.take(pos, out=work("dy", m), mode="clip")
+                tmp = pb[0].take(i, out=work("tmp", m), mode="clip")
+                dx -= tmp
+                pb[1].take(i, out=tmp, mode="clip")
+                dy -= tmp
+                d2 = np.multiply(dx, dx, out=work("d2", m))
+                d2 += np.multiply(dy, dy, out=tmp)
                 kept = np.flatnonzero(d2 <= rho * rho)
-                del d2
                 yield i.take(kept), dx.take(kept), dy.take(kept)
                 lo = hi
 
@@ -459,6 +509,7 @@ def _origin_gains(
     params: ScenarioParams,
     scheme: Allocation,
     tie_draws: np.ndarray | None = None,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """Gain each beacon radiates toward the origin, for a batch of trials.
 
@@ -476,7 +527,7 @@ def _origin_gains(
     n_pb = pb.shape[1]
     n_sec = params.sectors
     chunks = _pairs_bucketed(
-        pb, trial_pb, sn, trial_sn, params.charging_radius, *_join_grid(params)
+        pb, trial_pb, sn, trial_sn, params.charging_radius, *_join_grid(params), work
     )
     # each kept pair's key beacon * N + sector, binned _KEYS_HELD at a time
     counts, keys, held = 0, [], 0
@@ -503,8 +554,10 @@ def _origin_gains(
         ties = counts == counts.max(axis=1)[:, np.newaxis]
         n_ties = ties.sum(axis=1)
         pick_rank = np.minimum((tie_draws * n_ties).astype(np.int64), n_ties - 1)
-        rank_of_k = np.cumsum(ties, axis=1)[rows, k] - 1
-        chosen = ties[rows, k] & (rank_of_k == pick_rank)
+        # k's rank among the tied sectors: those tied below it, counted in a
+        # boolean mask rather than an int64 running sum of every row
+        ties_below = ties & (np.arange(n_sec) < k[:, np.newaxis])
+        chosen = ties[rows, k] & (np.count_nonzero(ties_below, axis=1) == pick_rank)
         gains = np.where(chosen, float(n_sec), 0.0)
     else:
         raise ValueError(f"unknown allocation scheme {scheme!r}")
@@ -530,7 +583,7 @@ def received_power_origin(
     return float(_powers(
         pb.T, np.zeros(len(pb), dtype=np.int64), sample.pb_orientations,
         sample.sn_points.T, np.zeros(len(sample.sn_points), dtype=np.int64),
-        params, scheme, tie_draws, 1,
+        params, scheme, tie_draws, 1, _Workspace(),
     )[0])
 
 
@@ -574,9 +627,13 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
     sensor window (the CSR index; the cell floor keeps small radii from
     filling a batch with cells). Candidate pairs are read in chunks of a
     fixed size and sector keys binned _KEYS_HELD at a time, so neither
-    grows with the batch. Without sensors (forced omni draws none and
-    builds no join grid) only the beacons count, so its batches are larger;
-    batch sizes never change a sample.
+    grows with the batch. The memory bounded is a thread's _Workspace,
+    which keeps the largest batch's arrays between batches, plus what a
+    batch allocates afresh; the workspace's roles share buffers, so that it
+    holds about what one batch peaked at when every array was new. Without
+    sensors (forced omni draws none and builds no join grid) only the
+    beacons count, so its batches are larger; batch sizes never change a
+    sample.
 
     With threads > 1 the budget is split 2 * threads ways, but not below
     _SPLIT_POINTS_MIN expected points (beacons, plus sensors if drawn), nor
@@ -602,7 +659,7 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
 
 def _powers(
     pb, trial_pb, orientations, sn, trial_sn, params: ScenarioParams,
-    scheme: Allocation, tie_draws, n_trials: int,
+    scheme: Allocation, tie_draws, n_trials: int, work: _Workspace,
 ) -> np.ndarray:
     """Power at the origin sensor of each of n_trials trials, watts.
 
@@ -612,12 +669,17 @@ def _powers(
     max(distance, 1)^(-alpha) is summed per trial in beacon order, then
     scaled by P * sigma.
     """
-    dist = np.hypot(pb[0], pb[1])
-    atten = np.maximum(dist, 1.0) ** -params.path_loss_exp
+    gains = None
     if scheme is not Allocation.FORCED_OMNI:
-        atten *= _origin_gains(
-            pb, trial_pb, orientations, sn, trial_sn, params, scheme, tie_draws
+        gains = _origin_gains(
+            pb, trial_pb, orientations, sn, trial_sn, params, scheme, tie_draws, work
         )
+    # the join is done with "a"
+    atten = np.hypot(pb[0], pb[1], out=work("a", pb.shape[1]))
+    np.maximum(atten, 1.0, out=atten)
+    np.power(atten, -params.path_loss_exp, out=atten)
+    if gains is not None:
+        atten *= gains
     powers = np.bincount(trial_pb, weights=atten, minlength=n_trials)
     return params.pb_power * params.attenuation * powers
 
@@ -629,41 +691,52 @@ def _batch_powers(
     start: int,
     stop: int,
     window: float,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """Powers for trials [start, stop) in one vectorized pass.
 
     Every random draw still comes from the owning trial's keyed stream in
     draw_network's order, so results are independent of how trials are
-    grouped into batches or spread over workers.
+    grouped into batches or spread over workers. The arrays are built in
+    work (a fresh _Workspace if None), which may hold an earlier batch's.
     """
+    work = _Workspace() if work is None else work
     n_trials = stop - start
     sensors = scheme is not Allocation.FORCED_OMNI
     streams = _TrialStreams(master_seed)
     pb_blocks, orient_blocks, sn_blocks = zip(
         *(_trial_draws(params, window, streams.at(i), sensors) for i in range(start, stop))
     )
+    n_pb = [len(u) for u in pb_blocks]
+    n_sn = [len(u) for u in sn_blocks] if sensors else []
+    n_beacons, n_field = sum(n_pb), sum(n_sn)
     ties = None
     if scheme is Allocation.GREEDY:
         ties = np.concatenate([
-            streams.at(start + k, _GREEDY_SUBSTREAM).random(len(u))
-            for k, u in enumerate(pb_blocks)
-        ])
-    t_pb = np.repeat(np.arange(n_trials), [len(u) for u in pb_blocks])
-    pb = _disk_points(np.concatenate(pb_blocks).reshape(-1, 2), window)
+            streams.at(start + k, _GREEDY_SUBSTREAM).random(n) for k, n in enumerate(n_pb)
+        ], out=work("ties", n_beacons))
+    t_pb = np.repeat(np.arange(n_trials), n_pb)
+    # "a" takes the draws, then the join's keys and sorted sensors, so it is
+    # asked for once at the largest of those sizes
+    a = work("a", 2 * max(n_beacons, n_field + n_trials if sensors else 0))
+    u_pb = np.concatenate(pb_blocks, out=a[: 2 * n_beacons].reshape(-1, 2))
     del pb_blocks
+    pb = _disk_points(u_pb, window, work("pb", 2 * n_beacons).reshape(2, -1))
     orientations = sn = t_sn = None
     if sensors:
-        orientations = np.concatenate(orient_blocks) * (_TWO_PI / params.sectors)
-        # each trial's origin sensor goes after the field sensors rather than
-        # first, as in draw_network: sensor order does not enter the counts
-        n_sn = [len(u) for u in sn_blocks]
-        t_sn = np.concatenate((np.repeat(np.arange(n_trials), n_sn), np.arange(n_trials)))
-        u_sn = np.concatenate(sn_blocks).reshape(-1, 2)
+        orientations = np.concatenate(orient_blocks, out=work("orient", n_beacons))
+        orientations *= _TWO_PI / params.sectors
+        u_sn = np.concatenate(sn_blocks, out=a[: 2 * n_field].reshape(-1, 2))
         del orient_blocks, sn_blocks
-        sn = np.zeros((2, len(u_sn) + n_trials))
-        _disk_points(u_sn, window + params.charging_radius, out=sn[:, : len(u_sn)])
-        del u_sn
-    return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials)
+        # each trial's origin sensor goes after the field sensors rather than
+        # first, as in draw_network: sensor order does not enter the counts;
+        # its zeros are written, as the buffer may hold earlier sensors there
+        sn = work("sn", 2 * (n_field + n_trials)).reshape(2, -1)
+        _disk_points(u_sn, window + params.charging_radius, sn[:, :n_field])
+        sn[:, n_field:] = 0.0
+        # field sensors trial by trial, then one origin sensor per trial
+        t_sn = np.repeat(np.tile(np.arange(n_trials), 2), n_sn + [1] * n_trials)
+    return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials, work)
 
 
 def _usable_cpus() -> int:
@@ -687,11 +760,13 @@ def _run_chunk(
     on a pool of threads.
 
     Each batch writes only its own slice of out, so the samples do not
-    depend on the thread count. Every batch is submitted at once and the
-    call waits once, until all finish or one raises. Then the first failed
-    batch's exception is raised: batches not yet started are cancelled and
-    those running finish. The pool is joined before returning, so no
-    thread outlives the call."""
+    depend on the thread count. Each thread reuses one _Workspace across its
+    batches; the workspaces die with the call. Every batch is submitted at
+    once and the call waits once, until all finish or one raises; then the
+    batches not yet started are cancelled and those running finish. The
+    pool is joined before returning, so no thread outlives the call, and the
+    exception raised is that of the first failed batch in trial order,
+    whichever failed first in time."""
     if config.window_radius == AUTO_WINDOW:
         window = _exact_zone_radius(params)
         tail = _tail_mean(params, window)
@@ -701,20 +776,23 @@ def _run_chunk(
     out = np.empty(stop - start, dtype=np.float64)
     sensors = config.allocation is not Allocation.FORCED_OMNI
     step = _batch_size(params, window, threads, sensors)
+    workspaces = threading.local()
 
     def batch(lo: int) -> None:
+        if not hasattr(workspaces, "work"):
+            workspaces.work = _Workspace()
         hi = min(lo + step, stop)
         out[lo - start : hi - start] = _batch_powers(
-            params, config.allocation, config.master_seed, lo, hi, window
+            params, config.allocation, config.master_seed, lo, hi, window, workspaces.work
         )
 
     with concurrent.futures.ThreadPoolExecutor(threads) as pool:
         futures = [pool.submit(batch, lo) for lo in range(start, stop, step)]
         concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
-        failed = [f for f in futures if f.done() and f.exception() is not None]
-        if failed:
-            pool.shutdown(cancel_futures=True)
-            failed[0].result()
+        pool.shutdown(cancel_futures=True)
+    for future in futures:
+        if not future.cancelled():
+            future.result()
     return out + tail
 
 

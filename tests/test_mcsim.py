@@ -554,7 +554,8 @@ def test_batch_memory_peak():
     # trials, ~400k sensors). With NumPy 2.4.6 it peaked at 44.7-45.6 MiB
     # when the join returned index pairs and re-gathered their coordinates,
     # at 30.4 MiB when it read whole strips, and at 23.1 MiB with chunked
-    # strips; the bound is that peak plus 10%
+    # strips; the bound is that peak plus 10%. Built in a fresh workspace,
+    # whose roles share buffers, it peaks at 22.3 MiB
     pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=1.0)
     window = mcsim._exact_zone_radius(pr)
     stop = mcsim._batch_size(pr, window)
@@ -565,6 +566,66 @@ def test_batch_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 25.4 * 2**20
+
+
+# large, small, large, then short: a reused buffer holds more than the
+# next batch asks for, then has to grow again
+WORKSPACE_PLAN = ((0, 40), (40, 43), (43, 90), (90, 92))
+
+
+def fresh_batches(pr, scheme, window, plan):
+    return [mcsim._batch_powers(pr, scheme, 7, lo, hi, window) for lo, hi in plan]
+
+
+@pytest.mark.parametrize("chunk", [None, 4], ids=["chunks", "lone_strips"])
+@pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
+def test_reused_workspace_matches_fresh_batches(monkeypatch, scheme, chunk):
+    # batches through one workspace, and 93 trials in batches of 7 on one
+    # and on two threads, bit for bit as fresh single-batch passes over the
+    # same trials: data a buffer kept from an earlier batch, such as its
+    # sensors where this batch's origin sensors go, would show. With chunks
+    # of at most 4 candidates a beacon whose strip holds more gets a chunk
+    # of its own, so the chunk buffers grow mid-batch; the chunk size does
+    # not change a sample, so the fresh passes keep the default one
+    pr = params_for(charging_radius=2.0, sn_density=0.8)
+    window = 8.0
+    want = fresh_batches(pr, scheme, window, WORKSPACE_PLAN)
+    steps = [(lo, min(lo + 7, 93)) for lo in range(0, 93, 7)]
+    want_steps = np.concatenate(fresh_batches(pr, scheme, window, steps))
+    if chunk is not None:
+        monkeypatch.setattr(mcsim, "_CHUNK_CANDIDATES", chunk)
+    work = mcsim._Workspace()
+    for (lo, hi), powers in zip(WORKSPACE_PLAN, want):
+        got = mcsim._batch_powers(pr, scheme, 7, lo, hi, window, work)
+        assert np.array_equal(got, powers), (lo, hi)
+    if chunk is not None and scheme is not Allocation.FORCED_OMNI:
+        assert len(work._buffers["dx"]) > chunk
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 7)
+    config = SimConfig(trials=93, master_seed=7, window_radius=window, allocation=scheme)
+    for threads in (1, 2):
+        assert np.array_equal(mcsim._run_chunk(pr, config, 0, 93, threads), want_steps), threads
+
+
+def test_no_workspace_outlives_its_call():
+    # a run's workspaces die with it, and so does the fresh one a direct
+    # batch call makes: traced memory comes back to within 64 KiB, the
+    # returned powers included (a 256-trial batch's workspace holds some
+    # 0.8 MiB here)
+    pr = params_for()
+    config = SimConfig(trials=300, master_seed=2, window_radius=8.0)
+    run_trials(pr, config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = run_trials(pr, config)
+        after_run = tracemalloc.get_traced_memory()[0]
+        powers = mcsim._batch_powers(pr, Allocation.UNIFORM, 2, 0, 256, 8.0)
+        after_batch = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(summary.samples) == 300 and len(powers) == 256
+    assert after_run - before <= 64 * 2**10
+    assert after_batch - after_run <= 64 * 2**10
 
 
 def test_run_trials_deterministic_and_worker_invariant():
@@ -632,7 +693,7 @@ def recorded_batches(monkeypatch, on_call=None):
     sizes = []
     lock = threading.Lock()
 
-    def record(params, scheme, seed, start, stop, window):
+    def record(params, scheme, seed, start, stop, window, work=None):
         with lock:
             sizes.append(stop - start)
             n = len(sizes)
@@ -660,6 +721,31 @@ def test_run_trials_thread_error_cancels_queued_batches(monkeypatch):
     with pytest.raises(RuntimeError, match="batch failed"):
         run_trials(params_for(), config)
     assert len(calls) < 16
+    assert threading.active_count() == before
+
+
+def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch):
+    # batch 1 fails at once and batch 0 only later, with another error: the
+    # call raises batch 0's every time, not the one that failed first
+    started = threading.Event()
+
+    def fail(params, scheme, seed, start, stop, window, work=None):
+        if start > 0:
+            started.set()
+            raise RuntimeError(f"batch at {start} failed")
+        assert started.wait(timeout=10)
+        time.sleep(0.05)
+        raise ValueError("batch 0 failed")
+
+    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
+    monkeypatch.setattr(mcsim, "_batch_powers", fail)
+    config = SimConfig(trials=4 * 32, master_seed=3, window_radius=8.0)
+    before = threading.active_count()
+    for _ in range(3):
+        started.clear()
+        with pytest.raises(ValueError, match="batch 0 failed"):
+            run_trials(params_for(), config)
     assert threading.active_count() == before
 
 
