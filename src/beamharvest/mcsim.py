@@ -305,22 +305,27 @@ class _Workspace:
     of one _run_chunk call, so the allocator does not hand their pages back
     and fault them in again on every chunk and batch.
 
-    work(role, n, dtype) is a view of exactly n elements of the role's flat
-    buffer of 8-byte items, which grows only when a request exceeds it; the
-    caller writes the whole view before reading it. Arrays never alive at
-    the same time share a role: "a" holds a batch's draws, then the join's
-    sensor keys and sorted coordinates, then the path losses."""
+    work(role, n, dtype) is a view of exactly n elements of dtype at the
+    start of the role's flat buffer of 8-byte items, which grows only when a
+    request exceeds it; the caller writes the whole view before reading it.
+    Arrays never alive at the same time share a role: "a" holds a batch's
+    draws, then the join's sensor keys and sorted coordinates, then the path
+    losses. The cull (_cull) keeps its grid and widened grid ("cull_grid",
+    "cull_wide", bytes), its mask over the batch's sensors ("cull_keep")
+    and a block's float32 positions and cell keys ("cull_xy", "cull_key");
+    "kept" holds the uniforms of the sensors it keeps."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
     def __call__(self, role: str, n: int, dtype=np.float64) -> np.ndarray:
+        items = -(-n * np.dtype(dtype).itemsize // 8)
         buf = self._buffers.pop(role, None)
-        if buf is None or len(buf) < n:
+        if buf is None or len(buf) < items:
             buf = None  # free the old buffer before the larger one is made
-            buf = np.empty(n)
+            buf = np.empty(items)
         self._buffers[role] = buf
-        return buf[:n].view(dtype)
+        return buf[:items].view(dtype)[:n]
 
 
 def _join_grid(params: ScenarioParams) -> tuple[int, float]:
@@ -344,9 +349,10 @@ def _key_order(key: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     and the packed values get one np.sort. They stay below 2**63, so stay
     signed and order like (key, index), while key < 2**(63 - bits). The
     pair join's keys are below its n_keys, which _batch_size keeps under
-    about 4e5 in batches of two or more trials. A one-trial batch holds at
-    most about 32 cells per expected sensor, so it would take some 5e8
-    sensors (8 GiB of coordinates) in one trial to reach the bound."""
+    about 4e5 in batches of two or more trials (8e5 where the cull runs).
+    A one-trial batch holds at most about 32 cells per expected sensor, so
+    it would take some 5e8 sensors (8 GiB of coordinates) in one trial to
+    reach the bound."""
     bits = max(len(key) - 1, 0).bit_length()
     # the indices, np.arange(len(key)) written into scratch
     index = np.empty_like(key) if scratch is None else scratch
@@ -376,7 +382,9 @@ def _pairs_bucketed(
     (i, dx, dy) per chunk: the pairs' beacon indices i and offsets
     dx, dy = sn[:, j] - pb[:, i] for sensor j, the ones the distance test
     used. The sector counts read nothing else, so sensor indices are not
-    kept.
+    kept. The sensors may be a batch's own or those the cull kept
+    (_batch_powers): a sensor the cull drops pairs with no beacon, so the
+    pairs are the same.
 
     Points are (2, n) arrays of x and y rows. Sensors are bucketed into a
     uniform grid of cells a hair wider than rho / split, and no narrower than
@@ -611,6 +619,138 @@ def _tail_mean(params: ScenarioParams, radius: float) -> float:
     )
 
 
+#: The cull's margin per meter of sensor window R. In cells of side c, a
+#: sensor's float32 position strays from its float64 one by at most
+#: (26.4 + k) u R / c + 2u cells, u = 2**-24 (float32's unit roundoff),
+#: from these roundings: the radius sqrt(u0) R/c, 3.5u of R (casting u0,
+#: the root, R/c and the product); the angle 2pi u1, 3u of 2pi, which moves
+#: cos and sin by 6pi u < 18.9u; float32 cos and sin themselves, k u; their
+#: product with the radius, 1u of R; the shift into positive cells, R/c + 1
+#: rounded and the sum rounded, 3u of R and 2u of a cell. Beacon cells come from float64
+#: coordinates, and the engine's float64 positions and its pair test, which
+#: passes pairs a few float64 roundoffs beyond rho, add far less than 1u.
+#: k, the worst error of float32 cos and sin over all 2**30 angles the
+#: first two steps can make, measured 1.205 with NumPy 2.4.6's X86_V3 and
+#: X86_V4 loops and 0.547 at its X86_V2 baseline. So 64u (8.4e-5 m at
+#: R = 22 m) covers any sin and cos within 35 ulp of exact, for cells no
+#: wider than R.
+_CULL_MARGIN = 64.0 * 2.0**-24
+
+#: The cull runs only while its expected marked share, the chance that a
+#: point lies in the 5 x 5 cell block around some beacon of its trial,
+#: 1 - exp(-25 lambda_p c^2) for cells of side c, stays below this. In a
+#: sweep at lambda_p 0.1 with the cull forced on (CHANGES.md), shares of
+#: 0.15-0.46 ran 1.09-1.61x on one thread or two, 0.71-0.76 ran 0.97-1.10x
+#: and 0.92 ran 0.94-1.03x.
+_CULL_SHARE_MAX = 0.6
+
+#: Fewest sensors a cull cell expects. Below it the cells stop shrinking
+#: with rho, so the mask and its widened copy hold at most about
+#: 4 / (pi * this) = 13 cells, 26 bytes, per expected sensor. Where sensors
+#: are as sparse as two per beacon (lambda_s 0.2, lambda_p 0.1), the mask
+#: cost about what it saved, and this floor lifts the marked share there
+#: past _CULL_SHARE_MAX.
+_CULL_CELL_SENSORS_MIN = 0.1
+
+#: Sensors the cull places per pass, whole trials at a time, so its grid
+#: (2 bytes a cell, at most about 26 bytes a sensor) and its float32
+#: positions and cell keys (20 bytes a sensor) stay at a fixed footprint
+#: whatever the batch size.
+_CULL_BLOCK = 1 << 16
+
+
+def _cull_grid(params: ScenarioParams, window: float) -> tuple[float, int] | None:
+    """Cull cell side and cells per grid side for sensors drawn over
+    window + rho, or None where the cull is off.
+
+    A pair within rho sits at most 2 cells of side (rho + margin) / 2 from
+    its beacon's cell on each axis, float32 error included (_CULL_MARGIN),
+    so a sensor outside the 5 x 5 block around every beacon of its trial
+    pairs with none. The grid spans the sensor window plus one cell on each
+    side, which float32 rounding cannot cross. The cull is off where rho is
+    below 16 margins (1.3 mm at R = 22 m), where a cell would be as wide as
+    the sensor window (every sensor would be kept), and where the marked
+    share reaches _CULL_SHARE_MAX."""
+    rho = params.charging_radius
+    sn_window = window + rho
+    margin = _CULL_MARGIN * sn_window
+    cell = max((rho + margin) / 2.0, math.sqrt(_CULL_CELL_SENSORS_MIN / params.sn_density))
+    share = -math.expm1(-25.0 * params.pb_density * cell * cell)
+    if rho < 16.0 * margin or cell >= sn_window or share >= _CULL_SHARE_MAX:
+        return None
+    return cell, int(2.0 * sn_window / cell) + 3
+
+
+def _cull(
+    u_sn: np.ndarray, t_sn: np.ndarray, pb: np.ndarray, t_pb: np.ndarray,
+    n_trials: int, cell: float, side: int, sn_window: float, work: _Workspace,
+) -> np.ndarray:
+    """Indices, ascending, of the sensors that lie in the 5 x 5 block of
+    cull cells around some beacon of their trial; the sensors are an (n, 2)
+    uniform block drawn over sn_window, labelled t_sn. Both label arrays
+    ascend, as the engine builds them.
+
+    Trials are taken in blocks holding at most _CULL_BLOCK sensors (or one
+    trial). The beacons' cells come from their float64 coordinates and the
+    sensors' from float32 positions in cell units (see _cull_grid and
+    _CULL_MARGIN). One scatter marks the beacon cells in a grid of
+    side * side cells per trial, which shifted ORs widen by two cells along
+    each axis in turn, and each sensor reads its cell. The float32 values
+    only discard sensors; none reaches a sample. The grid, its widened
+    copy, the mask and the block's positions and keys are workspace roles."""
+    scale = sn_window / cell
+    shift = scale + 1.0
+    pb_x, pb_y = (np.floor(row / cell + shift).astype(np.int64) for row in pb)
+    pb_starts = t_pb.searchsorted(np.arange(n_trials + 1))
+    starts = t_sn.searchsorted(np.arange(n_trials + 1))
+    keep = work("cull_keep", len(u_sn), np.bool_)
+    t0 = 0
+    while t0 < n_trials:
+        # whole trials holding at most _CULL_BLOCK sensors, or one trial
+        t1 = max(t0 + 1, int(starts.searchsorted(starts[t0] + _CULL_BLOCK, side="right")) - 1)
+        # side * side cells per trial: the shifts by 1 and 2 widen each
+        # beacon's mark along a row, those by side and 2 * side across rows;
+        # a shift that runs past a row's or a trial's end only marks cells
+        # at the grid's edge, which keeps more sensors, never fewer
+        size = (t1 - t0) * side * side
+        grid = work("cull_grid", size, np.bool_)
+        wide = work("cull_wide", size, np.bool_)
+        grid.fill(False)
+        beacons = slice(pb_starts[t0], pb_starts[t1])
+        grid[((t_pb[beacons] - t0) * side + pb_x[beacons]) * side + pb_y[beacons]] = True
+        for src, dst, step in ((grid, wide, 1), (wide, grid, side)):
+            np.copyto(dst, src)
+            for d in (step, 2 * step):
+                dst[d:] |= src[:-d]
+                dst[:-d] |= src[d:]
+        lo, hi = starts[t0], starts[t1]
+        u = u_sn[lo:hi]
+        m = hi - lo
+        r, x, y = work("cull_xy", 3 * m, np.float32).reshape(3, m)
+        np.sqrt(u[:, 0], out=r, dtype=np.float32)
+        r *= np.float32(scale)
+        np.multiply(u[:, 1], np.float32(_TWO_PI), out=x, dtype=np.float32)
+        np.sin(x, out=y)
+        y *= r
+        y += np.float32(shift)
+        np.cos(x, out=x)
+        x *= r
+        x += np.float32(shift)
+        # cell (t, i, j) has key ((t - t0) * side + i) * side + j; the
+        # float32 values are positive, so the cast's truncation is the floor
+        key = np.subtract(t_sn[lo:hi], t0, out=work("cull_key", m, np.int64))
+        key *= side
+        floor = r.view(np.int32)
+        np.copyto(floor, x, casting="unsafe")
+        key += floor
+        key *= side
+        np.copyto(floor, y, casting="unsafe")
+        key += floor
+        grid.take(key, out=keep[lo:hi], mode="clip")
+        t0 = t1
+    return np.flatnonzero(keep)
+
+
 #: Fewest expected beacons and sensors in a batch split between threads,
 #: unless the whole batch holds fewer. Below it a batch spends its time in
 #: NumPy calls too short to release the GIL: at lambda_s 0.2-0.8, rho
@@ -635,6 +775,17 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
     beacons count, so its batches are larger; batch sizes never change a
     sample.
 
+    Where the cull runs (_cull_grid), every drawn sensor still counts a
+    row: each keeps its draws, label and mask byte for the whole batch, and
+    the expected survivors (at most _CULL_SHARE_MAX of them) hold their
+    coordinates and join entries within that row's bytes. A join cell
+    counts half a row there, as the join's sensor arrays shrink with the
+    survivors: at lambda_s 0.8, rho 0.25 the 28-trial batches this allows
+    ran 1.1x the 14-trial ones, and at lambda_s 1.6, rho 0.5 a batch of 106
+    trials traces 16 MiB. The cull's grid and float32 arrays are built a
+    block of trials at a time (_CULL_BLOCK), so they do not grow with the
+    batch.
+
     With threads > 1 the budget is split 2 * threads ways, but not below
     _SPLIT_POINTS_MIN expected points (beacons, plus sensors if drawn), nor
     above the whole batch: each thread keeps its own malloc arena, and with
@@ -649,6 +800,8 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
         expect_sn = params.sn_density * math.pi * sn_window**2
         cells = (2.0 * (sn_window / cell + split) + 2.0) ** 2
         points = expect_pb + expect_sn
+        if _cull_grid(params, window) is not None:
+            cells /= 2.0
         rows = max(expect_pb, expect_sn, cells)
     step = int(min(256, max(1, 4.0e5 / max(rows, 1.0))))
     if threads > 1:
@@ -697,8 +850,13 @@ def _batch_powers(
 
     Every random draw still comes from the owning trial's keyed stream in
     draw_network's order, so results are independent of how trials are
-    grouped into batches or spread over workers. The arrays are built in
-    work (a fresh _Workspace if None), which may hold an earlier batch's.
+    grouped into batches or spread over workers. Where _cull_grid turns the
+    cull on, sensors no beacon of their trial can reach are dropped after
+    the draws: the rest get the float64 coordinates every sensor gets
+    without the cull, by the same operations, and only they enter the join.
+    Only the pair set reaches a sample, so samples keep every bit. The
+    arrays are built in work (a fresh _Workspace if None), which may hold
+    an earlier batch's.
     """
     work = _Workspace() if work is None else work
     n_trials = stop - start
@@ -728,14 +886,22 @@ def _batch_powers(
         orientations *= _TWO_PI / params.sectors
         u_sn = np.concatenate(sn_blocks, out=a[: 2 * n_field].reshape(-1, 2))
         del orient_blocks, sn_blocks
+        # field sensors trial by trial, then one origin sensor per trial
+        t_sn = np.repeat(np.tile(np.arange(n_trials), 2), n_sn + [1] * n_trials)
+        sn_window = window + params.charging_radius
+        cull = _cull_grid(params, window)
+        if cull is not None:
+            kept = _cull(u_sn, t_sn[:n_field], pb, t_pb, n_trials, *cull, sn_window, work)
+            n_field = len(kept)
+            out = work("kept", 2 * n_field).reshape(-1, 2)
+            u_sn = u_sn.take(kept, axis=0, out=out, mode="clip")
+            t_sn = np.concatenate((t_sn.take(kept), t_sn[-n_trials:]))
         # each trial's origin sensor goes after the field sensors rather than
         # first, as in draw_network: sensor order does not enter the counts;
         # its zeros are written, as the buffer may hold earlier sensors there
         sn = work("sn", 2 * (n_field + n_trials)).reshape(2, -1)
-        _disk_points(u_sn, window + params.charging_radius, sn[:, :n_field])
+        _disk_points(u_sn, sn_window, sn[:, :n_field])
         sn[:, n_field:] = 0.0
-        # field sensors trial by trial, then one origin sensor per trial
-        t_sn = np.repeat(np.tile(np.arange(n_trials), 2), n_sn + [1] * n_trials)
     return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials, work)
 
 

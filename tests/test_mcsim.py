@@ -4,6 +4,8 @@ import importlib.util
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -508,6 +510,253 @@ def test_pair_join_keys_fit_the_packed_sort_at_the_sizing_extremes():
     assert 2**18 < most_keys < 2**20
 
 
+# --- the cull: sensors no beacon can reach skip the float64 geometry ---
+
+
+def uniforms_toward(points, radius):
+    """(u0, u1) rows whose disk point over radius lies nearest each (x, y)."""
+    x, y = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
+    u0 = np.minimum((np.hypot(x, y) / radius) ** 2, 1.0 - 2.0**-53)
+    u1 = np.mod(np.arctan2(y, x), 2.0 * math.pi) / (2.0 * math.pi)
+    return np.column_stack((u0, np.where(u1 < 1.0, u1, 0.0)))
+
+
+def cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, n_trials):
+    """Float64 positions, as (2, n), of every sensor drawn as u_sn over
+    window + rho, and the indices of the sensors the cull keeps."""
+    cull = mcsim._cull_grid(params, window)
+    assert cull is not None
+    cell, side = cull
+    radius = window + params.charging_radius
+    kept = mcsim._cull(u_sn, t_sn, pb, t_pb, n_trials, cell, side, radius, mcsim._Workspace())
+    sn = mcsim._disk_points(u_sn.copy(), radius, np.empty((2, len(u_sn))))
+    return sn, kept
+
+
+def assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, trials):
+    """Every beam scheme's gains over the kept sensors equal those over all
+    of them; each trial's origin sensor joins uncut, as in the engine."""
+    origins, labels = np.zeros((2, trials)), np.arange(trials)
+    for scheme in (Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY):
+        uncut, culled = (
+            mcsim._origin_gains(
+                pb, t_pb, orientations, np.hstack((sensors, origins)),
+                np.concatenate((trial, labels)), params, scheme, ties,
+            )
+            for sensors, trial in ((sn, t_sn), (sn[:, kept], t_sn[kept]))
+        )
+        assert np.array_equal(culled, uncut), scheme
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    trials=st.integers(1, 3),
+    rho=st.sampled_from([0.5, 1.0, 2.0]),
+    sn_density=st.sampled_from([0.8, 1.6]),
+)
+def test_pair_join_through_the_cull_matches_brute_force(data, trials, rho, sn_density):
+    # beacons anywhere in a 6 m window; sensors anywhere, and at 0.5 to 1.5
+    # radii from a beacon of their trial, the boundary included. The join
+    # over the sensors the cull keeps must find every pair brute force finds
+    # over all of them; at rho 2 the marked share (92%) switches the cull
+    # off, so the switch is lifted for every radius
+    params = params_for(sn_density=sn_density, charging_radius=rho)
+    window = 6.0
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    beacons = [data.draw(st.lists(st.tuples(unit, unit), max_size=5)) for _ in range(trials)]
+    t_pb = np.repeat(np.arange(trials), [len(b) for b in beacons])
+    pb = mcsim._disk_points(np.array(sum(beacons, [])).reshape(-1, 2), window, np.empty((2, len(t_pb))))
+    # each trial's sensors: uniforms, then points placed from its beacons
+    u_sn, t_sn = [np.empty((0, 2))], []
+    for t in range(trials):
+        loose = data.draw(st.lists(st.tuples(unit, unit), max_size=8))
+        first = int(np.searchsorted(t_pb, t))
+        near = [] if not beacons[t] else data.draw(st.lists(st.tuples(
+            st.integers(first, first + len(beacons[t]) - 1),
+            st.sampled_from([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12]) | st.floats(0.5, 1.5),
+            st.floats(0.0, 2.0 * math.pi),
+        ), max_size=8))
+        targets = [(pb[0, k] + f * rho * math.cos(a), pb[1, k] + f * rho * math.sin(a)) for k, f, a in near]
+        u_sn += [np.array(loose).reshape(-1, 2), uniforms_toward(targets, window + rho)]
+        t_sn += [t] * (len(loose) + len(near))
+    u_sn = np.vstack(u_sn)
+    t_sn = np.array(t_sn, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcsim, "_CULL_SHARE_MAX", 1.0)
+        sn, kept = cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, trials)
+    # each trial's origin sensor joins uncut, as in the engine
+    origins, labels = np.zeros((trials, 2)), np.arange(trials)
+    batch = (pb.T, t_pb, np.vstack((sn.T, origins)), np.concatenate((t_sn, labels)))
+    want = pair_offsets(batch, brute_force_pairs(*batch, rho))
+    split, min_cell = mcsim._join_grid(params)
+    culled = (np.vstack((sn.T[kept], origins)), np.concatenate((t_sn[kept], labels)))
+    assert joined_pairs(pb.T, t_pb, *culled, rho, split, min_cell) == want
+
+
+#: Directions from beacon to sensor in edge_network: the axes, where a
+#: pair at distance rho spans two cull cells less the margin, and two
+#: diagonals.
+EDGE_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8), (0.8, -0.6))
+
+
+def edge_network(params, window):
+    """Sensors on cull-cell edges and up to four float32 ulps of the
+    sensor window either side, repeated in one trial per EDGE_DIRECTIONS entry and
+    in a last trial with no beacon. In trial k each sensor's only beacons
+    lie at distance rho along direction k: along an axis, three beacons
+    one float64 step apart, which the engine's d2 <= rho^2 test reads as
+    just inside, at and just outside rho. Returns pb, t_pb, u_sn, t_sn."""
+    rho = params.charging_radius
+    cell, _ = mcsim._cull_grid(params, window)
+    radius = window + rho
+    shift = radius / cell + 1.0
+    # from float64 steps to float32 ones: a float64 point just below an
+    # edge may round onto it in float32
+    ulps = 4.0 * 2.0**-24 * radius
+    offsets = (-ulps, -ulps / 64.0, -(2.0**-40) * radius, 2.0**-40 * radius, ulps / 64.0, ulps)
+    moves = [(0.0, 0.0)] + [(d, 0.0) for d in offsets] + [(0.0, d) for d in offsets]
+    # edge crossings 8 cells apart, so no sensor reaches another's beacons
+    edges = [(round(8 * i + shift) - shift) * cell for i in range(-2, 3)]
+    targets = [
+        (x + mx, y + my)
+        for (x, y), (mx, my) in zip(itertools.product(edges, edges), itertools.cycle(moves))
+    ]
+    u_sn = uniforms_toward(targets, radius)
+    sn = mcsim._disk_points(u_sn.copy(), radius, np.empty((2, len(u_sn))))
+    pb, t_pb = [], []
+    for k, (ux, uy) in enumerate(EDGE_DIRECTIONS):
+        for x, y in sn.T:
+            bx, by = x - rho * ux, y - rho * uy
+            # along an axis, also nudged one step toward and away from the sensor
+            steps = (-1.0, 0.0, 1.0) if 0.0 in (ux, uy) else (0.0,)
+            for step in steps:
+                pb.append((
+                    np.nextafter(bx, bx + step * ux) if step and ux else bx,
+                    np.nextafter(by, by + step * uy) if step and uy else by,
+                ))
+                t_pb.append(k)
+    trials = len(EDGE_DIRECTIONS) + 1
+    return (
+        np.array(pb).T, np.array(t_pb, dtype=np.int64),
+        np.tile(u_sn, (trials, 1)), np.repeat(np.arange(trials), len(u_sn)),
+    )
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_cull_keeps_sensors_on_the_charging_boundary(monkeypatch, rho):
+    # every pair the uncut join finds survives the cull, and every scheme's
+    # gains are those of the uncut sensors; the pairs include distances
+    # just inside, at and (missed) just outside rho as the engine's test
+    # reads them. At rho 2 the share switch is lifted
+    monkeypatch.setattr(mcsim, "_CULL_SHARE_MAX", 1.0)
+    params = params_for(sn_density=1.6, charging_radius=rho)
+    window = mcsim._exact_zone_radius(params)
+    pb, t_pb, u_sn, t_sn = edge_network(params, window)
+    trials = len(EDGE_DIRECTIONS) + 1
+    sn, kept = cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, trials)
+    batch = (pb.T, t_pb, sn.T, t_sn)
+    pairs = brute_force_pairs(*batch, rho)
+    dx = sn[0, np.newaxis, :] - pb[0, :, np.newaxis]
+    dy = sn[1, np.newaxis, :] - pb[1, :, np.newaxis]
+    d2 = dx * dx + dy * dy
+    edge = (t_pb[:, np.newaxis] == t_sn) & (np.abs(d2 - rho * rho) < 1e-9)
+    assert set(np.sign(d2[edge] - rho * rho).tolist()) == {-1.0, 0.0, 1.0}
+    assert set(kept.tolist()) >= {j for _, j in pairs}
+    assert trials - 1 not in set(t_sn[kept].tolist())
+    split, min_cell = mcsim._join_grid(params)
+    assert joined_pairs(pb.T, t_pb, sn.T[kept], t_sn[kept], rho, split, min_cell) == pair_offsets(batch, pairs)
+    rng = np.random.default_rng(3)
+    orientations = rng.random(pb.shape[1]) * (2.0 * math.pi / params.sectors)
+    ties = rng.random(pb.shape[1])
+    assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, trials)
+
+
+#: Fig. 3 deployments at which the cull runs, and the rho 2 one with the
+#: share switch lifted.
+CULL_POINTS = ((0.8, 0.5), (0.8, 1.0), (1.6, 0.5), (1.6, 1.0), (1.6, 2.0))
+
+
+def check_cull_matches_uncut_gains():
+    """At each CULL_POINTS deployment (10 W, AUTO window), 6 trials of the
+    engine's draws give the same gains with the cull as over every sensor,
+    for every beam scheme."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcsim, "_CULL_SHARE_MAX", 1.0)
+        for sn_density, rho in CULL_POINTS:
+            params = params_for(sn_density=sn_density, charging_radius=rho)
+            window = mcsim._exact_zone_radius(params)
+            draws = [mcsim._trial_draws(params, window, trial_stream(8, i), True) for i in range(6)]
+            u_pb, orient, u_sn = (np.concatenate(part) for part in zip(*draws))
+            t_pb, t_sn = (np.repeat(np.arange(6), [len(d[k]) for d in draws]) for k in (0, 2))
+            pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))))
+            sn, kept = cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, 6)
+            assert 0 < len(kept) < len(u_sn)
+            orientations = orient * (2.0 * math.pi / params.sectors)
+            ties = trial_stream(8, 0, 2).random(len(t_pb))
+            assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, 6)
+
+
+def test_cull_matches_uncut_gains_at_fig3_points():
+    check_cull_matches_uncut_gains()
+
+
+def host_dispatch_targets():
+    """The SIMD targets NumPy dispatches to on this host."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+@pytest.mark.parametrize("level", ["avx512_off", "baseline_only"])
+def test_cull_holds_across_simd_dispatch(level):
+    # float32 cos and sin run different loops by dispatch level (their worst
+    # error measured 1.205 ulp with AVX2 or AVX-512, 0.547 at the X86_V2
+    # baseline); with the host's AVX-512 targets off, and with every
+    # dispatched target off, the cull must still keep every sensor that
+    # pairs. Gains are compared, not sample digests: np.power's bits depend
+    # on dispatch
+    targets = host_dispatch_targets()
+    off = [t for t in targets if t == "X86_V4" or t.startswith("AVX512")]
+    if not off:
+        pytest.skip("the host dispatches no AVX-512 target")
+    if level == "baseline_only":
+        off = targets
+    src = Path(mcsim.__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import test_mcsim\n"
+        f"assert not set(test_mcsim.host_dispatch_targets()) & {set(off)!r}\n"
+        "test_mcsim.check_cull_matches_uncut_gains()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
+def test_cull_run_trials_match_uncut_for_any_threads(monkeypatch, scheme):
+    # lambda_s 1.6, rho 0.5: the cull runs and samples equal those of runs
+    # with it switched off, on one and two threads and two workers
+    pr = params_for(sn_density=1.6, charging_radius=0.5)
+    window = 6.0
+    assert mcsim._cull_grid(pr, window) is not None
+    config = SimConfig(trials=90, master_seed=17, window_radius=window, allocation=scheme)
+    culled = run_trials(pr, config).samples
+    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
+    for threads in (1, 2):
+        monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
+        assert np.array_equal(run_trials(pr, config, workers=2).samples, culled), threads
+    monkeypatch.setattr(mcsim, "_CULL_SHARE_MAX", 0.0)
+    assert mcsim._cull_grid(pr, window) is None
+    assert np.array_equal(run_trials(pr, config).samples, culled)
+
+
 def test_tiny_charging_radius_runs_in_bounded_memory():
     # rho = 1e-3 m, where radopt's scan starts: rho-wide cells would index
     # 1.6e9 cells a trial (12 GiB of counts); the cell floor keeps the grid
@@ -558,6 +807,24 @@ def test_batch_memory_peak():
     # whose roles share buffers, it peaks at 22.3 MiB
     pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=1.0)
     window = mcsim._exact_zone_radius(pr)
+    stop = mcsim._batch_size(pr, window)
+    tracemalloc.start()
+    try:
+        mcsim._batch_powers(pr, Allocation.UNIFORM, 1, 0, stop, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25.4 * 2**20
+
+
+def test_batch_memory_peak_through_the_cull():
+    # the same check at the Fig. 3 point where the cull discards the most
+    # (lambda_s 1.6, rho 0.5: 85% of the sensors), whose batch also holds
+    # a block's cull grid and its widened copy, and counts a join cell as
+    # half a row; with NumPy 2.4.6 its 106 trials peaked at 16.3 MiB
+    pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=0.5)
+    window = mcsim._exact_zone_radius(pr)
+    assert mcsim._cull_grid(pr, window) is not None
     stop = mcsim._batch_size(pr, window)
     tracemalloc.start()
     try:
