@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic
+from . import analytic, specfun
 from .scenario import ConfigError, ScenarioParams, params_to_mapping, validate
 
 __all__ = [
@@ -175,6 +175,11 @@ class _TrialStreams:
 #: the geometry (substream 0 is the network); no other scheme draws.
 _GREEDY_SUBSTREAM = 2
 
+#: Uniforms that _disk_points maps to exactly (+0.0, +0.0): each trial's
+#: typical sensor, one more point of its field by Slivnyak's theorem.
+_ORIGIN = np.zeros((1, 2))
+_ORIGIN.flags.writeable = False
+
 
 def _disk_uniform(density: float, radius: float, stream: np.random.Generator) -> np.ndarray:
     """Raw draws of a Poisson field on a disk: one Poisson count, then an
@@ -218,18 +223,20 @@ def draw_network(
     """Sample one network: beacons in the window, sensors in window + rho.
 
     The sensor window extends past the beacon window by the charging radius
-    so every beacon sees its complete charging disk; the origin sensor is
-    prepended exactly once.
+    so every beacon sees its complete charging disk; the origin sensor
+    (_ORIGIN) is prepended exactly once.
     """
     validate(params)
-    if not (pb_window_radius > 0):
-        raise ValueError(f"window radius must be positive, got {pb_window_radius!r}")
+    if not (0 < pb_window_radius < math.inf):
+        raise ValueError(
+            f"window radius must be positive and finite, got {pb_window_radius!r}"
+        )
     sn_window = pb_window_radius + params.charging_radius
     u_pb, orient, u_sn = _trial_draws(params, pb_window_radius, stream, True)
-    sn = _disk_points(u_sn, sn_window, np.empty((2, len(u_sn))))
+    u_sn = np.concatenate((_ORIGIN, u_sn))
     return NetworkSample(
         pb_points=_disk_points(u_pb, pb_window_radius, np.empty((2, len(u_pb)))).T,
-        sn_points=np.vstack((np.zeros((1, 2)), sn.T)),
+        sn_points=_disk_points(u_sn, sn_window, np.empty((2, len(u_sn)))).T,
         pb_orientations=orient * (_TWO_PI / params.sectors),
     )
 
@@ -293,11 +300,6 @@ _CELL_SENSORS_MIN = 0.04
 #: mc_schemes faster than 8,192 at a lower traced batch peak; 32,768 was no
 #: faster and raised the process's peak RSS by up to 6%.
 _CHUNK_CANDIDATES = 16384
-
-#: Most sector keys (1 MiB) _origin_gains holds before it bins them: one
-#: bincount per batch at the default deployment, a few where pairs are
-#: dense, so the keys' memory does not grow with the batch either.
-_KEYS_HELD = 1 << 17
 
 
 class _Workspace:
@@ -500,14 +502,6 @@ def _pairs_bucketed(
     return chunks()
 
 
-def _add_bins(counts, keys: list, size: int) -> np.ndarray:
-    """counts (an array, or 0) plus the bincount of the listed key arrays."""
-    keys = np.concatenate([np.empty(0, dtype=np.int64), *keys])
-    binned = np.bincount(keys, minlength=size)
-    binned += counts
-    return binned
-
-
 def _origin_gains(
     pb: np.ndarray,
     trial_pb: np.ndarray,
@@ -531,23 +525,20 @@ def _origin_gains(
     to N. Greedy picks the int(u * ties)-th tied sector in sector order
     (the last if that rounds up to ties) for u = tie_draws[b], one uniform
     per beacon whether or not it ties, which keeps the stream layout fixed.
+    Each join chunk adds its pairs in place to one array of sector counts.
     """
     n_pb = pb.shape[1]
     n_sec = params.sectors
     chunks = _pairs_bucketed(
         pb, trial_pb, sn, trial_sn, params.charging_radius, *_join_grid(params), work
     )
-    # each kept pair's key beacon * N + sector, binned _KEYS_HELD at a time
-    counts, keys, held = 0, [], 0
+    counts = np.zeros(n_pb * n_sec, dtype=np.int64)
     for i, dx, dy in chunks:
         sec = _sectors_toward(dx, dy, orientations.take(i), n_sec)
         i *= n_sec
         i += sec
-        keys.append(i)
-        held += len(i)
-        if held >= _KEYS_HELD:
-            counts, keys, held = _add_bins(counts, keys, n_pb * n_sec), [], 0
-    counts = _add_bins(counts, keys, n_pb * n_sec).reshape(n_pb, n_sec)
+        np.add.at(counts, i, 1)
+    counts = counts.reshape(n_pb, n_sec)
     k = _sectors_toward(-pb[0], -pb[1], orientations, n_sec)
     rows = np.arange(n_pb)
     occupied = np.count_nonzero(counts, axis=1)
@@ -687,8 +678,8 @@ def _cull(
 ) -> np.ndarray:
     """Indices, ascending, of the sensors that lie in the 5 x 5 block of
     cull cells around some beacon of their trial; the sensors are an (n, 2)
-    uniform block drawn over sn_window, labelled t_sn. Both label arrays
-    ascend, as the engine builds them.
+    uniform block drawn over sn_window, labelled t_sn, origin rows included.
+    Both label arrays ascend, as the engine builds them.
 
     Trials are taken in blocks holding at most _CULL_BLOCK sensors (or one
     trial). The beacons' cells come from their float64 coordinates and the
@@ -766,14 +757,14 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
     strip bounds), per sensor (its sorted copy) and per join cell over the
     sensor window (the CSR index; the cell floor keeps small radii from
     filling a batch with cells). Candidate pairs are read in chunks of a
-    fixed size and sector keys binned _KEYS_HELD at a time, so neither
-    grows with the batch. The memory bounded is a thread's _Workspace,
-    which keeps the largest batch's arrays between batches, plus what a
-    batch allocates afresh; the workspace's roles share buffers, so that it
-    holds about what one batch peaked at when every array was new. Without
-    sensors (forced omni draws none and builds no join grid) only the
-    beacons count, so its batches are larger; batch sizes never change a
-    sample.
+    fixed size, each added to the sector counts (N per beacon), so the
+    pairs do not grow with the batch. The memory bounded is a thread's
+    _Workspace, which keeps the largest batch's arrays between batches, plus
+    what a batch allocates afresh; the workspace's roles share buffers, so
+    that it holds about what one batch peaked at when every array was new.
+    Without sensors (forced omni draws none and builds no join grid) only
+    the beacons count, so its batches are larger; batch sizes never change
+    a sample.
 
     Where the cull runs (_cull_grid), every drawn sensor still counts a
     row: each keeps its draws, label and mask byte for the whole batch, and
@@ -850,13 +841,14 @@ def _batch_powers(
 
     Every random draw still comes from the owning trial's keyed stream in
     draw_network's order, so results are independent of how trials are
-    grouped into batches or spread over workers. Where _cull_grid turns the
-    cull on, sensors no beacon of their trial can reach are dropped after
-    the draws: the rest get the float64 coordinates every sensor gets
-    without the cull, by the same operations, and only they enter the join.
-    Only the pair set reaches a sample, so samples keep every bit. The
-    arrays are built in work (a fresh _Workspace if None), which may hold
-    an earlier batch's.
+    grouped into batches or spread over workers. A trial's sensors are its
+    field's uniforms and one _ORIGIN row. Where _cull_grid turns the cull
+    on, sensors no beacon of their trial can reach are dropped after the
+    draws: the rest get the float64 coordinates every sensor gets without
+    the cull, by the same operations, and only they enter the join. Only
+    the pair set reaches a sample, so samples keep every bit. The arrays
+    are built in work (a fresh _Workspace if None), which may hold an
+    earlier batch's.
     """
     work = _Workspace() if work is None else work
     n_trials = stop - start
@@ -866,8 +858,8 @@ def _batch_powers(
         *(_trial_draws(params, window, streams.at(i), sensors) for i in range(start, stop))
     )
     n_pb = [len(u) for u in pb_blocks]
-    n_sn = [len(u) for u in sn_blocks] if sensors else []
-    n_beacons, n_field = sum(n_pb), sum(n_sn)
+    n_sn = [len(u) + 1 for u in sn_blocks] if sensors else []
+    n_beacons, n_sensors = sum(n_pb), sum(n_sn)
     ties = None
     if scheme is Allocation.GREEDY:
         ties = np.concatenate([
@@ -876,7 +868,7 @@ def _batch_powers(
     t_pb = np.repeat(np.arange(n_trials), n_pb)
     # "a" takes the draws, then the join's keys and sorted sensors, so it is
     # asked for once at the largest of those sizes
-    a = work("a", 2 * max(n_beacons, n_field + n_trials if sensors else 0))
+    a = work("a", 2 * max(n_beacons, n_sensors))
     u_pb = np.concatenate(pb_blocks, out=a[: 2 * n_beacons].reshape(-1, 2))
     del pb_blocks
     pb = _disk_points(u_pb, window, work("pb", 2 * n_beacons).reshape(2, -1))
@@ -884,24 +876,18 @@ def _batch_powers(
     if sensors:
         orientations = np.concatenate(orient_blocks, out=work("orient", n_beacons))
         orientations *= _TWO_PI / params.sectors
-        u_sn = np.concatenate(sn_blocks, out=a[: 2 * n_field].reshape(-1, 2))
-        del orient_blocks, sn_blocks
-        # field sensors trial by trial, then one origin sensor per trial
-        t_sn = np.repeat(np.tile(np.arange(n_trials), 2), n_sn + [1] * n_trials)
+        blocks = [u for field in sn_blocks for u in (field, _ORIGIN)]
+        u_sn = np.concatenate(blocks, out=a[: 2 * n_sensors].reshape(-1, 2))
+        del orient_blocks, sn_blocks, blocks
+        t_sn = np.repeat(np.arange(n_trials), n_sn)
         sn_window = window + params.charging_radius
         cull = _cull_grid(params, window)
         if cull is not None:
-            kept = _cull(u_sn, t_sn[:n_field], pb, t_pb, n_trials, *cull, sn_window, work)
-            n_field = len(kept)
-            out = work("kept", 2 * n_field).reshape(-1, 2)
+            kept = _cull(u_sn, t_sn, pb, t_pb, n_trials, *cull, sn_window, work)
+            out = work("kept", 2 * len(kept)).reshape(-1, 2)
             u_sn = u_sn.take(kept, axis=0, out=out, mode="clip")
-            t_sn = np.concatenate((t_sn.take(kept), t_sn[-n_trials:]))
-        # each trial's origin sensor goes after the field sensors rather than
-        # first, as in draw_network: sensor order does not enter the counts;
-        # its zeros are written, as the buffer may hold earlier sensors there
-        sn = work("sn", 2 * (n_field + n_trials)).reshape(2, -1)
-        _disk_points(u_sn, sn_window, sn[:, :n_field])
-        sn[:, n_field:] = 0.0
+            t_sn = t_sn.take(kept)
+        sn = _disk_points(u_sn, sn_window, work("sn", 2 * len(u_sn)).reshape(2, -1))
     return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials, work)
 
 
@@ -981,12 +967,24 @@ def run_trials(
     Output is a pure function of (params, config); workers only split the
     trial range across processes, each running its batches on up to two
     threads, and results merge by trial index.
-    Raises specfun.RangeError, as the closed forms do, when rho^2 overflows.
+    Raises specfun.RangeError, as the closed forms do, when rho^2 overflows
+    or a trial expects more points than NumPy's Poisson draw allows.
     """
     validate(params)
     _check_config(params, config)
     _check_workers(workers)
     analytic._occupancy(params)  # the closed forms' rho^2 range check
+    # _run_chunk's window and _disk_uniform's means, each at most the largest
+    # Generator.poisson takes: 2**63 - 1 less ten square roots of it (~9.2e18)
+    auto = config.window_radius == AUTO_WINDOW
+    window = _exact_zone_radius(params) if auto else float(config.window_radius)
+    for name, density, radius in (
+        ("beacons", params.pb_density, window),
+        ("sensors", params.sn_density, window + params.charging_radius),
+    ):
+        mean = density * math.pi * radius * radius
+        if not mean <= (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1):
+            raise specfun.RangeError(f"a trial expects {mean!r} {name}, more than NumPy can draw")
     n = config.trials
     workers = min(workers, n)
     threads = _threads_per_worker(workers)

@@ -495,6 +495,18 @@ def test_cli_out_of_range_scenarios_exit_cleanly(argv):
     assert done.stderr.count("\n") == 1 and done.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "setting", ["window_radius=1e300", "charging_radius_m=1e150", "pb_density_per_m2=1e300"]
+)
+def test_cli_trials_too_large_to_draw_exit_cleanly(setting, capsys):
+    # valid scenarios whose trials expect more beacons than NumPy can draw;
+    # main returning (not raising) is the no-traceback guarantee
+    assert main(["simulate", "--trials", "2", "--set", setting]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("outside the supported numeric range: a trial expects ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_cli_figure_unknown_id(capsys):
     assert main(["figure", "fig99"]) == 2
     assert "unknown figure" in capsys.readouterr().err

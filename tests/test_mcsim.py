@@ -230,6 +230,19 @@ def test_draw_network_shapes():
     assert (sample.pb_orientations < 2.0 * math.pi / pr.sectors).all()
 
 
+@pytest.mark.parametrize("window", [1e-3, 22.0, 1e300])
+def test_disk_points_place_the_origin_row_at_plus_zero(window):
+    xy = mcsim._disk_points(mcsim._ORIGIN.copy(), window, np.full((2, 1), np.nan))
+    assert xy.tolist() == [[0.0], [0.0]]
+    assert not np.signbit(xy).any()
+
+
+def test_draw_network_rejects_a_nonfinite_window():
+    for window in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            draw_network(params_for(), window, trial_stream(1, 0))
+
+
 # --- allocation rules ---
 
 
@@ -337,10 +350,9 @@ def test_origin_gains_match_pb_beam_state(scheme):
             got = kernel_origin_gains(sample, pr, scheme, draws)
             assert np.array_equal(got, want)
             runs.append(got)
-            # three-candidate chunks, binned as soon as one key is held
+            # three-candidate chunks
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(mcsim, "_CHUNK_CANDIDATES", 3)
-                patch.setattr(mcsim, "_KEYS_HELD", 1)
                 assert np.array_equal(kernel_origin_gains(sample, pr, scheme, draws), want)
         moved += int(np.count_nonzero(runs[0] != runs[1]))
     # only greedy reads the draws, and there moving them must resolve some
@@ -533,9 +545,10 @@ def cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, n_trials):
     return sn, kept
 
 
-def assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, trials):
+def assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, trials=0):
     """Every beam scheme's gains over the kept sensors equal those over all
-    of them; each trial's origin sensor joins uncut, as in the engine."""
+    of them. Given trials, one origin sensor per trial joins both sides
+    uncut; without, any origin rows are among the sensors the cull saw."""
     origins, labels = np.zeros((2, trials)), np.arange(trials)
     for scheme in (Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY):
         uncut, culled = (
@@ -585,7 +598,8 @@ def test_pair_join_through_the_cull_matches_brute_force(data, trials, rho, sn_de
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcsim, "_CULL_SHARE_MAX", 1.0)
         sn, kept = cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, trials)
-    # each trial's origin sensor joins uncut, as in the engine
+    # each trial's origin sensor joins both sides uncut; the engine culls
+    # origins too, which check_cull_matches_uncut_gains covers
     origins, labels = np.zeros((trials, 2)), np.arange(trials)
     batch = (pb.T, t_pb, np.vstack((sn.T, origins)), np.concatenate((t_sn, labels)))
     want = pair_offsets(batch, brute_force_pairs(*batch, rho))
@@ -679,22 +693,30 @@ CULL_POINTS = ((0.8, 0.5), (0.8, 1.0), (1.6, 0.5), (1.6, 1.0), (1.6, 2.0))
 
 def check_cull_matches_uncut_gains():
     """At each CULL_POINTS deployment (10 W, AUTO window), 6 trials of the
-    engine's draws give the same gains with the cull as over every sensor,
-    for every beam scheme."""
+    engine's draws, each trial's sensors followed by its origin row as in
+    the engine, give the same gains with the cull as over every sensor, for
+    every beam scheme. Across the points the cull keeps some origin rows
+    and drops others."""
+    origins_kept = set()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcsim, "_CULL_SHARE_MAX", 1.0)
         for sn_density, rho in CULL_POINTS:
             params = params_for(sn_density=sn_density, charging_radius=rho)
             window = mcsim._exact_zone_radius(params)
             draws = [mcsim._trial_draws(params, window, trial_stream(8, i), True) for i in range(6)]
-            u_pb, orient, u_sn = (np.concatenate(part) for part in zip(*draws))
-            t_pb, t_sn = (np.repeat(np.arange(6), [len(d[k]) for d in draws]) for k in (0, 2))
+            u_pb, orient = (np.concatenate(part) for part in list(zip(*draws))[:2])
+            u_sn = np.concatenate([u for d in draws for u in (d[2], mcsim._ORIGIN)])
+            n_sn = [len(d[2]) + 1 for d in draws]
+            t_pb = np.repeat(np.arange(6), [len(d[0]) for d in draws])
+            t_sn = np.repeat(np.arange(6), n_sn)
             pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))))
             sn, kept = cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, 6)
             assert 0 < len(kept) < len(u_sn)
+            origins_kept |= set(np.isin(np.cumsum(n_sn) - 1, kept).tolist())
             orientations = orient * (2.0 * math.pi / params.sectors)
             ties = trial_stream(8, 0, 2).random(len(t_pb))
-            assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, 6)
+            assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept)
+    assert origins_kept == {False, True}
 
 
 def test_cull_matches_uncut_gains_at_fig3_points():
@@ -1188,6 +1210,28 @@ def test_run_trials_shares_the_radius_range(monkeypatch):
             analytic.mean_power(params)
         with pytest.raises(RangeError, match="charging_radius"):
             run_trials(params, SimConfig(trials=5, master_seed=1))
+
+
+def test_run_trials_refuses_trials_too_large_to_draw(monkeypatch):
+    # a trial whose expected beacons or sensors overflow, or pass the largest
+    # mean Generator.poisson takes, is out of range before any draw
+    def no_draws(*args, **kwargs):
+        raise AssertionError("run_trials drew before its range check")
+
+    monkeypatch.setattr(mcsim, "_run_chunk", no_draws)
+    for overrides, window, name in (
+        ({}, 1e300, "beacons"),
+        ({"charging_radius": 1e150}, AUTO_WINDOW, "beacons"),
+        ({"pb_density": 1e300}, AUTO_WINDOW, "beacons"),
+        ({"sn_density": 1e17}, AUTO_WINDOW, "sensors"),
+        # finite means past the bound: 9.5e18 beacons, then 8.8e18 beacons
+        # and 1.8e19 sensors
+        ({}, 5.5e9, "beacons"),
+        ({}, 5.3e9, "sensors"),
+    ):
+        config = SimConfig(trials=2, master_seed=1, window_radius=window)
+        with pytest.raises(RangeError, match=f"expects .* {name}, more than NumPy can draw"):
+            run_trials(params_for(**overrides), config)
 
 
 # --- aggregation and output formats ---
