@@ -293,12 +293,13 @@ _CELL_SENSORS_MIN = 0.04
 
 #: Most candidate pairs one chunk of a strip holds; a beacon with more gets a
 #: chunk of its own. Chunks keep the pair stage's temporaries at a fixed
-#: footprint whatever the batch size: four workspace buffers of 128 KiB
-#: (the two offsets, the squared distance and a gather temporary), which
-#: grow only for such a beacon. Each chunk makes the same ~20 NumPy calls,
-#: so larger chunks let two threads trade the GIL less often. 16,384 ran
-#: mc_schemes faster than 8,192 at a lower traced batch peak; 32,768 was no
-#: faster and raised the process's peak RSS by up to 6%.
+#: footprint whatever the batch size: five workspace buffers of 128 KiB
+#: (the candidates' sorted positions, the two offsets, the squared distance
+#: and a gather temporary), which grow only for such a beacon. Each chunk
+#: makes the same ~20 NumPy calls, so larger chunks let two threads trade
+#: the GIL less often. 16,384 ran mc_schemes faster than 8,192 at a lower
+#: traced batch peak; 32,768 was no faster and raised the process's peak
+#: RSS by up to 6%.
 _CHUNK_CANDIDATES = 16384
 
 
@@ -343,6 +344,11 @@ def _join_grid(params: ScenarioParams) -> tuple[int, float]:
     return split, math.sqrt(_CELL_SENSORS_MIN / params.sn_density)
 
 
+#: Most beacons or sensors a trial may expect: _key_order's packed join keys
+#: break near 5e8 sensors in one trial. Beacons are held to it too.
+_TRIAL_POINTS_MAX = 5e8
+
+
 def _key_order(key: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Stable argsort of nonnegative int64 keys, computed in place in key;
     scratch, an int64 array as long as key, is overwritten.
@@ -354,7 +360,8 @@ def _key_order(key: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     about 4e5 in batches of two or more trials (8e5 where the cull runs).
     A one-trial batch holds at most about 32 cells per expected sensor, so
     it would take some 5e8 sensors (8 GiB of coordinates) in one trial to
-    reach the bound."""
+    reach the bound; run_trials refuses trials that expect more
+    (_TRIAL_POINTS_MAX)."""
     bits = max(len(key) - 1, 0).bit_length()
     # the indices, np.arange(len(key)) written into scratch
     index = np.empty_like(key) if scratch is None else scratch
@@ -482,11 +489,10 @@ def _pairs_bucketed(
                 first = int(ends[lo] - n_hit[lo])
                 hi = int(ends.searchsorted(first + _CHUNK_CANDIDATES, side="right"))
                 hi = max(hi, lo + 1)
-                n = n_hit[lo:hi]
-                pos = np.repeat(left[lo:hi], n)
-                pos += np.arange(first, int(ends[hi - 1]))
-                i = np.repeat(beacons[lo:hi], n)
+                i = np.repeat(beacons[lo:hi], n_hit[lo:hi])
                 m = len(i)
+                pos = left.take(i, out=work("pos", m, np.int64), mode="clip")
+                pos += np.arange(first, int(ends[hi - 1]))
                 dx = sx.take(pos, out=work("dx", m), mode="clip")
                 dy = sy.take(pos, out=work("dy", m), mode="clip")
                 tmp = pb[0].take(i, out=work("tmp", m), mode="clip")
@@ -968,23 +974,32 @@ def run_trials(
     trial range across processes, each running its batches on up to two
     threads, and results merge by trial index.
     Raises specfun.RangeError, as the closed forms do, when rho^2 overflows
-    or a trial expects more points than NumPy's Poisson draw allows.
+    or a trial expects more points than NumPy's Poisson draw allows or the
+    pair join can key.
     """
     validate(params)
     _check_config(params, config)
     _check_workers(workers)
     analytic._occupancy(params)  # the closed forms' rho^2 range check
     # _run_chunk's window and _disk_uniform's means, each at most the largest
-    # Generator.poisson takes: 2**63 - 1 less ten square roots of it (~9.2e18)
+    # Generator.poisson takes, 2**63 - 1 less ten square roots of it (~9.2e18),
+    # and then at most what the pair join can key
     auto = config.window_radius == AUTO_WINDOW
     window = _exact_zone_radius(params) if auto else float(config.window_radius)
-    for name, density, radius in (
-        ("beacons", params.pb_density, window),
-        ("sensors", params.sn_density, window + params.charging_radius),
+    means = {
+        name: density * math.pi * radius * radius
+        for name, density, radius in (
+            ("beacons", params.pb_density, window),
+            ("sensors", params.sn_density, window + params.charging_radius),
+        )
+    }
+    for most, what in (
+        ((2**63 - 1) - 10.0 * math.sqrt(2**63 - 1), "NumPy can draw"),
+        (_TRIAL_POINTS_MAX, "the pair join can key"),
     ):
-        mean = density * math.pi * radius * radius
-        if not mean <= (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1):
-            raise specfun.RangeError(f"a trial expects {mean!r} {name}, more than NumPy can draw")
+        for name, mean in means.items():
+            if not mean <= most:
+                raise specfun.RangeError(f"a trial expects {mean!r} {name}, more than {what}")
     n = config.trials
     workers = min(workers, n)
     threads = _threads_per_worker(workers)

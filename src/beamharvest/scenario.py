@@ -90,13 +90,31 @@ class ScenarioParams:
     def with_(self, **changes) -> "ScenarioParams":
         """Copy with fields replaced (attenuation re-derived if wavelength moves).
 
-        The copy is a new instance, so validate() checks it afresh; an
-        unknown field name raises TypeError.
+        An unknown field name raises TypeError. A copy of an instance that
+        validate() has passed, changing neither attenuation nor wavelength,
+        gets its verdict here from the changed fields' rules alone: every
+        other check gives what it gave the source. Any other copy is checked
+        in full on its first validate().
         """
+        state = self.__dict__
+        if state.get("_errors") == () and changes.keys() <= _SELF_CHECKED:
+            if len(changes) > 1:  # messages come in validation_errors' order
+                changes = {name: changes[name] for name in _RULES if name in changes}
+            copy = object.__new__(ScenarioParams)
+            values = copy.__dict__
+            values.update(state)
+            values.update(changes)
+            verdict = ()
+            for name in changes:
+                message = _RULES[name](values[name], name)
+                if message:
+                    verdict += (message,)
+            values["_errors"] = verdict
+            return copy
         if "wavelength" in changes and "attenuation" not in changes:
             changes["attenuation"] = None
-        values = self.__dict__.copy()  # the fields, and _errors once checked
-        values.pop("_errors", None)  # the copy is checked afresh
+        values = state.copy()  # the fields, and _errors once checked
+        values.pop("_errors", None)  # the copy is checked in full
         values.update(changes)
         if len(values) != _N_FIELDS:
             unknown = sorted(set(changes) - set(_FIELDS))
@@ -113,67 +131,95 @@ _FIELDS = tuple(ScenarioParams.__dataclass_fields__)
 _N_FIELDS = len(_FIELDS)
 
 
-def _finite_positive(value, name: str, errors: list[str]) -> None:
+def _finite_positive(value, name: str) -> str | None:
     if type(value) is float and 0.0 < value < math.inf:
-        return  # the common case, settled by one comparison chain
+        return None  # the common case, settled by one comparison chain
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        errors.append(f"{name} must be a number")
-    elif not math.isfinite(value):
-        errors.append(f"{name} must be finite")
-    elif value <= 0:
-        errors.append(f"{name} must be positive")
+        return f"{name} must be a number"
+    if not math.isfinite(value):
+        return f"{name} must be finite"
+    if value <= 0:
+        return f"{name} must be positive"
+    return None
+
+
+def _sector_count(sectors, name: str) -> str | None:
+    if not isinstance(sectors, int) or isinstance(sectors, bool):
+        return "invalid sector count: sectors must be an integer"
+    if not 1 <= sectors <= MAX_SECTORS:
+        return f"invalid sector count: need 1 <= sectors <= {MAX_SECTORS}"
+    return None
+
+
+def _path_loss_exp(alpha, name: str) -> str | None:
+    if not isinstance(alpha, (int, float)):
+        return "path_loss_exp must be a number"
+    if not math.isfinite(alpha):
+        return "path_loss_exp must be finite"
+    if alpha <= 2:
+        return "mean diverges"  # closed forms divide by alpha - 2
+    return None
+
+
+def _power_threshold(threshold, name: str) -> str | None:
+    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+        return "power_threshold must be a number"
+    if not math.isfinite(threshold) or threshold < 0:
+        return "power_threshold must be nonnegative and finite"
+    return None
+
+
+def _attenuation(attenuation, name: str) -> str | None:
+    if attenuation is None:
+        return "attenuation unspecified (give attenuation or wavelength)"
+    return _finite_positive(attenuation, name)
+
+
+def _wavelength(wavelength, name: str) -> str | None:
+    return None if wavelength is None else _finite_positive(wavelength, name)
+
+
+#: Each field's rule, in the order validation_errors reports them: it gives
+#: the field's message, or None, from the field's value alone. Once every
+#: field passes, the agreement of attenuation and wavelength is checked.
+_RULES = {
+    "pb_power": _finite_positive,
+    "pb_density": _finite_positive,
+    "sn_density": _finite_positive,
+    "charging_radius": _finite_positive,
+    "sectors": _sector_count,
+    "path_loss_exp": _path_loss_exp,
+    "power_threshold": _power_threshold,
+    "attenuation": _attenuation,
+    "wavelength": _wavelength,
+}
+#: The fields a copy of a valid instance is judged on alone (with_): every
+#: field but the two whose agreement is checked.
+_SELF_CHECKED = frozenset(_RULES) - {"attenuation", "wavelength"}
 
 
 def validation_errors(params: ScenarioParams) -> list[str]:
     """Names of every violated invariant; empty list when valid.
 
-    Not cached: validate() keeps this result once per instance.
+    Not cached: validate() keeps this result once per instance, and
+    ScenarioParams.with_ runs the changed fields' rules of it for a copy.
     """
     errors: list[str] = []
-    _finite_positive(params.pb_power, "pb_power", errors)
-    _finite_positive(params.pb_density, "pb_density", errors)
-    _finite_positive(params.sn_density, "sn_density", errors)
-    _finite_positive(params.charging_radius, "charging_radius", errors)
-
-    sectors = params.sectors
-    if not isinstance(sectors, int) or isinstance(sectors, bool):
-        errors.append("invalid sector count: sectors must be an integer")
-    elif not 1 <= sectors <= MAX_SECTORS:
-        errors.append(f"invalid sector count: need 1 <= sectors <= {MAX_SECTORS}")
-
-    alpha = params.path_loss_exp
-    if not isinstance(alpha, (int, float)):
-        errors.append("path_loss_exp must be a number")
-    elif not math.isfinite(alpha):
-        errors.append("path_loss_exp must be finite")
-    elif alpha <= 2:
-        errors.append("mean diverges")  # closed forms divide by alpha - 2
-
-    threshold = params.power_threshold
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-        errors.append("power_threshold must be a number")
-    elif not math.isfinite(threshold) or threshold < 0:
-        errors.append("power_threshold must be nonnegative and finite")
-
-    attenuation = params.attenuation
-    if attenuation is None:
-        errors.append("attenuation unspecified (give attenuation or wavelength)")
-    else:
-        _finite_positive(attenuation, "attenuation", errors)
-
-    wavelength = params.wavelength
-    if wavelength is not None:
-        _finite_positive(wavelength, "wavelength", errors)
-        if not errors and attenuation is not None and wavelength > 0:
-            try:
-                derived = sigma_from_wavelength(wavelength)
-            except ParameterError as exc:
-                return exc.errors
-            if abs(attenuation - derived) > _SIGMA_AGREEMENT_RTOL * derived:
-                errors.append(
-                    "attenuation inconsistent with wavelength "
-                    f"(given {attenuation!r}, derived {derived!r})"
-                )
+    for name, rule in _RULES.items():
+        message = rule(getattr(params, name), name)
+        if message:
+            errors.append(message)
+    if not errors and params.wavelength is not None:
+        attenuation = params.attenuation
+        try:
+            derived = sigma_from_wavelength(params.wavelength)
+        except ParameterError as exc:
+            return exc.errors
+        if abs(attenuation - derived) > _SIGMA_AGREEMENT_RTOL * derived:
+            errors.append(
+                "attenuation inconsistent with wavelength "
+                f"(given {attenuation!r}, derived {derived!r})"
+            )
     return errors
 
 
@@ -181,9 +227,10 @@ def validate(params: ScenarioParams) -> ScenarioParams:
     """Return params unchanged if every invariant holds, else ParameterError.
 
     Idempotent: a valid instance passes through untouched. The check runs
-    once per instance and its outcome is kept in the instance's __dict__
-    (validity is a pure function of the frozen fields); later calls on it
-    cost one dict lookup.
+    at most once per instance and its outcome is kept in the instance's
+    __dict__ (validity is a pure function of the frozen fields); later
+    calls on it cost one dict lookup. A with_ copy of a valid instance may
+    already hold the outcome, from the rules of the fields it changed.
     """
     state = params.__dict__
     errors = state.get("_errors")

@@ -496,11 +496,13 @@ def test_cli_out_of_range_scenarios_exit_cleanly(argv):
 
 
 @pytest.mark.parametrize(
-    "setting", ["window_radius=1e300", "charging_radius_m=1e150", "pb_density_per_m2=1e300"]
+    "setting",
+    ["window_radius=1e300", "charging_radius_m=1e150", "pb_density_per_m2=1e300", "window_radius=1e7"],
 )
 def test_cli_trials_too_large_to_draw_exit_cleanly(setting, capsys):
-    # valid scenarios whose trials expect more beacons than NumPy can draw;
-    # main returning (not raising) is the no-traceback guarantee
+    # valid scenarios whose trials expect more beacons than NumPy can draw
+    # or the pair join can key; main returning (not raising) is the
+    # no-traceback guarantee
     assert main(["simulate", "--trials", "2", "--set", setting]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("outside the supported numeric range: a trial expects ")

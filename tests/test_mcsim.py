@@ -1213,24 +1213,30 @@ def test_run_trials_shares_the_radius_range(monkeypatch):
 
 
 def test_run_trials_refuses_trials_too_large_to_draw(monkeypatch):
-    # a trial whose expected beacons or sensors overflow, or pass the largest
-    # mean Generator.poisson takes, is out of range before any draw
+    # a trial whose expected beacons or sensors overflow, pass the largest
+    # mean Generator.poisson takes, or pass what the pair join's packed keys
+    # hold is out of range before any draw
     def no_draws(*args, **kwargs):
         raise AssertionError("run_trials drew before its range check")
 
     monkeypatch.setattr(mcsim, "_run_chunk", no_draws)
-    for overrides, window, name in (
-        ({}, 1e300, "beacons"),
-        ({"charging_radius": 1e150}, AUTO_WINDOW, "beacons"),
-        ({"pb_density": 1e300}, AUTO_WINDOW, "beacons"),
-        ({"sn_density": 1e17}, AUTO_WINDOW, "sensors"),
+    numpy, join = "NumPy can draw", "the pair join can key"
+    for overrides, window, name, limit in (
+        ({}, 1e300, "beacons", numpy),
+        ({"charging_radius": 1e150}, AUTO_WINDOW, "beacons", numpy),
+        ({"pb_density": 1e300}, AUTO_WINDOW, "beacons", numpy),
+        ({"sn_density": 1e17}, AUTO_WINDOW, "sensors", numpy),
         # finite means past the bound: 9.5e18 beacons, then 8.8e18 beacons
         # and 1.8e19 sensors
-        ({}, 5.5e9, "beacons"),
-        ({}, 5.3e9, "sensors"),
+        ({}, 5.5e9, "beacons", numpy),
+        ({}, 5.3e9, "sensors", numpy),
+        # drawable, but past the join's 5e8: 3.1e13 beacons (457 TiB of
+        # uniforms), then 2.8e8 beacons and 5.7e8 sensors
+        ({}, 1e7, "beacons", join),
+        ({}, 3e4, "sensors", join),
     ):
         config = SimConfig(trials=2, master_seed=1, window_radius=window)
-        with pytest.raises(RangeError, match=f"expects .* {name}, more than NumPy can draw"):
+        with pytest.raises(RangeError, match=f"expects .* {name}, more than {limit}$"):
             run_trials(params_for(**overrides), config)
 
 
