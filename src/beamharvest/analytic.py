@@ -423,7 +423,8 @@ def _moment_match(mean: float, var: float) -> GammaApprox:
     except ZeroDivisionError:
         shape = scale = 0.0
     if 0.0 < shape < math.inf and 0.0 < scale < math.inf:
-        return GammaApprox(shape=shape, scale=scale)
+        # positional: the frozen dataclass's keyword call costs half again
+        return GammaApprox(shape, scale)
     # a valid scenario gets here only when its moments under- or overflow
     raise specfun.RangeError(
         "moment matching needs a positive mean and variance whose shape and "

@@ -181,26 +181,40 @@ _ORIGIN = np.zeros((1, 2))
 _ORIGIN.flags.writeable = False
 
 
-def _disk_uniform(density: float, radius: float, stream: np.random.Generator) -> np.ndarray:
-    """Raw draws of a Poisson field on a disk: one Poisson count, then an
-    (n, 2) uniform block (radius variate, angle variate)."""
-    count = int(stream.poisson(density * math.pi * radius * radius))
-    return stream.random((count, 2))
+def _field_means(params: ScenarioParams, window: float) -> tuple[float, float]:
+    """Expected beacons over the window and sensors over window + rho: the
+    Poisson means of each trial's point counts."""
+    sn_window = window + params.charging_radius
+    return (
+        params.pb_density * math.pi * window * window,
+        params.sn_density * math.pi * sn_window * sn_window,
+    )
 
 
 def _trial_draws(
-    params: ScenarioParams, window: float, stream: np.random.Generator, sensors: bool
+    stream: np.random.Generator, mean_pb: float, mean_sn: float | None, pb, orient, sn
 ) -> tuple:
     """One trial's network draws, in the order the reproducibility contract
-    fixes: the beacon block over the window, one orientation uniform per
-    beacon, then the sensor block over window + rho. Without sensors (forced
-    omni reads only the beacons) the last two are None and not drawn."""
-    u_pb = _disk_uniform(params.pb_density, window, stream)
-    if not sensors:
+    fixes: a Poisson count n of beacons over the window (mean mean_pb),
+    their (radius, angle) uniform pairs, one orientation uniform per beacon,
+    then a Poisson count m of sensors over window + rho and their pairs.
+    Without mean_sn (forced omni reads only the beacons) the last two are
+    not drawn.
+
+    Each block is drawn by Generator.random(out=), which gives the bits
+    random(size) does, into the array pb(2n), orient(n) or sn(2m + 2)
+    returns: a fresh one (np.empty) or the next items of a batch's buffer
+    (_DrawBuffer). The sensor block's first row is _ORIGIN, the trial's
+    typical sensor. Returns the three blocks, flat, None for those not
+    drawn."""
+    u_pb = stream.random(out=pb(2 * int(stream.poisson(mean_pb))))
+    if mean_sn is None:
         return u_pb, None, None
-    orient = stream.random(len(u_pb))
-    u_sn = _disk_uniform(params.sn_density, window + params.charging_radius, stream)
-    return u_pb, orient, u_sn
+    u_orient = stream.random(out=orient(len(u_pb) >> 1))
+    u_sn = sn(2 * int(stream.poisson(mean_sn)) + 2)
+    u_sn[:2] = _ORIGIN[0]
+    stream.random(out=u_sn[2:])
+    return u_pb, u_orient, u_sn
 
 
 def _disk_points(u_block: np.ndarray, radius: float, out: np.ndarray) -> np.ndarray:
@@ -224,16 +238,17 @@ def draw_network(
 
     The sensor window extends past the beacon window by the charging radius
     so every beacon sees its complete charging disk; the origin sensor
-    (_ORIGIN) is prepended exactly once.
+    (_ORIGIN) is row zero.
     """
     validate(params)
     if not (0 < pb_window_radius < math.inf):
         raise ValueError(
             f"window radius must be positive and finite, got {pb_window_radius!r}"
         )
+    mean_pb, mean_sn = _field_means(params, pb_window_radius)
+    u_pb, orient, u_sn = _trial_draws(stream, mean_pb, mean_sn, np.empty, np.empty, np.empty)
+    u_pb, u_sn = u_pb.reshape(-1, 2), u_sn.reshape(-1, 2)
     sn_window = pb_window_radius + params.charging_radius
-    u_pb, orient, u_sn = _trial_draws(params, pb_window_radius, stream, True)
-    u_sn = np.concatenate((_ORIGIN, u_sn))
     return NetworkSample(
         pb_points=_disk_points(u_pb, pb_window_radius, np.empty((2, len(u_pb)))).T,
         sn_points=_disk_points(u_sn, sn_window, np.empty((2, len(u_sn)))).T,
@@ -310,25 +325,61 @@ class _Workspace:
 
     work(role, n, dtype) is a view of exactly n elements of dtype at the
     start of the role's flat buffer of 8-byte items, which grows only when a
-    request exceeds it; the caller writes the whole view before reading it.
-    Arrays never alive at the same time share a role: "a" holds a batch's
-    draws, then the join's sensor keys and sorted coordinates, then the path
-    losses. The cull (_cull) keeps its grid and widened grid ("cull_grid",
-    "cull_wide", bytes), its mask over the batch's sensors ("cull_keep")
-    and a block's float32 positions and cell keys ("cull_xy", "cull_key");
-    "kept" holds the uniforms of the sensors it keeps."""
+    request exceeds it; the caller writes the whole view before reading it,
+    except for the first keep items, which a grown buffer copies over.
+    Arrays never alive at the same time share a role. A batch's draws
+    (_batch_draws) go straight into "u_pb" (beacon uniforms), "orient",
+    "ties" (greedy's) and "a" (sensor uniforms); "a" then takes the join's
+    sensor keys and sorted coordinates, then the path losses. The cull
+    (_cull) keeps its grid and widened grid ("cull_grid", "cull_wide",
+    bytes), its mask over the batch's sensors ("cull_keep") and a block's
+    float32 positions and cell keys ("cull_xy", "cull_key"); "kept" holds
+    the uniforms of the sensors it keeps.
 
-    def __init__(self) -> None:
+    draw_lock is held while a batch draws. The workspaces of one _run_chunk
+    call share one lock, so one thread of the call runs its GIL-bound draw
+    loop while the others run GIL-free NumPy stages; a workspace made
+    without one gets its own."""
+
+    def __init__(self, draw_lock: threading.Lock | None = None) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+        self.draw_lock = threading.Lock() if draw_lock is None else draw_lock
 
-    def __call__(self, role: str, n: int, dtype=np.float64) -> np.ndarray:
+    def __call__(self, role: str, n: int, dtype=np.float64, keep: int = 0) -> np.ndarray:
         items = -(-n * np.dtype(dtype).itemsize // 8)
         buf = self._buffers.pop(role, None)
         if buf is None or len(buf) < items:
-            buf = None  # free the old buffer before the larger one is made
+            kept = buf[:keep] if keep else None
+            buf = None  # free the old buffer first, unless part of it is kept
             buf = np.empty(items)
+            if keep:
+                buf[:keep] = kept
         self._buffers[role] = buf
         return buf[:items].view(dtype)[:n]
+
+
+class _DrawBuffer:
+    """A workspace role filled from its start, one trial's draw at a time:
+    calling it with n returns the next n float64 items. It starts at a
+    reserved size and, when a call overflows it, grows to half again as
+    many items as it then needs, copying the part already filled."""
+
+    __slots__ = ("_work", "_role", "_buf", "filled")
+
+    def __init__(self, work: _Workspace, role: str, reserve: int) -> None:
+        self._work, self._role = work, role
+        self._buf = work(role, reserve)
+        self.filled = 0
+
+    def __call__(self, n: int) -> np.ndarray:
+        lo = self.filled
+        hi = self.filled = lo + n
+        if hi > len(self._buf):
+            self._buf = self._work(self._role, hi + (hi >> 1), keep=lo)
+        return self._buf[lo:hi]
+
+    def drawn(self) -> np.ndarray:
+        return self._buf[: self.filled]
 
 
 def _join_grid(params: ScenarioParams) -> tuple[int, float]:
@@ -773,7 +824,9 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
     a sample.
 
     Where the cull runs (_cull_grid), every drawn sensor still counts a
-    row: each keeps its draws, label and mask byte for the whole batch, and
+    row: each keeps its draws, label and mask byte for the whole batch (the
+    draws go straight into buffers reserved a few standard deviations above
+    the batch's expected count, with no per-trial copy), and
     the expected survivors (at most _CULL_SHARE_MAX of them) hold their
     coordinates and join entries within that row's bytes. A join cell
     counts half a row there, as the join's sensor arrays shrink with the
@@ -787,14 +840,13 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
     _SPLIT_POINTS_MIN expected points (beacons, plus sensors if drawn), nor
     above the whole batch: each thread keeps its own malloc arena, and with
     two threads half-size batches raised peak memory above one thread's."""
-    expect_pb = params.pb_density * math.pi * window * window
+    expect_pb, expect_sn = _field_means(params, window)
     points = rows = expect_pb
     if sensors:
         rho = params.charging_radius
         split, min_cell = _join_grid(params)
         cell = max(rho / split, min_cell)
         sn_window = window + rho
-        expect_sn = params.sn_density * math.pi * sn_window**2
         cells = (2.0 * (sn_window / cell + split) + 2.0) ** 2
         points = expect_pb + expect_sn
         if _cull_grid(params, window) is not None:
@@ -834,6 +886,62 @@ def _powers(
     return params.pb_power * params.attenuation * powers
 
 
+def _draw_reserve(mean: float) -> int:
+    """Points a batch that expects mean of them reserves draw room for: the
+    mean plus four standard deviations of their Poisson count, which about
+    one batch in 30,000 exceeds (_DrawBuffer then grows)."""
+    return math.ceil(mean + 4.0 * math.sqrt(mean))
+
+
+def _batch_draws(
+    params: ScenarioParams,
+    scheme: Allocation,
+    master_seed: int,
+    start: int,
+    stop: int,
+    window: float,
+    work: _Workspace,
+) -> tuple:
+    """Every draw of trials [start, stop), written straight into work's draw
+    roles: each trial's network draws from its keyed stream, as
+    _trial_draws orders them, and for greedy one tie-break uniform per
+    beacon from its substream 2. The loop holds work.draw_lock.
+
+    Returns the beacon uniforms as (n, 2) and their trial labels, the
+    orientation uniforms, the sensor uniforms as (m, 2), each trial's
+    _ORIGIN row first, and their labels, and the tie-break uniforms; None
+    stands for what the scheme does not draw."""
+    n_trials = stop - start
+    mean_pb, mean_sn = _field_means(params, window)
+    reserve = _draw_reserve(n_trials * mean_pb)
+    pb = _DrawBuffer(work, "u_pb", 2 * reserve)
+    orient = sn = ties = None
+    if scheme is Allocation.FORCED_OMNI:
+        mean_sn = None
+    else:
+        orient = _DrawBuffer(work, "orient", reserve)
+        sn = _DrawBuffer(work, "a", 2 * _draw_reserve(n_trials * (mean_sn + 1.0)))
+    if scheme is Allocation.GREEDY:
+        ties = _DrawBuffer(work, "ties", reserve)
+    streams = _TrialStreams(master_seed)
+    n_pb, n_sn = [], []
+    with work.draw_lock:
+        for i in range(start, stop):
+            u_pb, _, u_sn = _trial_draws(streams.at(i), mean_pb, mean_sn, pb, orient, sn)
+            n = len(u_pb) >> 1
+            n_pb.append(n)
+            if sn is not None:
+                n_sn.append(len(u_sn) >> 1)
+            if ties is not None:
+                streams.at(i, _GREEDY_SUBSTREAM).random(out=ties(n))
+    labels = np.arange(n_trials)
+    u_pb, t_pb = pb.drawn().reshape(-1, 2), np.repeat(labels, n_pb)
+    if sn is None:
+        return u_pb, t_pb, None, None, None, None
+    u_sn, t_sn = sn.drawn().reshape(-1, 2), np.repeat(labels, n_sn)
+    return u_pb, t_pb, orient.drawn(), u_sn, t_sn, None if ties is None else ties.drawn()
+
+
 def _batch_powers(
     params: ScenarioParams,
     scheme: Allocation,
@@ -846,46 +954,25 @@ def _batch_powers(
     """Powers for trials [start, stop) in one vectorized pass.
 
     Every random draw still comes from the owning trial's keyed stream in
-    draw_network's order, so results are independent of how trials are
-    grouped into batches or spread over workers. A trial's sensors are its
-    field's uniforms and one _ORIGIN row. Where _cull_grid turns the cull
-    on, sensors no beacon of their trial can reach are dropped after the
-    draws: the rest get the float64 coordinates every sensor gets without
-    the cull, by the same operations, and only they enter the join. Only
-    the pair set reaches a sample, so samples keep every bit. The arrays
-    are built in work (a fresh _Workspace if None), which may hold an
-    earlier batch's.
+    draw_network's order (_batch_draws), so results are independent of how
+    trials are grouped into batches or spread over workers. A trial's
+    sensors are one _ORIGIN row and its field's uniforms. Where _cull_grid
+    turns the cull on, sensors no beacon of their trial can reach are
+    dropped after the draws: the rest get the float64 coordinates every
+    sensor gets without the cull, by the same operations, and only they
+    enter the join. Only the pair set reaches a sample, so samples keep
+    every bit. The arrays are built in work (a fresh _Workspace if None),
+    which may hold an earlier batch's.
     """
     work = _Workspace() if work is None else work
     n_trials = stop - start
-    sensors = scheme is not Allocation.FORCED_OMNI
-    streams = _TrialStreams(master_seed)
-    pb_blocks, orient_blocks, sn_blocks = zip(
-        *(_trial_draws(params, window, streams.at(i), sensors) for i in range(start, stop))
+    u_pb, t_pb, orientations, u_sn, t_sn, ties = _batch_draws(
+        params, scheme, master_seed, start, stop, window, work
     )
-    n_pb = [len(u) for u in pb_blocks]
-    n_sn = [len(u) + 1 for u in sn_blocks] if sensors else []
-    n_beacons, n_sensors = sum(n_pb), sum(n_sn)
-    ties = None
-    if scheme is Allocation.GREEDY:
-        ties = np.concatenate([
-            streams.at(start + k, _GREEDY_SUBSTREAM).random(n) for k, n in enumerate(n_pb)
-        ], out=work("ties", n_beacons))
-    t_pb = np.repeat(np.arange(n_trials), n_pb)
-    # "a" takes the draws, then the join's keys and sorted sensors, so it is
-    # asked for once at the largest of those sizes
-    a = work("a", 2 * max(n_beacons, n_sensors))
-    u_pb = np.concatenate(pb_blocks, out=a[: 2 * n_beacons].reshape(-1, 2))
-    del pb_blocks
-    pb = _disk_points(u_pb, window, work("pb", 2 * n_beacons).reshape(2, -1))
-    orientations = sn = t_sn = None
-    if sensors:
-        orientations = np.concatenate(orient_blocks, out=work("orient", n_beacons))
+    pb = _disk_points(u_pb, window, work("pb", u_pb.size).reshape(2, -1))
+    sn = None
+    if u_sn is not None:
         orientations *= _TWO_PI / params.sectors
-        blocks = [u for field in sn_blocks for u in (field, _ORIGIN)]
-        u_sn = np.concatenate(blocks, out=a[: 2 * n_sensors].reshape(-1, 2))
-        del orient_blocks, sn_blocks, blocks
-        t_sn = np.repeat(np.arange(n_trials), n_sn)
         sn_window = window + params.charging_radius
         cull = _cull_grid(params, window)
         if cull is not None:
@@ -893,7 +980,7 @@ def _batch_powers(
             out = work("kept", 2 * len(kept)).reshape(-1, 2)
             u_sn = u_sn.take(kept, axis=0, out=out, mode="clip")
             t_sn = t_sn.take(kept)
-        sn = _disk_points(u_sn, sn_window, work("sn", 2 * len(u_sn)).reshape(2, -1))
+        sn = _disk_points(u_sn, sn_window, work("sn", u_sn.size).reshape(2, -1))
     return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials, work)
 
 
@@ -905,9 +992,11 @@ def _usable_cpus() -> int:
 
 
 def _threads_per_worker(workers: int) -> int:
-    """Threads each worker process runs its batches on: two overlap one
-    batch's GIL-bound Philox loop with another's GIL-free NumPy stages, when
-    the usable CPUs leave each of the workers a second one."""
+    """Threads each worker process runs its batches on: two, when the usable
+    CPUs leave each of the workers a second one. One thread of a call draws
+    at a time (_Workspace.draw_lock), so one batch's GIL-bound Philox loop
+    overlaps another's GIL-free NumPy stages; two threads inside their draw
+    loops would trade the GIL at every fill, each only 1-2 us long."""
     return max(1, min(2, _usable_cpus() // workers))
 
 
@@ -919,7 +1008,9 @@ def _run_chunk(
 
     Each batch writes only its own slice of out, so the samples do not
     depend on the thread count. Each thread reuses one _Workspace across its
-    batches; the workspaces die with the call. Every batch is submitted at
+    batches, and the call's workspaces share one draw lock, made per call so
+    that no worker process can inherit one held by some thread; the
+    workspaces and the lock die with the call. Every batch is submitted at
     once and the call waits once, until all finish or one raises; then the
     batches not yet started are cancelled and those running finish. The
     pool is joined before returning, so no thread outlives the call, and the
@@ -935,10 +1026,11 @@ def _run_chunk(
     sensors = config.allocation is not Allocation.FORCED_OMNI
     step = _batch_size(params, window, threads, sensors)
     workspaces = threading.local()
+    draw_lock = threading.Lock()
 
     def batch(lo: int) -> None:
         if not hasattr(workspaces, "work"):
-            workspaces.work = _Workspace()
+            workspaces.work = _Workspace(draw_lock)
         hi = min(lo + step, stop)
         out[lo - start : hi - start] = _batch_powers(
             params, config.allocation, config.master_seed, lo, hi, window, workspaces.work
@@ -981,18 +1073,12 @@ def run_trials(
     _check_config(params, config)
     _check_workers(workers)
     analytic._occupancy(params)  # the closed forms' rho^2 range check
-    # _run_chunk's window and _disk_uniform's means, each at most the largest
+    # _run_chunk's window and _trial_draws' means, each at most the largest
     # Generator.poisson takes, 2**63 - 1 less ten square roots of it (~9.2e18),
     # and then at most what the pair join can key
     auto = config.window_radius == AUTO_WINDOW
     window = _exact_zone_radius(params) if auto else float(config.window_radius)
-    means = {
-        name: density * math.pi * radius * radius
-        for name, density, radius in (
-            ("beacons", params.pb_density, window),
-            ("sensors", params.sn_density, window + params.charging_radius),
-        )
-    }
+    means = dict(zip(("beacons", "sensors"), _field_means(params, window)))
     for most, what in (
         ((2**63 - 1) - 10.0 * math.sqrt(2**63 - 1), "NumPy can draw"),
         (_TRIAL_POINTS_MAX, "the pair join can key"),

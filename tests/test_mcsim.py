@@ -693,7 +693,7 @@ CULL_POINTS = ((0.8, 0.5), (0.8, 1.0), (1.6, 0.5), (1.6, 1.0), (1.6, 2.0))
 
 def check_cull_matches_uncut_gains():
     """At each CULL_POINTS deployment (10 W, AUTO window), 6 trials of the
-    engine's draws, each trial's sensors followed by its origin row as in
+    engine's draws, each trial's origin row followed by its sensors as in
     the engine, give the same gains with the cull as over every sensor, for
     every beam scheme. Across the points the cull keeps some origin rows
     and drops others."""
@@ -703,16 +703,14 @@ def check_cull_matches_uncut_gains():
         for sn_density, rho in CULL_POINTS:
             params = params_for(sn_density=sn_density, charging_radius=rho)
             window = mcsim._exact_zone_radius(params)
-            draws = [mcsim._trial_draws(params, window, trial_stream(8, i), True) for i in range(6)]
-            u_pb, orient = (np.concatenate(part) for part in list(zip(*draws))[:2])
-            u_sn = np.concatenate([u for d in draws for u in (d[2], mcsim._ORIGIN)])
-            n_sn = [len(d[2]) + 1 for d in draws]
-            t_pb = np.repeat(np.arange(6), [len(d[0]) for d in draws])
-            t_sn = np.repeat(np.arange(6), n_sn)
+            u_pb, t_pb, orient, u_sn, t_sn, _ = mcsim._batch_draws(
+                params, Allocation.UNIFORM, 8, 0, 6, window, mcsim._Workspace()
+            )
             pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))))
             sn, kept = cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, 6)
             assert 0 < len(kept) < len(u_sn)
-            origins_kept |= set(np.isin(np.cumsum(n_sn) - 1, kept).tolist())
+            # a trial's origin row is its first
+            origins_kept |= set(np.isin(t_sn.searchsorted(np.arange(6)), kept).tolist())
             orientations = orient * (2.0 * math.pi / params.sectors)
             ties = trial_stream(8, 0, 2).random(len(t_pb))
             assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept)
@@ -974,6 +972,152 @@ def test_run_chunk_threads_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
+
+
+#: The default deployment, and a sparse one whose trials often draw no
+#: beacon or no field sensor (0.5 and 0.8 expected).
+DRAW_POINTS = ((params_for(charging_radius=2.0), 8.0), (params_for(pb_density=0.01, sn_density=0.01), 4.0))
+
+
+def assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, work):
+    """The batch's draws in work are, trial by trial, those of the stream
+    layout's allocating calls on each trial's own fresh streams: a Poisson
+    count, random((n, 2)), random(n), a Poisson count, random((m, 2)), and
+    greedy's random(n) on substream 2. So is the one-trial _trial_draws
+    that draw_network calls. Returns the trial sizes in beacons and in
+    sensors, the origin row included (None without sensors)."""
+    mean_pb, mean_sn = mcsim._field_means(pr, window)
+    if scheme is Allocation.FORCED_OMNI:
+        mean_sn = None
+    parts = [[] for _ in range(4)]
+    for i in range(trials):
+        g = trial_stream(seed, i)
+        u_pb = g.random((int(g.poisson(mean_pb)), 2))
+        want = [u_pb, None, None]
+        if mean_sn is not None:
+            want[1] = g.random(len(u_pb))
+            want[2] = np.vstack((mcsim._ORIGIN, g.random((int(g.poisson(mean_sn)), 2))))
+        one = mcsim._trial_draws(trial_stream(seed, i), mean_pb, mean_sn, np.empty, np.empty, np.empty)
+        for got, w in zip(one, want):
+            assert got is None if w is None else np.array_equal(got, w.ravel())
+        want.append(trial_stream(seed, i, 2).random(len(u_pb)))
+        for part, w in zip(parts, want):
+            part.append(w)
+    n_pb = [len(u) for u in parts[0]]
+    n_sn = None if mean_sn is None else [len(u) for u in parts[2]]
+    labels = np.arange(trials)
+    want = [np.concatenate(parts[0]), np.repeat(labels, n_pb)]
+    want += [None] * 4 if mean_sn is None else [
+        np.concatenate(parts[1]), np.concatenate(parts[2]), np.repeat(labels, n_sn),
+        np.concatenate(parts[3]) if scheme is Allocation.GREEDY else None,
+    ]
+    got = mcsim._batch_draws(pr, scheme, seed, 0, trials, window, work)
+    for g, w in zip(got, want, strict=True):
+        assert g is None if w is None else np.array_equal(g, w)
+    return n_pb, n_sn
+
+
+@pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
+def test_draw_buffers_grow_and_hold_empty_trials(scheme):
+    # with no room reserved the first trial that draws grows each draw role,
+    # and later ones grow it again, copying what is filled; the sparse
+    # deployment's trials include ones with no beacon and ones with only
+    # the origin sensor. Samples keep every bit of the reserved path, and
+    # the draws in the workspace are each trial's own
+    seed, trials = 5, 40
+    sparse = False
+    for pr, window in DRAW_POINTS:
+        want = mcsim._batch_powers(pr, scheme, seed, 0, trials, window)
+        n_pb, n_sn = assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, mcsim._Workspace())
+        sparse |= 0 in n_pb and (n_sn is None or 1 in n_sn)
+        grown = set()
+        make = mcsim._Workspace.__call__
+
+        def spy(self, role, n, dtype=np.float64, keep=0):
+            if keep:
+                grown.add(role)
+            return make(self, role, n, dtype, keep)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_draw_reserve", lambda mean: 0)
+            patch.setattr(mcsim._Workspace, "__call__", spy)
+            assert np.array_equal(mcsim._batch_powers(pr, scheme, seed, 0, trials, window), want)
+            assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, mcsim._Workspace())
+        roles = {"u_pb"} | ({"orient", "a"} if scheme is not Allocation.FORCED_OMNI else set())
+        assert grown == roles | ({"ties"} if scheme is Allocation.GREEDY else set())
+    assert sparse
+
+
+def test_draw_sections_never_overlap(monkeypatch):
+    # four threads on 32-trial greedy batches, switching every microsecond;
+    # each stream reset yields the GIL, so a batch drawing outside the
+    # call's lock would let another batch's draws in beside its own
+    pr = params_for()
+    config = SimConfig(trials=300, master_seed=9, window_radius=4.0,
+                       allocation=Allocation.GREEDY)
+    want = mcsim._run_chunk(pr, config, 13, 213, 1)
+    inside = peak = 0
+    count = threading.Lock()
+    reset = mcsim._TrialStreams.at
+
+    def at(self, trial_index, substream=0):
+        nonlocal inside, peak
+        with count:
+            inside += 1
+            peak = max(peak, inside)
+        time.sleep(0)
+        try:
+            return reset(self, trial_index, substream)
+        finally:
+            with count:
+                inside -= 1
+
+    monkeypatch.setattr(mcsim._TrialStreams, "at", at)
+    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mcsim._run_chunk(pr, config, 13, 213, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert peak == 1
+    assert np.array_equal(got, want)
+
+
+def test_draw_error_frees_the_lock_and_raises_in_trial_order(monkeypatch):
+    # two-thread calls of four 32-trial batches in which the draws of batch
+    # 0 and batch 2 raise mid-loop: each call raises batch 0's error, every
+    # time, without hanging on the lock, and a later call in the process runs
+    pr = params_for()
+    config = SimConfig(trials=128, master_seed=3, window_radius=8.0)
+    want = mcsim._run_chunk(pr, config, 0, 128, 2)
+    reset = mcsim._TrialStreams.at
+
+    def at(self, trial_index, substream=0):
+        if trial_index in (20, 70):
+            raise RuntimeError(f"draw {trial_index} failed")
+        return reset(self, trial_index, substream)
+
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
+    errors = []
+
+    def call():
+        try:
+            mcsim._run_chunk(pr, config, 0, 128, 2)
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcsim._TrialStreams, "at", at)
+        for _ in range(3):
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    assert errors == ["draw 20 failed"] * 3
+    assert threading.active_count() == before
+    assert np.array_equal(mcsim._run_chunk(pr, config, 0, 128, 2), want)
 
 
 def recorded_batches(monkeypatch, on_call=None):
