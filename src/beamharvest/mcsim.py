@@ -328,13 +328,14 @@ class _Workspace:
     request exceeds it; the caller writes the whole view before reading it,
     except for the first keep items, which a grown buffer copies over.
     Arrays never alive at the same time share a role. A batch's draws
-    (_batch_draws) go straight into "u_pb" (beacon uniforms), "orient",
-    "ties" (greedy's) and "a" (sensor uniforms); "a" then takes the join's
-    sensor keys and sorted coordinates, then the path losses. The cull
-    (_cull) keeps its grid and widened grid ("cull_grid", "cull_wide",
-    bytes), its mask over the batch's sensors ("cull_keep") and a block's
-    float32 positions and cell keys ("cull_xy", "cull_key"); "kept" holds
-    the uniforms of the sensors it keeps.
+    (_batch_draws) go straight into "strips" (beacon uniforms, dead once
+    placed, then the join's strip bounds), "orient", "ties" (greedy's) and
+    "a" (sensor uniforms); "a" then takes the join's sensor keys and sorted
+    coordinates, then the path losses. The cull (_cull) keeps its grid and
+    widened grid ("cull_grid", "cull_wide", bytes), its mask over the
+    batch's sensors ("cull_keep") and a block's float32 positions and cell
+    keys ("cull_xy", "cull_key"); "kept" holds the uniforms of the sensors
+    it keeps.
 
     draw_lock is held while a batch draws. The workspaces of one _run_chunk
     call share one lock, so one thread of the call runs its GIL-bound draw
@@ -434,14 +435,14 @@ def _pairs_bucketed(
     rho: float,
     split: int,
     min_cell: float,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ):
     """Beacon-sensor pairs within rho and in the same trial.
 
     Returns an iterator that walks one column strip at a time and yields
     (i, dx, dy) per chunk: the pairs' beacon indices i and offsets
     dx, dy = sn[:, j] - pb[:, i] for sensor j, the ones the distance test
-    used. The sector counts read nothing else, so sensor indices are not
+    used. _sector_counts reads nothing else, so sensor indices are not
     kept. The sensors may be a batch's own or those the cull kept
     (_batch_powers): a sensor the cull drops pairs with no beacon, so the
     pairs are the same.
@@ -463,15 +464,14 @@ def _pairs_bucketed(
     so neither the sort nor the join order carries floating-point
     sensitivity.
 
-    Scratch comes from work (a fresh _Workspace if None), reused chunk by
-    chunk: its role "a" takes the sensor keys, then the sorted coordinates,
-    so sn must not be a view of it. The yielded arrays are fresh. Gathers
-    write with out= and mode="clip" (mode="raise" would buffer them; every
-    index is in range), which gives the bytes the allocating forms do.
+    Scratch comes from work, reused chunk by chunk: its role "a" takes the
+    sensor keys, then the sorted coordinates, so sn must not be a view of
+    it. The yielded arrays are fresh. Gathers write with out= and
+    mode="clip" (mode="raise" would buffer them; every index is in range),
+    which gives the bytes the allocating forms do.
     """
     if pb.shape[1] == 0:
         return iter(())
-    work = _Workspace() if work is None else work
     # a pair can pass the rounded distance test yet lie just over rho apart
     # (beacon (2, 0.5), sensor (1 - 2**-53, 0.5), rho = 1); the margin keeps
     # such pairs strictly inside the stencil, and the test alone decides
@@ -559,31 +559,15 @@ def _pairs_bucketed(
     return chunks()
 
 
-def _origin_gains(
-    pb: np.ndarray,
-    trial_pb: np.ndarray,
-    orientations: np.ndarray,
-    sn: np.ndarray,
-    trial_sn: np.ndarray,
-    params: ScenarioParams,
-    scheme: Allocation,
-    tie_draws: np.ndarray | None = None,
-    work: _Workspace | None = None,
-) -> np.ndarray:
-    """Gain each beacon radiates toward the origin, for a batch of trials.
+def _sector_counts(
+    pb, trial_pb, orientations, sn, trial_sn, params: ScenarioParams, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sensors in each sector of each beacon over a batch of trials, as an
+    (n_pb, N) array, and each beacon's sector k holding the origin.
 
     Beacons and sensors are (2, n) arrays of x and y rows carrying trial
     labels; a sensor occupies a beacon's sector when both share a trial and
-    lie within the charging radius. The gain is the beacon's in its sector
-    k holding the origin: 1 when no sector is occupied; otherwise uniform
-    gives N / (occupied sectors) if k is occupied, robust N * count_k /
-    (sensors in the disk), and greedy N if k is the one it picks among the
-    sectors tied for the most sensors, 0 elsewhere, so a beacon's gains sum
-    to N. Greedy picks the int(u * ties)-th tied sector in sector order
-    (the last if that rounds up to ties) for u = tie_draws[b], one uniform
-    per beacon whether or not it ties, which keeps the stream layout fixed.
-    Each join chunk adds its pairs in place to one array of sector counts.
-    """
+    lie within the charging radius. Each join chunk adds its pairs in place."""
     n_pb = pb.shape[1]
     n_sec = params.sectors
     chunks = _pairs_bucketed(
@@ -595,8 +579,22 @@ def _origin_gains(
         i *= n_sec
         i += sec
         np.add.at(counts, i, 1)
-    counts = counts.reshape(n_pb, n_sec)
     k = _sectors_toward(-pb[0], -pb[1], orientations, n_sec)
+    return counts.reshape(n_pb, n_sec), k
+
+
+def _scheme_gains(
+    counts: np.ndarray, k: np.ndarray, scheme: Allocation, tie_draws: np.ndarray | None
+) -> np.ndarray:
+    """Gain each beacon radiates toward the origin, in its sector k, from
+    its sector counts: 1 when no sector is occupied; otherwise uniform gives
+    N / (occupied sectors) if k is occupied, robust N * count_k / (sensors
+    in the disk), and greedy N if k is the one it picks among the sectors
+    tied for the most sensors, 0 elsewhere, so a beacon's gains sum to N.
+    Greedy picks the int(u * ties)-th tied sector in sector order (the last
+    if that rounds up to ties) for u = tie_draws[b], one uniform per beacon
+    whether or not it ties, which keeps the stream layout fixed."""
+    n_pb, n_sec = counts.shape
     rows = np.arange(n_pb)
     occupied = np.count_nonzero(counts, axis=1)
     hit = counts[rows, k]
@@ -604,9 +602,7 @@ def _origin_gains(
         gains = np.where(hit > 0, n_sec / np.maximum(occupied, 1), 0.0)
     elif scheme is Allocation.ROBUST:
         gains = n_sec * hit / np.maximum(counts.sum(axis=1), 1)
-    elif scheme is Allocation.GREEDY:
-        if tie_draws is None:
-            raise ValueError("greedy tie-break needs an RNG stream")
+    else:  # greedy
         ties = counts == counts.max(axis=1)[:, np.newaxis]
         n_ties = ties.sum(axis=1)
         pick_rank = np.minimum((tie_draws * n_ties).astype(np.int64), n_ties - 1)
@@ -615,8 +611,6 @@ def _origin_gains(
         ties_below = ties & (np.arange(n_sec) < k[:, np.newaxis])
         chosen = ties[rows, k] & (np.count_nonzero(ties_below, axis=1) == pick_rank)
         gains = np.where(chosen, float(n_sec), 0.0)
-    else:
-        raise ValueError(f"unknown allocation scheme {scheme!r}")
     return np.where(occupied == 0, 1.0, gains)
 
 
@@ -632,10 +626,13 @@ def received_power_origin(
     origin sensor itself occupies sectors like any other sensor.
     """
     validate(params)
+    if not isinstance(scheme, Allocation):
+        raise ValueError(f"unknown allocation scheme {scheme!r}")
+    if scheme is Allocation.GREEDY and rng is None:
+        raise ValueError("greedy tie-break needs an RNG stream")
     pb = sample.pb_points
     # greedy draws one tie-break uniform per beacon, as the batched engine does
-    greedy = scheme is Allocation.GREEDY and rng is not None
-    tie_draws = rng.random(len(pb)) if greedy else None
+    tie_draws = rng.random(len(pb)) if scheme is Allocation.GREEDY else None
     return float(_powers(
         pb.T, np.zeros(len(pb), dtype=np.int64), sample.pb_orientations,
         sample.sn_points.T, np.zeros(len(sample.sn_points), dtype=np.int64),
@@ -651,6 +648,14 @@ def _exact_zone_radius(params: ScenarioParams) -> float:
     r_var = ((n + 1) / (alpha * _VARIANCE_SLIP)) ** (1.0 / (2.0 * alpha - 2.0))
     r_var = min(max(r_var, _EXACT_ZONE_MIN), _EXACT_ZONE_MAX)
     return max(3.0 * params.charging_radius, r_var)
+
+
+def _run_window(params: ScenarioParams, config: SimConfig) -> tuple[float, float]:
+    """The beacon window a run draws over, and the far-tail mean it adds."""
+    if config.window_radius != AUTO_WINDOW:
+        return float(config.window_radius), 0.0
+    window = _exact_zone_radius(params)
+    return window, _tail_mean(params, window)
 
 
 def _tail_mean(params: ScenarioParams, radius: float) -> float:
@@ -865,17 +870,15 @@ def _powers(
 ) -> np.ndarray:
     """Power at the origin sensor of each of n_trials trials, watts.
 
-    The arguments are _origin_gains', which forced omni never calls (every
-    gain is 1, so it reads no sensors and its path losses are summed as
-    they are). Each beacon's gain times its path loss
+    Each beacon's gain (_sector_counts, then _scheme_gains; forced omni
+    reads no sensors, every gain being 1) times its path loss
     max(distance, 1)^(-alpha) is summed per trial in beacon order, then
     scaled by P * sigma.
     """
     gains = None
     if scheme is not Allocation.FORCED_OMNI:
-        gains = _origin_gains(
-            pb, trial_pb, orientations, sn, trial_sn, params, scheme, tie_draws, work
-        )
+        counts, k = _sector_counts(pb, trial_pb, orientations, sn, trial_sn, params, work)
+        gains = _scheme_gains(counts, k, scheme, tie_draws)
     # the join is done with "a"
     atten = np.hypot(pb[0], pb[1], out=work("a", pb.shape[1]))
     np.maximum(atten, 1.0, out=atten)
@@ -914,7 +917,7 @@ def _batch_draws(
     n_trials = stop - start
     mean_pb, mean_sn = _field_means(params, window)
     reserve = _draw_reserve(n_trials * mean_pb)
-    pb = _DrawBuffer(work, "u_pb", 2 * reserve)
+    pb = _DrawBuffer(work, "strips", 2 * reserve)
     orient = sn = ties = None
     if scheme is Allocation.FORCED_OMNI:
         mean_sn = None
@@ -949,7 +952,7 @@ def _batch_powers(
     start: int,
     stop: int,
     window: float,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> np.ndarray:
     """Powers for trials [start, stop) in one vectorized pass.
 
@@ -961,15 +964,15 @@ def _batch_powers(
     dropped after the draws: the rest get the float64 coordinates every
     sensor gets without the cull, by the same operations, and only they
     enter the join. Only the pair set reaches a sample, so samples keep
-    every bit. The arrays are built in work (a fresh _Workspace if None),
-    which may hold an earlier batch's.
+    every bit. The arrays are built in work, which may hold an earlier
+    batch's.
     """
-    work = _Workspace() if work is None else work
     n_trials = stop - start
     u_pb, t_pb, orientations, u_sn, t_sn, ties = _batch_draws(
         params, scheme, master_seed, start, stop, window, work
     )
     pb = _disk_points(u_pb, window, work("pb", u_pb.size).reshape(2, -1))
+    del u_pb  # the join takes its role, "strips", and may regrow it
     sn = None
     if u_sn is not None:
         orientations *= _TWO_PI / params.sectors
@@ -1016,12 +1019,7 @@ def _run_chunk(
     pool is joined before returning, so no thread outlives the call, and the
     exception raised is that of the first failed batch in trial order,
     whichever failed first in time."""
-    if config.window_radius == AUTO_WINDOW:
-        window = _exact_zone_radius(params)
-        tail = _tail_mean(params, window)
-    else:
-        window = float(config.window_radius)
-        tail = 0.0
+    window, tail = _run_window(params, config)
     out = np.empty(stop - start, dtype=np.float64)
     sensors = config.allocation is not Allocation.FORCED_OMNI
     step = _batch_size(params, window, threads, sensors)
@@ -1076,8 +1074,7 @@ def run_trials(
     # _run_chunk's window and _trial_draws' means, each at most the largest
     # Generator.poisson takes, 2**63 - 1 less ten square roots of it (~9.2e18),
     # and then at most what the pair join can key
-    auto = config.window_radius == AUTO_WINDOW
-    window = _exact_zone_radius(params) if auto else float(config.window_radius)
+    window, _ = _run_window(params, config)
     means = dict(zip(("beacons", "sensors"), _field_means(params, window)))
     for most, what in (
         ((2**63 - 1) - 10.0 * math.sqrt(2**63 - 1), "NumPy can draw"),

@@ -1,4 +1,4 @@
-"""Scalar oracle for the Monte Carlo engine's gain kernel.
+"""Scalar oracle for the Monte Carlo engine's sector counts and gains.
 
 One beacon and one sensor at a time, in plain Python: the sector a direction
 falls in (math.atan2 and fmod), brute-force sector counts, and the allocation

@@ -63,17 +63,18 @@ def one_beacon_sample(pb_xy, orientation, extra_sensors=()):
 
 
 def kernel_origin_gains(sample, params, scheme, tie_draws=None):
-    """mcsim's batched gain kernel applied to one realization."""
-    return mcsim._origin_gains(
+    """mcsim's batched sector counts and scheme gains applied to one
+    realization."""
+    counts, k = mcsim._sector_counts(
         sample.pb_points.T,
         np.zeros(len(sample.pb_points), dtype=np.int64),
         sample.pb_orientations,
         sample.sn_points.T,
         np.zeros(len(sample.sn_points), dtype=np.int64),
         params,
-        scheme,
-        tie_draws,
+        mcsim._Workspace(),
     )
+    return mcsim._scheme_gains(counts, k, scheme, tie_draws)
 
 
 # --- streams ---
@@ -361,12 +362,15 @@ def test_origin_gains_match_pb_beam_state(scheme):
 
 
 def test_greedy_gains_need_tie_draws():
+    # the public entry checks what the kernel no longer does: greedy needs
+    # its tie-break stream, and a scheme must be an Allocation
     pr = params_for(charging_radius=2.0)
     sample = one_beacon_sample((0.5, 0.0), 0.0, extra_sensors=[(1.3, 0.0)])
-    with pytest.raises(ValueError, match="tie-break"):
-        kernel_origin_gains(sample, pr, Allocation.GREEDY)
-    with pytest.raises(ValueError, match="tie-break"):
+    with pytest.raises(ValueError, match="^greedy tie-break needs an RNG stream$"):
         received_power_origin(sample, pr, Allocation.GREEDY)
+    for scheme in ("greedy", None):
+        with pytest.raises(ValueError, match=f"^unknown allocation scheme {scheme!r}$"):
+            received_power_origin(sample, pr, scheme, trial_stream(0, 0))
 
 
 def test_batched_engine_matches_composed_ops():
@@ -374,7 +378,7 @@ def test_batched_engine_matches_composed_ops():
     window = 8.0
     seed = 99
     for scheme in Allocation:
-        batched = mcsim._batch_powers(pr, scheme, seed, 0, 12, window)
+        batched = mcsim._batch_powers(pr, scheme, seed, 0, 12, window, mcsim._Workspace())
         for i in range(12):
             sample = draw_network(pr, window, trial_stream(seed, i))
             # greedy's tie-breaks are on substream 2; the other schemes ignore u
@@ -392,6 +396,31 @@ def test_batched_engine_matches_composed_ops():
             )
             # one trial through the batch's own reduction
             assert single == batched[i]
+
+
+@pytest.mark.parametrize("sn_density, rho", [(1.6, 0.5), (0.2, 2.0)], ids=["culled", "uncut"])
+def test_sector_counts_serve_every_scheme(sn_density, rho):
+    # one batch of a Fig. 3 deployment, its sector counts taken once over
+    # every drawn sensor: each beam scheme's gains from those counts, times
+    # the path losses and summed per trial, are that scheme's _batch_powers
+    # bit for bit, whether the engine culls (lambda_s 1.6, rho 0.5) or not
+    pr = params_for(pb_power=10.0, sn_density=sn_density, charging_radius=rho)
+    window = mcsim._exact_zone_radius(pr)
+    assert (mcsim._cull_grid(pr, window) is not None) == (rho == 0.5)
+    trials = mcsim._batch_size(pr, window)
+    u_pb, t_pb, orient, u_sn, t_sn, ties = mcsim._batch_draws(
+        pr, Allocation.GREEDY, 3, 0, trials, window, mcsim._Workspace()
+    )
+    pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))))
+    sn = mcsim._disk_points(u_sn, window + rho, np.empty((2, len(u_sn))))
+    orientations = orient * (2.0 * math.pi / pr.sectors)
+    counts, k = mcsim._sector_counts(pb, t_pb, orientations, sn, t_sn, pr, mcsim._Workspace())
+    atten = np.power(np.maximum(np.hypot(pb[0], pb[1]), 1.0), -pr.path_loss_exp)
+    for scheme in (Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY):
+        gains = mcsim._scheme_gains(counts, k, scheme, ties)
+        powers = np.bincount(t_pb, weights=atten * gains, minlength=trials)
+        want = mcsim._batch_powers(pr, scheme, 3, 0, trials, window, mcsim._Workspace())
+        assert np.array_equal(pr.pb_power * pr.attenuation * powers, want), scheme
 
 
 def lattice_batch(draw, trials, rho):
@@ -433,7 +462,7 @@ def pair_offsets(batch, pairs):
 
 
 def joined_pairs(pb, t_pb, sn, t_sn, rho, split=1, min_cell=0.0):
-    chunks = mcsim._pairs_bucketed(pb.T, t_pb, sn.T, t_sn, rho, split, min_cell)
+    chunks = mcsim._pairs_bucketed(pb.T, t_pb, sn.T, t_sn, rho, split, min_cell, mcsim._Workspace())
     return sorted(
         (i, x, y) for chunk in chunks for i, x, y in zip(*(c.tolist() for c in chunk))
     )
@@ -545,20 +574,21 @@ def cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, n_trials):
     return sn, kept
 
 
-def assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, trials=0):
-    """Every beam scheme's gains over the kept sensors equal those over all
-    of them. Given trials, one origin sensor per trial joins both sides
-    uncut; without, any origin rows are among the sensors the cull saw."""
+def assert_cull_keeps_counts(params, pb, t_pb, orientations, sn, t_sn, kept, trials=0):
+    """The sector counts over the kept sensors, and each beacon's origin
+    sector, equal those over all of them, so every scheme's gains do too.
+    Given trials, one origin sensor per trial joins both sides uncut;
+    without, any origin rows are among the sensors the cull saw."""
     origins, labels = np.zeros((2, trials)), np.arange(trials)
-    for scheme in (Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY):
-        uncut, culled = (
-            mcsim._origin_gains(
-                pb, t_pb, orientations, np.hstack((sensors, origins)),
-                np.concatenate((trial, labels)), params, scheme, ties,
-            )
-            for sensors, trial in ((sn, t_sn), (sn[:, kept], t_sn[kept]))
+    uncut, culled = (
+        mcsim._sector_counts(
+            pb, t_pb, orientations, np.hstack((sensors, origins)),
+            np.concatenate((trial, labels)), params, mcsim._Workspace(),
         )
-        assert np.array_equal(culled, uncut), scheme
+        for sensors, trial in ((sn, t_sn), (sn[:, kept], t_sn[kept]))
+    )
+    for got, want in zip(culled, uncut, strict=True):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -659,8 +689,8 @@ def edge_network(params, window):
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
 def test_cull_keeps_sensors_on_the_charging_boundary(monkeypatch, rho):
-    # every pair the uncut join finds survives the cull, and every scheme's
-    # gains are those of the uncut sensors; the pairs include distances
+    # every pair the uncut join finds survives the cull, and the sector
+    # counts are those of the uncut sensors; the pairs include distances
     # just inside, at and (missed) just outside rho as the engine's test
     # reads them. At rho 2 the share switch is lifted
     monkeypatch.setattr(mcsim, "_CULL_SHARE_MAX", 1.0)
@@ -682,8 +712,7 @@ def test_cull_keeps_sensors_on_the_charging_boundary(monkeypatch, rho):
     assert joined_pairs(pb.T, t_pb, sn.T[kept], t_sn[kept], rho, split, min_cell) == pair_offsets(batch, pairs)
     rng = np.random.default_rng(3)
     orientations = rng.random(pb.shape[1]) * (2.0 * math.pi / params.sectors)
-    ties = rng.random(pb.shape[1])
-    assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept, trials)
+    assert_cull_keeps_counts(params, pb, t_pb, orientations, sn, t_sn, kept, trials)
 
 
 #: Fig. 3 deployments at which the cull runs, and the rho 2 one with the
@@ -694,9 +723,9 @@ CULL_POINTS = ((0.8, 0.5), (0.8, 1.0), (1.6, 0.5), (1.6, 1.0), (1.6, 2.0))
 def check_cull_matches_uncut_gains():
     """At each CULL_POINTS deployment (10 W, AUTO window), 6 trials of the
     engine's draws, each trial's origin row followed by its sensors as in
-    the engine, give the same gains with the cull as over every sensor, for
-    every beam scheme. Across the points the cull keeps some origin rows
-    and drops others."""
+    the engine, give the same sector counts with the cull as over every
+    sensor. Across the points the cull keeps some origin rows and drops
+    others."""
     origins_kept = set()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcsim, "_CULL_SHARE_MAX", 1.0)
@@ -712,8 +741,7 @@ def check_cull_matches_uncut_gains():
             # a trial's origin row is its first
             origins_kept |= set(np.isin(t_sn.searchsorted(np.arange(6)), kept).tolist())
             orientations = orient * (2.0 * math.pi / params.sectors)
-            ties = trial_stream(8, 0, 2).random(len(t_pb))
-            assert_cull_keeps_gains(params, pb, t_pb, orientations, ties, sn, t_sn, kept)
+            assert_cull_keeps_counts(params, pb, t_pb, orientations, sn, t_sn, kept)
     assert origins_kept == {False, True}
 
 
@@ -809,9 +837,9 @@ def test_tiny_charging_radius_runs_in_bounded_memory():
 
 def test_batch_grouping_does_not_change_results():
     pr = params_for()
-    whole = mcsim._batch_powers(pr, Allocation.UNIFORM, 4, 0, 9, 10.0)
+    whole = mcsim._batch_powers(pr, Allocation.UNIFORM, 4, 0, 9, 10.0, mcsim._Workspace())
     pieces = np.concatenate(
-        [mcsim._batch_powers(pr, Allocation.UNIFORM, 4, a, b, 10.0)
+        [mcsim._batch_powers(pr, Allocation.UNIFORM, 4, a, b, 10.0, mcsim._Workspace())
          for a, b in ((0, 2), (2, 3), (3, 9))]
     )
     assert np.array_equal(whole, pieces)
@@ -824,13 +852,13 @@ def test_batch_memory_peak():
     # when the join returned index pairs and re-gathered their coordinates,
     # at 30.4 MiB when it read whole strips, and at 23.1 MiB with chunked
     # strips; the bound is that peak plus 10%. Built in a fresh workspace,
-    # whose roles share buffers, it peaks at 22.3 MiB
+    # whose roles share buffers, it peaks at 23.3 MiB
     pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=1.0)
     window = mcsim._exact_zone_radius(pr)
     stop = mcsim._batch_size(pr, window)
     tracemalloc.start()
     try:
-        mcsim._batch_powers(pr, Allocation.UNIFORM, 1, 0, stop, window)
+        mcsim._batch_powers(pr, Allocation.UNIFORM, 1, 0, stop, window, mcsim._Workspace())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -848,7 +876,7 @@ def test_batch_memory_peak_through_the_cull():
     stop = mcsim._batch_size(pr, window)
     tracemalloc.start()
     try:
-        mcsim._batch_powers(pr, Allocation.UNIFORM, 1, 0, stop, window)
+        mcsim._batch_powers(pr, Allocation.UNIFORM, 1, 0, stop, window, mcsim._Workspace())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -861,7 +889,7 @@ WORKSPACE_PLAN = ((0, 40), (40, 43), (43, 90), (90, 92))
 
 
 def fresh_batches(pr, scheme, window, plan):
-    return [mcsim._batch_powers(pr, scheme, 7, lo, hi, window) for lo, hi in plan]
+    return [mcsim._batch_powers(pr, scheme, 7, lo, hi, window, mcsim._Workspace()) for lo, hi in plan]
 
 
 @pytest.mark.parametrize("chunk", [None, 4], ids=["chunks", "lone_strips"])
@@ -894,8 +922,8 @@ def test_reused_workspace_matches_fresh_batches(monkeypatch, scheme, chunk):
 
 
 def test_no_workspace_outlives_its_call():
-    # a run's workspaces die with it, and so does the fresh one a direct
-    # batch call makes: traced memory comes back to within 64 KiB, the
+    # a run's workspaces die with it, and so does the fresh one handed to a
+    # direct batch call: traced memory comes back to within 64 KiB, the
     # returned powers included (a 256-trial batch's workspace holds some
     # 0.8 MiB here)
     pr = params_for()
@@ -906,7 +934,7 @@ def test_no_workspace_outlives_its_call():
         before = tracemalloc.get_traced_memory()[0]
         summary = run_trials(pr, config)
         after_run = tracemalloc.get_traced_memory()[0]
-        powers = mcsim._batch_powers(pr, Allocation.UNIFORM, 2, 0, 256, 8.0)
+        powers = mcsim._batch_powers(pr, Allocation.UNIFORM, 2, 0, 256, 8.0, mcsim._Workspace())
         after_batch = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1027,7 +1055,7 @@ def test_draw_buffers_grow_and_hold_empty_trials(scheme):
     seed, trials = 5, 40
     sparse = False
     for pr, window in DRAW_POINTS:
-        want = mcsim._batch_powers(pr, scheme, seed, 0, trials, window)
+        want = mcsim._batch_powers(pr, scheme, seed, 0, trials, window, mcsim._Workspace())
         n_pb, n_sn = assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, mcsim._Workspace())
         sparse |= 0 in n_pb and (n_sn is None or 1 in n_sn)
         grown = set()
@@ -1041,9 +1069,9 @@ def test_draw_buffers_grow_and_hold_empty_trials(scheme):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mcsim, "_draw_reserve", lambda mean: 0)
             patch.setattr(mcsim._Workspace, "__call__", spy)
-            assert np.array_equal(mcsim._batch_powers(pr, scheme, seed, 0, trials, window), want)
+            assert np.array_equal(mcsim._batch_powers(pr, scheme, seed, 0, trials, window, mcsim._Workspace()), want)
             assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, mcsim._Workspace())
-        roles = {"u_pb"} | ({"orient", "a"} if scheme is not Allocation.FORCED_OMNI else set())
+        roles = {"strips"} | ({"orient", "a"} if scheme is not Allocation.FORCED_OMNI else set())
         assert grown == roles | ({"ties"} if scheme is Allocation.GREEDY else set())
     assert sparse
 
@@ -1126,7 +1154,7 @@ def recorded_batches(monkeypatch, on_call=None):
     sizes = []
     lock = threading.Lock()
 
-    def record(params, scheme, seed, start, stop, window, work=None):
+    def record(params, scheme, seed, start, stop, window, work):
         with lock:
             sizes.append(stop - start)
             n = len(sizes)
@@ -1162,7 +1190,7 @@ def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch):
     # call raises batch 0's every time, not the one that failed first
     started = threading.Event()
 
-    def fail(params, scheme, seed, start, stop, window, work=None):
+    def fail(params, scheme, seed, start, stop, window, work):
         if start > 0:
             started.set()
             raise RuntimeError(f"batch at {start} failed")
