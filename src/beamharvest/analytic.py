@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import specfun
@@ -228,8 +229,11 @@ def _far_exponent(s: float, m: int, params: ScenarioParams) -> float:
 
 
 def _check_nonnegative(value: float, name: str) -> None:
-    """The domain of a Laplace argument s and of a CCDF threshold."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    """The domain of a Laplace argument s and of a CCDF threshold: a finite,
+    nonnegative real number, NumPy's included, but not a bool."""
+    if type(value) is float and 0.0 <= value < math.inf:
+        return  # the common case, settled by one comparison chain
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")

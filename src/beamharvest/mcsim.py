@@ -332,10 +332,9 @@ class _Workspace:
     placed, then the join's strip bounds), "orient", "ties" (greedy's) and
     "a" (sensor uniforms); "a" then takes the join's sensor keys and sorted
     coordinates, then the path losses. The cull (_cull) keeps its grid and
-    widened grid ("cull_grid", "cull_wide", bytes), its mask over the
-    batch's sensors ("cull_keep") and a block's float32 positions and cell
-    keys ("cull_xy", "cull_key"); "kept" holds the uniforms of the sensors
-    it keeps.
+    widened grid ("cull_grid", "cull_wide", bytes); "kept" holds the batch's
+    sensors' cull keys, float32 positions and mask, then the uniforms of the
+    sensors the cull keeps.
 
     draw_lock is held while a batch draws. The workspaces of one _run_chunk
     call share one lock, so one thread of the call runs its GIL-bound draw
@@ -705,13 +704,6 @@ _CULL_SHARE_MAX = 0.6
 #: past _CULL_SHARE_MAX.
 _CULL_CELL_SENSORS_MIN = 0.1
 
-#: Sensors the cull places per pass, whole trials at a time, so its grid
-#: (2 bytes a cell, at most about 26 bytes a sensor) and its float32
-#: positions and cell keys (20 bytes a sensor) stay at a fixed footprint
-#: whatever the batch size.
-_CULL_BLOCK = 1 << 16
-
-
 def _cull_grid(params: ScenarioParams, window: float) -> tuple[float, int] | None:
     """Cull cell side and cells per grid side for sensors drawn over
     window + rho, or None where the cull is off.
@@ -741,78 +733,69 @@ def _cull(
     """Indices, ascending, of the sensors that lie in the 5 x 5 block of
     cull cells around some beacon of their trial; the sensors are an (n, 2)
     uniform block drawn over sn_window, labelled t_sn, origin rows included.
-    Both label arrays ascend, as the engine builds them.
 
-    Trials are taken in blocks holding at most _CULL_BLOCK sensors (or one
-    trial). The beacons' cells come from their float64 coordinates and the
-    sensors' from float32 positions in cell units (see _cull_grid and
-    _CULL_MARGIN). One scatter marks the beacon cells in a grid of
-    side * side cells per trial, which shifted ORs widen by two cells along
-    each axis in turn, and each sensor reads its cell. The float32 values
-    only discard sensors; none reaches a sample. The grid, its widened
-    copy, the mask and the block's positions and keys are workspace roles."""
+    The beacons' cells come from their float64 coordinates and the sensors'
+    from float32 positions in cell units (see _cull_grid and _CULL_MARGIN).
+    One scatter marks the beacon cells in a grid of side * side cells per
+    trial, which shifted ORs widen by two cells along each axis in turn, and
+    each sensor reads its cell. The float32 values only discard sensors;
+    none reaches a sample. The grid and its widened copy are workspace
+    roles; the sensors' positions, keys and mask share the role "kept"."""
     scale = sn_window / cell
     shift = scale + 1.0
     pb_x, pb_y = (np.floor(row / cell + shift).astype(np.int64) for row in pb)
-    pb_starts = t_pb.searchsorted(np.arange(n_trials + 1))
-    starts = t_sn.searchsorted(np.arange(n_trials + 1))
-    keep = work("cull_keep", len(u_sn), np.bool_)
-    t0 = 0
-    while t0 < n_trials:
-        # whole trials holding at most _CULL_BLOCK sensors, or one trial
-        t1 = max(t0 + 1, int(starts.searchsorted(starts[t0] + _CULL_BLOCK, side="right")) - 1)
-        # side * side cells per trial: the shifts by 1 and 2 widen each
-        # beacon's mark along a row, those by side and 2 * side across rows;
-        # a shift that runs past a row's or a trial's end only marks cells
-        # at the grid's edge, which keeps more sensors, never fewer
-        size = (t1 - t0) * side * side
-        grid = work("cull_grid", size, np.bool_)
-        wide = work("cull_wide", size, np.bool_)
-        grid.fill(False)
-        beacons = slice(pb_starts[t0], pb_starts[t1])
-        grid[((t_pb[beacons] - t0) * side + pb_x[beacons]) * side + pb_y[beacons]] = True
-        for src, dst, step in ((grid, wide, 1), (wide, grid, side)):
-            np.copyto(dst, src)
-            for d in (step, 2 * step):
-                dst[d:] |= src[:-d]
-                dst[:-d] |= src[d:]
-        lo, hi = starts[t0], starts[t1]
-        u = u_sn[lo:hi]
-        m = hi - lo
-        r, x, y = work("cull_xy", 3 * m, np.float32).reshape(3, m)
-        np.sqrt(u[:, 0], out=r, dtype=np.float32)
-        r *= np.float32(scale)
-        np.multiply(u[:, 1], np.float32(_TWO_PI), out=x, dtype=np.float32)
-        np.sin(x, out=y)
-        y *= r
-        y += np.float32(shift)
-        np.cos(x, out=x)
-        x *= r
-        x += np.float32(shift)
-        # cell (t, i, j) has key ((t - t0) * side + i) * side + j; the
-        # float32 values are positive, so the cast's truncation is the floor
-        key = np.subtract(t_sn[lo:hi], t0, out=work("cull_key", m, np.int64))
-        key *= side
-        floor = r.view(np.int32)
-        np.copyto(floor, x, casting="unsafe")
-        key += floor
-        key *= side
-        np.copyto(floor, y, casting="unsafe")
-        key += floor
-        grid.take(key, out=keep[lo:hi], mode="clip")
-        t0 = t1
-    return np.flatnonzero(keep)
+    # side * side cells per trial: the shifts by 1 and 2 widen each beacon's
+    # mark along a row, those by side and 2 * side across rows; a shift that
+    # runs past a row's or a trial's end only marks cells at the grid's
+    # edge, which keeps more sensors, never fewer
+    size = n_trials * side * side
+    grid = work("cull_grid", size, np.bool_)
+    wide = work("cull_wide", size, np.bool_)
+    grid.fill(False)
+    grid[(t_pb * side + pb_x) * side + pb_y] = True
+    for src, dst, step in ((grid, wide, 1), (wide, grid, side)):
+        np.copyto(dst, src)
+        for d in (step, 2 * step):
+            dst[d:] |= src[:-d]
+            dst[:-d] |= src[d:]
+    # the sensors' cell keys, then their float32 positions, in the role the
+    # kept sensors' uniforms take once the cull returns
+    m = len(u_sn)
+    scratch = work("kept", 5 * m, np.float32)
+    key = scratch[: 2 * m].view(np.int64)
+    r, x, y = scratch[2 * m :].reshape(3, m)
+    np.sqrt(u_sn[:, 0], out=r, dtype=np.float32)
+    r *= np.float32(scale)
+    np.multiply(u_sn[:, 1], np.float32(_TWO_PI), out=x, dtype=np.float32)
+    np.sin(x, out=y)
+    y *= r
+    y += np.float32(shift)
+    np.cos(x, out=x)
+    x *= r
+    x += np.float32(shift)
+    # cell (t, i, j) has key (t * side + i) * side + j; the float32 values
+    # are positive, so the cast's truncation is the floor
+    np.multiply(t_sn, side, out=key)
+    floor = r.view(np.int32)
+    np.copyto(floor, x, casting="unsafe")
+    key += floor
+    key *= side
+    np.copyto(floor, y, casting="unsafe")
+    key += floor
+    # the mask overwrites the floors, read by now
+    return np.flatnonzero(grid.take(key, out=r.view(np.bool_)[:m], mode="clip"))
 
 
-#: Fewest expected beacons and sensors in a batch split between threads,
-#: unless the whole batch holds fewer. Below it a batch spends its time in
-#: NumPy calls too short to release the GIL: at lambda_s 0.2-0.8, rho
-#: 0.25-0.5 (batches of 14-53 trials, bound by the join's cell count)
-#: quarter batches ran 0.7-0.86x one thread, and 1.3-1.5x with this floor.
+#: Fewest expected beacons and sensors in a batch: the batch floor, unless
+#: the whole step holds fewer. Below it a batch spends its time in NumPy
+#: calls too short to release the GIL: at lambda_s 0.2-0.8, rho 0.25-0.5
+#: (steps of 14-53 trials, bound by the join's cell count) quarter batches
+#: on two threads ran 0.7-0.86x whole steps on one, and 1.3-1.5x with this
+#: floor.
 _SPLIT_POINTS_MIN = 32768
 
 
-def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors: bool = True) -> int:
+def _batch_size(params: ScenarioParams, window: float, sensors: bool = True) -> int:
     """Trials fused per vectorized pass, sized to bound working-set memory.
 
     Per trial, the pair stage holds an entry per beacon (its cell key and
@@ -829,22 +812,23 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
     a sample.
 
     Where the cull runs (_cull_grid), every drawn sensor still counts a
-    row: each keeps its draws, label and mask byte for the whole batch (the
-    draws go straight into buffers reserved a few standard deviations above
-    the batch's expected count, with no per-trial copy), and
-    the expected survivors (at most _CULL_SHARE_MAX of them) hold their
-    coordinates and join entries within that row's bytes. A join cell
-    counts half a row there, as the join's sensor arrays shrink with the
-    survivors: at lambda_s 0.8, rho 0.25 the 28-trial batches this allows
-    ran 1.1x the 14-trial ones, and at lambda_s 1.6, rho 0.5 a batch of 106
-    trials traces 16 MiB. The cull's grid and float32 arrays are built a
-    block of trials at a time (_CULL_BLOCK), so they do not grow with the
-    batch.
+    row: each keeps its draws, label, mask byte, float32 position and cull
+    key for the whole batch (the draws go straight into buffers reserved a
+    few standard deviations above the batch's expected count, with no
+    per-trial copy), and the expected survivors (at most _CULL_SHARE_MAX of
+    them) hold their coordinates and join entries within that row's bytes.
+    A join cell counts half a row there, as the join's sensor arrays shrink
+    with the survivors: at lambda_s 0.8, rho 0.25 the 28-trial steps this
+    allows ran 1.1x the 14-trial ones.
 
-    With threads > 1 the budget is split 2 * threads ways, but not below
-    _SPLIT_POINTS_MIN expected points (beacons, plus sensors if drawn), nor
-    above the whole batch: each thread keeps its own malloc arena, and with
-    two threads half-size batches raised peak memory above one thread's."""
+    The step, the trials 4e5 rows allow, is then split four ways, but not
+    below _SPLIT_POINTS_MIN expected points (beacons, plus sensors if
+    drawn), nor above the whole step. The thread count sets only how many
+    batches run at once. Each thread keeps its own malloc arena, and with
+    two threads half-size batches raised peak memory above one thread's
+    whole steps; on one thread, quarter batches ran the twelve Fig. 3
+    points in 0.92-0.96x the time of whole steps, at traced batch peaks of
+    at most 8.1 MiB against 22.6."""
     expect_pb, expect_sn = _field_means(params, window)
     points = rows = expect_pb
     if sensors:
@@ -858,10 +842,8 @@ def _batch_size(params: ScenarioParams, window: float, threads: int = 1, sensors
             cells /= 2.0
         rows = max(expect_pb, expect_sn, cells)
     step = int(min(256, max(1, 4.0e5 / max(rows, 1.0))))
-    if threads > 1:
-        floor = math.ceil(_SPLIT_POINTS_MIN / max(points, 1.0))
-        step = min(step, max(step // (2 * threads), floor))
-    return step
+    floor = math.ceil(_SPLIT_POINTS_MIN / max(points, 1.0))
+    return min(step, max(step // 4, floor))
 
 
 def _powers(
@@ -1022,7 +1004,7 @@ def _run_chunk(
     window, tail = _run_window(params, config)
     out = np.empty(stop - start, dtype=np.float64)
     sensors = config.allocation is not Allocation.FORCED_OMNI
-    step = _batch_size(params, window, threads, sensors)
+    step = _batch_size(params, window, sensors)
     workspaces = threading.local()
     draw_lock = threading.Lock()
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import analytic, scenario
@@ -210,8 +211,10 @@ def d_gamma_ccdf_d_rho(params: ScenarioParams, threshold: float) -> float:
 
 
 def _check_threshold(threshold: float) -> None:
-    """A reach-probability threshold must be finite and positive."""
-    if not (math.isfinite(threshold) and threshold > 0):
+    """A reach-probability threshold must be a finite, positive real number,
+    not a bool."""
+    real = isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
+    if not (real and math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
 
 

@@ -152,7 +152,7 @@ def _sector_count(sectors, name: str) -> str | None:
 
 
 def _path_loss_exp(alpha, name: str) -> str | None:
-    if not isinstance(alpha, (int, float)):
+    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
         return "path_loss_exp must be a number"
     if not math.isfinite(alpha):
         return "path_loss_exp must be finite"

@@ -6,6 +6,7 @@ radial integrals, observed agreement ~1e-15).
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import assume, given, settings
@@ -211,6 +212,11 @@ def test_laplace_argument_guards():
     with pytest.raises(RangeError):
         laplace_total(1e10, FIG2)
     assert LAPLACE_ARG_MAX == 1e6
+    # NumPy integers pass as Python's do; bools and non-reals never do
+    assert laplace_total(np.int64(10), FIG2) == laplace_total(10, FIG2) == laplace_total(10.0, FIG2)
+    for bad in (True, np.True_, "1", None, 1j):
+        with pytest.raises(ValueError, match="laplace argument must be a finite number"):
+            laplace_total(bad, FIG2)
 
 
 def test_sector_cap_enforced():
@@ -342,6 +348,13 @@ def test_gamma_ccdf_edges():
     assert gamma_ccdf(0.0, FIG2) == 1.0
     with pytest.raises(ValueError):
         gamma_ccdf(-1e-9, FIG2)
+    # NumPy reals pass as Python's do, a zero integer threshold included;
+    # bools and non-reals never do
+    assert gamma_ccdf(np.int64(0), FIG2) == gamma_ccdf(np.float64(0.0), FIG2) == 1.0
+    assert gamma_ccdf(np.float64(1e-4), FIG2) == gamma_ccdf(1e-4, FIG2)
+    for bad in (True, False, np.True_, "1e-4", None, math.inf, math.nan):
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            gamma_ccdf(bad, FIG2)
     grid = [gamma_ccdf(t, FIG2) for t in (1e-5, 1e-4, 5e-4, 2e-3)]
     assert all(a >= b for a, b in zip(grid, grid[1:]))
 

@@ -383,7 +383,7 @@ def test_active_prob_grid_rejects_threshold_before_simulating(monkeypatch):
     monkeypatch.setattr(benchcli.mcsim, "run_trials", no_trials)
     params, _ = load_config()
     config = SimConfig(trials=10, master_seed=6, window_radius=10.0)
-    for bad in (0.0, -1e-4, math.inf, math.nan):
+    for bad in (0.0, -1e-4, math.inf, math.nan, True, "1e-4", None):
         with pytest.raises(ValueError, match="threshold"):
             active_prob_grid(params, (1.0,), bad, config)
 

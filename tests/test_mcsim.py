@@ -847,12 +847,10 @@ def test_batch_grouping_does_not_change_results():
 
 def test_batch_memory_peak():
     # Fig. 3 deployment at lambda_s 1.6, rho 1: of the sweep's twelve points,
-    # the batch with the largest traced peak under the sizing rule (176
-    # trials, ~400k sensors). With NumPy 2.4.6 it peaked at 44.7-45.6 MiB
-    # when the join returned index pairs and re-gathered their coordinates,
-    # at 30.4 MiB when it read whole strips, and at 23.1 MiB with chunked
-    # strips; the bound is that peak plus 10%. Built in a fresh workspace,
-    # whose roles share buffers, it peaks at 23.3 MiB
+    # the batch with the largest traced peak under the sizing rule (a
+    # quarter step of 44 trials, ~100k sensors). With NumPy 2.4.6, built in
+    # a fresh workspace, whose roles share buffers, it peaks at 8.1 MiB; the
+    # bound is that peak plus 10%
     pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=1.0)
     window = mcsim._exact_zone_radius(pr)
     stop = mcsim._batch_size(pr, window)
@@ -862,14 +860,15 @@ def test_batch_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25.4 * 2**20
+    assert peak <= 9.0 * 2**20
 
 
 def test_batch_memory_peak_through_the_cull():
     # the same check at the Fig. 3 point where the cull discards the most
     # (lambda_s 1.6, rho 0.5: 85% of the sensors), whose batch also holds
-    # a block's cull grid and its widened copy, and counts a join cell as
-    # half a row; with NumPy 2.4.6 its 106 trials peaked at 16.3 MiB
+    # the cull grid and its widened copy over all its trials, and counts a
+    # join cell as half a row; with NumPy 2.4.6 its 26 trials (~56k
+    # sensors) peak at 5.7 MiB, and the bound is that peak plus 10%
     pr = params_for(pb_power=10.0, sn_density=1.6, charging_radius=0.5)
     window = mcsim._exact_zone_radius(pr)
     assert mcsim._cull_grid(pr, window) is not None
@@ -880,7 +879,7 @@ def test_batch_memory_peak_through_the_cull():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25.4 * 2**20
+    assert peak <= 6.3 * 2**20
 
 
 # large, small, large, then short: a reused buffer holds more than the
@@ -968,8 +967,8 @@ def test_run_trials_deterministic_and_worker_invariant():
 
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
 def test_run_trials_thread_invariant(monkeypatch, scheme):
-    # 300 trials of 256-trial batches, split into 64-trial ones on two
-    # threads once the points floor is lifted, leave a short last batch
+    # 300 trials of 256-trial batches, and of 64-trial ones on one and on
+    # two threads once the points floor is lifted, leave a short last batch
     # either way; the unpatched run takes the host's own thread rule
     pr = params_for()
     window = 8.0
@@ -1211,35 +1210,46 @@ def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch):
 
 
 def test_thread_split_keeps_a_points_floor(monkeypatch):
-    # two threads quarter the batch of a trial with some 2,400 beacons and
-    # sensors, but a trial with some 400, whose quarter batch would hold
-    # fewer than _SPLIT_POINTS_MIN, keeps its whole batch
-    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
+    # a trial with some 2,400 beacons and sensors runs quarter steps, but a
+    # trial with some 400, whose quarter step would hold fewer than
+    # _SPLIT_POINTS_MIN, runs whole ones; run_trials runs the same batches
+    # on one thread and on two, which set only how many run at once
     sizes = recorded_batches(monkeypatch)
     for pr, split in ((params_for(sn_density=1.6), 4), (params_for(charging_radius=0.25), 1)):
-        batch = mcsim._batch_size(pr, mcsim._exact_zone_radius(pr))
-        sizes.clear()
-        run_trials(pr, SimConfig(trials=3 * batch, master_seed=1))
-        assert sizes == [batch // split] * (3 * split), pr
+        window = mcsim._exact_zone_radius(pr)
+        batch = mcsim._batch_size(pr, window)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_SPLIT_POINTS_MIN", 1e12)  # every batch a whole step
+            assert batch == mcsim._batch_size(pr, window) // split, pr
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
+            sizes.clear()
+            run_trials(pr, SimConfig(trials=3 * split * batch, master_seed=1))
+            runs.append(list(sizes))
+        assert runs == [[batch] * (3 * split)] * 2, pr
 
 
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
 def test_batch_size_by_scheme(monkeypatch, scheme):
-    # default deployment (5 W, rho 2 m, AUTO window) on one and two threads:
-    # forced omni draws no sensors, so only its ~128 beacons a trial count
-    # toward the row budget and the split floor, and _run_chunk says so
+    # default deployment (5 W, rho 2 m, AUTO window): forced omni draws no
+    # sensors, so only its ~128 beacons a trial count toward the row budget
+    # and the points floor, and run_trials runs those batches on one thread
+    # and on two
     pr = params_for(pb_power=5.0, charging_radius=2.0)
     window = mcsim._exact_zone_radius(pr)
     omni = scheme is Allocation.FORCED_OMNI
-    sizes = [mcsim._batch_size(pr, window, threads, not omni) for threads in (1, 2)]
-    assert sizes == ([256, 256] if omni else [256, 75])
-    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
+    size = mcsim._batch_size(pr, window, not omni)
+    assert size == (256 if omni else 75)
     batches = recorded_batches(monkeypatch)
-    run_trials(pr, SimConfig(trials=3 * sizes[1], master_seed=1, allocation=scheme))
-    assert batches == [sizes[1]] * 3
+    for threads in (1, 2):
+        monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
+        batches.clear()
+        run_trials(pr, SimConfig(trials=3 * size, master_seed=1, allocation=scheme))
+        assert batches == [size] * 3, threads
     # the thread-invariance test's window: 300 trials end in a short batch
     # of 256-trial batches, and of 64-trial ones once the floor is lifted
-    assert mcsim._batch_size(params_for(), 8.0, 1, not omni) == 256
+    assert mcsim._batch_size(params_for(), 8.0, not omni) == 256
 
 
 def test_threads_per_worker_rule(monkeypatch):

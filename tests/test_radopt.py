@@ -275,7 +275,7 @@ def test_active_optimum_rejects_bad_threshold(monkeypatch):
         raise AssertionError("evaluated the objective for a bad threshold")
 
     monkeypatch.setattr(analytic, "gamma_ccdf", no_objective)
-    for bad in (0.0, -1e-4, math.inf, math.nan):
+    for bad in (0.0, -1e-4, math.inf, math.nan, True, "1e-4", None):
         with pytest.raises(ValueError, match="threshold"):
             optimal_radius_active(params_for(), bad)
 

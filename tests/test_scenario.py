@@ -447,3 +447,6 @@ def test_validation_messages_keep_their_order():
     assert validation_errors(make_params(sectors=True)) == [
         "invalid sector count: sectors must be an integer"
     ]
+    assert validation_errors(make_params(path_loss_exp=True)) == [
+        "path_loss_exp must be a number"
+    ]
