@@ -70,16 +70,10 @@ class GammaApprox:
 
 
 @functools.cache  # a table: every caller has n <= MAX_SECTORS
-def _binom(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return 0.0
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-
-
-@functools.cache
 def _binom_row(n: int) -> tuple[float, ...]:
-    """C(n, k) for k = 0..n, read by the loops that run over every k."""
-    return tuple(_binom(n, k) for k in range(n + 1))
+    """C(n, k) for k = 0..n, the binomial coefficients every formula reads."""
+    lg = math.lgamma
+    return tuple(math.exp(lg(n + 1) - lg(k + 1) - lg(n - k + 1)) for k in range(n + 1))
 
 
 # The last scenario _occupancy saw and its result: gamma_approx asks twice
@@ -160,7 +154,7 @@ def reception_prob_near(active_sectors: int, params: ScenarioParams) -> float:
     m = active_sectors
     _check_active(m, 1, n)  # a near beacon always beams at the sensor
     p, q, _ = _occupancy(params)
-    return _binom(n - 1, m - 1) * p ** (n - m) * q ** (m - 1)
+    return _binom_row(n - 1)[m - 1] * p ** (n - m) * q ** (m - 1)
 
 
 def reception_prob_far(active_sectors: int, params: ScenarioParams) -> float:
@@ -177,7 +171,7 @@ def reception_prob_far(active_sectors: int, params: ScenarioParams) -> float:
     p, q, p_all = _occupancy(params)
     if m == 0:
         return p_all
-    return _binom(n - 1, m - 1) * p ** (n - m) * q**m
+    return _binom_row(n - 1)[m - 1] * p ** (n - m) * q**m
 
 
 def _laplace_a(s: float, gain_value: float, params: ScenarioParams) -> float:
@@ -482,20 +476,22 @@ _SERIES_SWITCH = 0.5
 
 def _w_inner_over_nq2(p: float, q: float, n: int) -> float:
     if n * q < _SERIES_SWITCH:
+        row = _binom_row(n)
         acc = 0.0
         for m in range(2, n + 1):
             sign = 1.0 if m % 2 == 0 else -1.0
-            acc += sign * (m - 1) * _binom(n, m) * q ** (m - 2)
+            acc += sign * (m - 1) * row[m] * q ** (m - 2)
         return -acc / n
     return (p**n + n * q * p ** (n - 1) - 1.0) / (n * q * q)
 
 
 def _w_outer_over_nq2(p: float, q: float, n: int) -> float:
     if n * q < _SERIES_SWITCH:
+        row = _binom_row(n)
         acc = 0.0
         for m in range(2, n + 2):
             sign = 1.0 if m % 2 == 0 else -1.0
-            acc += sign * _binom(n, m - 1) * (n + 1.0 - n * m) / m * q ** (m - 2)
+            acc += sign * row[m - 1] * (n + 1.0 - n * m) / m * q ** (m - 2)
         return acc / n
     return (n * q * p**n - p + p ** (n + 1)) / (n * q * q)
 

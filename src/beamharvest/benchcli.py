@@ -392,6 +392,7 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
     probability: robust >= uniform >= greedy. Fewer than two trials leave
     the deltas without a spread, so they are a ConfigError.
     """
+    mcsim._check_config(params, config)
     if config.trials < 2:
         raise ConfigError(
             f"paired intervals need at least 2 trials, got {config.trials!r}"

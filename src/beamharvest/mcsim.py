@@ -127,16 +127,20 @@ def _check_config(params: ScenarioParams, config: SimConfig) -> None:
     if not isinstance(config.allocation, Allocation):
         raise ConfigError(f"unknown allocation scheme {config.allocation!r}")
     if config.window_radius != AUTO_WINDOW:
-        w = config.window_radius
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or not (
-            math.isfinite(w) and w > 0
-        ):
-            raise ConfigError(f"window_radius must be positive or AUTO, got {w!r}")
-        if w < params.charging_radius:
-            raise ConfigError(
-                f"window_radius {w!r} is smaller than the charging radius "
-                f"{params.charging_radius!r}; near beacons would be lost"
-            )
+        _check_window(params, config.window_radius)
+
+
+def _check_window(params: ScenarioParams, window) -> None:
+    """A beacon window's rule: finite, positive and at least the charging radius."""
+    if isinstance(window, bool) or not isinstance(window, (int, float)) or not (
+        0 < window < math.inf
+    ):
+        raise ConfigError(f"window_radius must be positive and finite, got {window!r}")
+    if window < params.charging_radius:
+        raise ConfigError(
+            f"window_radius {window!r} is smaller than the charging radius "
+            f"{params.charging_radius!r}; near beacons would be lost"
+        )
 
 
 def trial_stream(master_seed: int, trial_index: int, substream: int = 0) -> np.random.Generator:
@@ -238,13 +242,10 @@ def draw_network(
 
     The sensor window extends past the beacon window by the charging radius
     so every beacon sees its complete charging disk; the origin sensor
-    (_ORIGIN) is row zero.
+    (_ORIGIN) is row zero. The window must pass run_trials' window check.
     """
     validate(params)
-    if not (0 < pb_window_radius < math.inf):
-        raise ValueError(
-            f"window radius must be positive and finite, got {pb_window_radius!r}"
-        )
+    _check_window(params, pb_window_radius)
     mean_pb, mean_sn = _field_means(params, pb_window_radius)
     u_pb, orient, u_sn = _trial_draws(stream, mean_pb, mean_sn, np.empty, np.empty, np.empty)
     u_pb, u_sn = u_pb.reshape(-1, 2), u_sn.reshape(-1, 2)
@@ -469,8 +470,8 @@ def _pairs_bucketed(
     mode="clip" (mode="raise" would buffer them; every index is in range),
     which gives the bytes the allocating forms do.
     """
-    if pb.shape[1] == 0:
-        return iter(())
+    if pb.shape[1] == 0 or sn.shape[1] == 0:
+        return iter(())  # the cull may keep no sensor of a batch
     # a pair can pass the rounded distance test yet lie just over rho apart
     # (beacon (2, 0.5), sensor (1 - 2**-53, 0.5), rho = 1); the margin keeps
     # such pairs strictly inside the stencil, and the test alone decides

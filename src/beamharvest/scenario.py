@@ -51,11 +51,11 @@ def sigma_from_wavelength(wavelength: float) -> float:
     """Linear free-space attenuation at the 1 m reference: (wavelength/4pi)^2.
 
     The dB value is 20*log10(wavelength/4pi); e.g. 0.1 m gives -41.98 dB.
+    A wavelength the wavelength field's rule refuses raises its message.
     """
-    if not (isinstance(wavelength, (int, float)) and math.isfinite(wavelength)):
-        raise ParameterError(["wavelength must be a finite number"])
-    if wavelength <= 0:
-        raise ParameterError(["wavelength must be positive"])
+    message = _finite_positive(wavelength, "wavelength")
+    if message:
+        raise ParameterError([message])
     try:
         return (wavelength / (4.0 * math.pi)) ** 2
     except OverflowError:
@@ -82,9 +82,8 @@ class ScenarioParams:
     power_threshold: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.attenuation is None and (
-            isinstance(self.wavelength, (int, float)) and self.wavelength > 0
-        ):
+        # a wavelength its rule refuses derives nothing; validate reports it
+        if self.attenuation is None and not _finite_positive(self.wavelength, "wavelength"):
             object.__setattr__(self, "attenuation", sigma_from_wavelength(self.wavelength))
 
     def with_(self, **changes) -> "ScenarioParams":
@@ -281,6 +280,8 @@ def params_from_mapping(values: dict[str, float | int]) -> ScenarioParams:
     sigma_linear, when present, takes the attenuation slot; wavelength_m may
     accompany it only if consistent (validate enforces the 1e-9 agreement).
     A config giving sigma_linear alone suppresses the default wavelength.
+    Values go to the field rules as given, a Python int for a real-valued
+    key widened to float, so a value its rule refuses raises ParameterError.
     """
     unknown = sorted(set(values) - set(CONFIG_KEYS))
     if unknown:
@@ -290,9 +291,8 @@ def params_from_mapping(values: dict[str, float | int]) -> ScenarioParams:
         merged.pop("wavelength_m", None)
     merged.update(values)
     params = ScenarioParams(**{
-        field: int(merged[key]) if key == "sectors" else float(merged[key])
-        for key, field in _KEY_FIELDS.items()
-        if key in merged
+        _KEY_FIELDS[key]: float(value) if type(value) is int and key != "sectors" else value
+        for key, value in merged.items()
     })
     return validate(params)
 

@@ -1,4 +1,5 @@
-"""Bitwise digests of the closed forms and of the special-function kernel.
+"""Bitwise digests of the closed forms, of the Laplace transforms and
+reception probabilities, and of the special-function kernel.
 
 Each digest is a sha256 over the repr of every value on a fixed grid, so it
 changes when any output moves by one ulp. The tests pin the digests; run
@@ -24,6 +25,8 @@ RADII = (0.05, 0.4, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 1.7, 4.0, 25.0)
 # (beacon power W, path-loss exponent)
 POWER_ALPHA = ((5.0, 3.0), (20.0, 2.5), (1.0, 4.5))
 THRESHOLDS = (1.0e-4, 1.0e-3)
+# the Laplace transforms' arguments, zero included
+LAPLACE_ARGS = (0.0, 1e-3, 1.0, 37.0, 1e3, 1e5)
 
 # shapes below 1/2 take the reflection branch of ln Gamma; x < s + 1 takes
 # the power series and x >= s + 1 the continued fraction
@@ -34,9 +37,8 @@ SHAPES = (
 LIMITS = (0.0, 1e-8, 0.3, 0.99, 1.5, 3.0, 10.0, 50.0, 1e3, 1e5)
 
 
-def closed_form_lines() -> list[str]:
-    """mean, variance, Gamma CCDF at each threshold and d(mean)/d(rho)."""
-    lines = []
+def _scenarios():
+    """(grid point, scenario) over every combination of the closed-form grid."""
     for n in SECTORS:
         for sn in SN_DENSITIES:
             for rho in RADII:
@@ -50,10 +52,17 @@ def closed_form_lines() -> list[str]:
                         path_loss_exp=alpha,
                         wavelength=0.1,
                     )
-                    values = [analytic.mean_power(params), analytic.variance_power(params)]
-                    values += [analytic.gamma_ccdf(t, params) for t in THRESHOLDS]
-                    values.append(analytic.d_mean_d_rho(params))
-                    lines.append(repr((n, sn, rho, power, alpha, values)))
+                    yield (n, sn, rho, power, alpha), params
+
+
+def closed_form_lines() -> list[str]:
+    """mean, variance, Gamma CCDF at each threshold and d(mean)/d(rho)."""
+    lines = []
+    for point, params in _scenarios():
+        values = [analytic.mean_power(params), analytic.variance_power(params)]
+        values += [analytic.gamma_ccdf(t, params) for t in THRESHOLDS]
+        values.append(analytic.d_mean_d_rho(params))
+        lines.append(repr((*point, values)))
     return lines
 
 
@@ -62,6 +71,24 @@ def _outcome(fn, *args) -> str:
         return repr(fn(*args))
     except specfun.RangeError:
         return "RangeError"
+
+
+def laplace_lines() -> list[str]:
+    """At each Laplace argument s of LAPLACE_ARGS: laplace_near at every
+    M >= 1 and laplace_far at every M >= 0, laplace_total, laplace_omni, then
+    the near and far reception probabilities at the same M."""
+    lines = []
+    for point, params in _scenarios():
+        near, far = range(1, params.sectors + 1), range(params.sectors + 1)
+        for s in LAPLACE_ARGS:
+            values = [_outcome(analytic.laplace_near, s, m, params) for m in near]
+            values += [_outcome(analytic.laplace_far, s, m, params) for m in far]
+            values += [_outcome(analytic.laplace_total, s, params)]
+            values += [_outcome(analytic.laplace_omni, s, params)]
+            values += [_outcome(analytic.reception_prob_near, m, params) for m in near]
+            values += [_outcome(analytic.reception_prob_far, m, params) for m in far]
+            lines.append(f"{point!r} {s!r} {' '.join(values)}")
+    return lines
 
 
 def specfun_lines() -> list[str]:
@@ -82,4 +109,5 @@ def digest(lines: list[str]) -> str:
 
 if __name__ == "__main__":
     print("closed forms", digest(closed_form_lines()))
+    print("laplace     ", digest(laplace_lines()))
     print("specfun     ", digest(specfun_lines()))

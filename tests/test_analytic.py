@@ -160,10 +160,8 @@ def test_binomial_table_matches_the_uncached_formula():
         return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
 
     for n in range(MAX_SECTORS + 1):
-        for k in range(n + 1):
-            assert an._binom(n, k) == oracle(n, k)  # bit for bit
-        assert an._binom(n, -1) == 0.0
-        assert an._binom(n, n + 1) == 0.0
+        row = an._binom_row(n)
+        assert row == tuple(oracle(n, k) for k in range(n + 1))  # bit for bit
 
 
 # --- Laplace transforms ---
@@ -406,4 +404,15 @@ def test_closed_forms_match_their_bitwise_digest():
     assert len(lines) == 768
     assert closed_form_digest.digest(lines) == (
         "f3a60dab232da3d8491a2c9ed35bba68e0be14e876ae0f0e7ace731d6813402f"
+    )
+
+
+def test_laplace_transforms_match_their_bitwise_digest():
+    # laplace_near and laplace_far at every M, laplace_total, laplace_omni
+    # and both reception probabilities at every M, over the same scenarios
+    # at six Laplace arguments from 0 to 1e5
+    lines = closed_form_digest.laplace_lines()
+    assert len(lines) == 4608
+    assert closed_form_digest.digest(lines) == (
+        "830d3b74b1bbd03d7d7cdc06f697c008591963bd85dccf8b0432771630e404c4"
     )

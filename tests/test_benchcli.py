@@ -358,10 +358,24 @@ def test_compare_schemes_rejects_fewer_than_two_trials(monkeypatch):
 
     monkeypatch.setattr(benchcli.mcsim, "run_trials", no_trials)
     params, _ = load_config(overrides=("power_threshold_w=1e-4",))
-    for trials in (0, 1):
+    # run_trials' own rule refuses 0 first
+    for trials, message in ((0, "positive integer"), (1, "at least 2 trials")):
         config = SimConfig(trials=trials, master_seed=4, window_radius=10.0)
-        with pytest.raises(ConfigError, match="at least 2 trials"):
+        with pytest.raises(ConfigError, match=message):
             compare_schemes(params, (5.0,), config)
+
+
+def test_compare_schemes_checks_its_config_first():
+    # run_trials' rules come before the at-least-2-trials one, so a trial
+    # count that is no integer is refused, not compared with 2
+    params, _ = load_config(overrides=("power_threshold_w=1e-4",))
+    for trials in ("3", 2.0, None):
+        config = SimConfig(trials=trials, master_seed=4, window_radius=10.0)
+        with pytest.raises(ConfigError, match="trials must be a positive integer"):
+            compare_schemes(params, (5.0,), config)
+    config = SimConfig(trials=3, master_seed=4, window_radius=True)
+    with pytest.raises(ConfigError, match="window_radius"):
+        compare_schemes(params, (5.0,), config)
 
 
 def test_active_prob_grid_rows():

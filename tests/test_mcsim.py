@@ -244,6 +244,19 @@ def test_draw_network_rejects_a_nonfinite_window():
             draw_network(params_for(), window, trial_stream(1, 0))
 
 
+def test_draw_network_shares_run_trials_window_check():
+    # one rule for both: a bool is no window, nor is text, and a window
+    # narrower than the charging radius is refused as run_trials refuses it
+    for window in (True, "5", None, AUTO_WINDOW):
+        with pytest.raises(ConfigError, match="window_radius must be positive and finite"):
+            draw_network(params_for(), window, trial_stream(1, 0))
+        if window is not AUTO_WINDOW:
+            with pytest.raises(ConfigError, match="window_radius must be positive and finite"):
+                run_trials(params_for(), SimConfig(trials=5, master_seed=1, window_radius=window))
+    with pytest.raises(ConfigError, match="smaller than the charging radius"):
+        draw_network(params_for(charging_radius=3.0), 2.0, trial_stream(1, 0))
+
+
 # --- allocation rules ---
 
 
@@ -802,6 +815,25 @@ def test_cull_run_trials_match_uncut_for_any_threads(monkeypatch, scheme):
         assert np.array_equal(run_trials(pr, config, workers=2).samples, culled), threads
     monkeypatch.setattr(mcsim, "_CULL_SHARE_MAX", 0.0)
     assert mcsim._cull_grid(pr, window) is None
+    assert np.array_equal(run_trials(pr, config).samples, culled)
+
+
+def test_cull_that_keeps_no_sensor_of_a_batch_joins_no_pairs(monkeypatch):
+    # lambda_p 1e-5, lambda_s 0.5, rho 0.5, AUTO window: about one beacon in
+    # 80 trials, so some batches hold beacons whose disks hold no sensor and
+    # the cull keeps none of their sensors; such a batch joins to no pairs,
+    # and the samples equal those of a run with the cull off
+    empty = np.empty((2, 0))
+    chunks = mcsim._pairs_bucketed(
+        np.ones((2, 3)), np.zeros(3, np.int64), empty, np.zeros(0, np.int64),
+        0.5, 1, 0.1, mcsim._Workspace(),
+    )
+    assert list(chunks) == []
+    pr = params_for(pb_density=1e-5, sn_density=0.5, charging_radius=0.5)
+    assert mcsim._cull_grid(pr, mcsim._exact_zone_radius(pr)) is not None
+    config = SimConfig(trials=4000, master_seed=1)
+    culled = run_trials(pr, config).samples
+    monkeypatch.setattr(mcsim, "_CULL_SHARE_MAX", 0.0)
     assert np.array_equal(run_trials(pr, config).samples, culled)
 
 

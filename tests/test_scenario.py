@@ -66,6 +66,24 @@ def test_wavelength_whose_attenuation_overflows_is_invalid():
     assert sigma_from_wavelength(big) == (big / (4.0 * math.pi)) ** 2
 
 
+def test_wavelength_is_judged_by_its_field_rule():
+    # sigma_from_wavelength and the constructor read the wavelength rule, so
+    # a bool or text is no wavelength and derives no attenuation
+    for wavelength, message in (
+        (True, "wavelength must be a number"),
+        ("0.1", "wavelength must be a number"),
+        (None, "wavelength must be a number"),
+        (math.inf, "wavelength must be finite"),
+        (-0.1, "wavelength must be positive"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            sigma_from_wavelength(wavelength)
+        if wavelength is not None:
+            p = make_params(wavelength=wavelength)
+            assert p.attenuation is None
+            assert message in validation_errors(p)
+
+
 def test_attenuation_derived_from_wavelength():
     p = make_params()
     assert p.attenuation == pytest.approx(sigma_from_wavelength(0.1), rel=0)
@@ -235,6 +253,25 @@ def test_every_config_key_sets_its_own_field():
     assert fields == tuple(values.values())
     assert type(p.sectors) is int
     assert params_to_mapping(p) == values
+
+
+def test_mapping_values_meet_the_field_rules_uncast():
+    # params_from_mapping casts nothing the rules would refuse: no rounding
+    # of a fractional sector count, no bool as 1, no text as a number
+    for values, message in (
+        ({"sectors": 4.7}, "sectors must be an integer"),
+        ({"sectors": 4.0}, "sectors must be an integer"),
+        ({"sectors": True}, "sectors must be an integer"),
+        ({"pb_power_w": True}, "pb_power must be a number"),
+        ({"charging_radius_m": "2"}, "charging_radius must be a number"),
+        ({"wavelength_m": "0.1"}, "wavelength must be a number"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            params_from_mapping(values)
+    # a Python int for a real-valued key widens to float
+    p = params_from_mapping({"pb_power_w": 5, "charging_radius_m": 2, "sectors": 6})
+    assert (p.pb_power, p.charging_radius, p.sectors) == (5.0, 2.0, 6)
+    assert type(p.pb_power) is float and type(p.charging_radius) is float
 
 
 def test_config_keys_spelled_with_units():
