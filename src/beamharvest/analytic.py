@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import specfun
+from ._args import is_count, real
 from .scenario import MAX_SECTORS, ScenarioParams, validate
 
 __all__ = [
@@ -123,13 +123,12 @@ def sector_empty_prob(params: ScenarioParams) -> float:
     exp(-sn_density * pi * rho^2 / N).
     """
     validate(params)
-    p, _, _ = _occupancy(params)
-    return p
+    return _occupancy(params)[0]
 
 
 def _check_active(m: int, lo: int, n: int) -> None:
     """Domain of an active-sector count M: an integer in [lo, n]."""
-    if not isinstance(m, int) or isinstance(m, bool):
+    if not is_count(m):
         raise ValueError("active_sectors must be an integer")
     if m < lo or m > n:
         raise ValueError(f"need {lo} <= M <= {n}, got {m}")
@@ -138,9 +137,18 @@ def _check_active(m: int, lo: int, n: int) -> None:
 def gain(active_sectors: int, sectors: int) -> float:
     """Antenna gain toward a served direction: 1 when idle-omni, else N/M."""
     _check_active(active_sectors, 0, sectors)
-    if active_sectors == 0:
-        return 1.0
-    return sectors / active_sectors
+    return sectors / active_sectors if active_sectors else 1.0
+
+
+def _reception_probs(params: ScenarioParams) -> tuple[list[float], list[float]]:
+    """Every M's near (M = 1..N) and far (M = 0..N) reception probability,
+    from one occupancy triple and one binomial row; params already checked."""
+    n = params.sectors
+    p, q, p_all = _occupancy(params)
+    row = _binom_row(n - 1)
+    near = [row[m - 1] * p ** (n - m) * q ** (m - 1) for m in range(1, n + 1)]
+    far = [p_all] + [row[m - 1] * p ** (n - m) * q**m for m in range(1, n + 1)]
+    return near, far
 
 
 def reception_prob_near(active_sectors: int, params: ScenarioParams) -> float:
@@ -150,11 +158,8 @@ def reception_prob_near(active_sectors: int, params: ScenarioParams) -> float:
     sectors must be occupied: C(N-1, M-1) p^(N-M) q^(M-1).
     """
     validate(params)
-    n = params.sectors
-    m = active_sectors
-    _check_active(m, 1, n)  # a near beacon always beams at the sensor
-    p, q, _ = _occupancy(params)
-    return _binom_row(n - 1)[m - 1] * p ** (n - m) * q ** (m - 1)
+    _check_active(active_sectors, 1, params.sectors)  # a near beacon always beams
+    return _reception_probs(params)[0][active_sectors - 1]
 
 
 def reception_prob_far(active_sectors: int, params: ScenarioParams) -> float:
@@ -165,13 +170,8 @@ def reception_prob_far(active_sectors: int, params: ScenarioParams) -> float:
     C(N-1, M-1) p^(N-M) q^M.
     """
     validate(params)
-    n = params.sectors
-    m = active_sectors
-    _check_active(m, 0, n)
-    p, q, p_all = _occupancy(params)
-    if m == 0:
-        return p_all
-    return _binom_row(n - 1)[m - 1] * p ** (n - m) * q**m
+    _check_active(active_sectors, 0, params.sectors)
+    return _reception_probs(params)[1][active_sectors]
 
 
 def _laplace_a(s: float, gain_value: float, params: ScenarioParams) -> float:
@@ -183,74 +183,53 @@ def _laplace_a(s: float, gain_value: float, params: ScenarioParams) -> float:
     return a
 
 
-def _near_exponent(s: float, m: int, params: ScenarioParams) -> float:
-    """Log of the near-field Laplace factor for gain N/M."""
-    a = _laplace_a(s, gain(m, params.sectors), params)
-    eta = reception_prob_near(m, params)
+def _exponent(s: float, g: float, eta: float, near: bool, params: ScenarioParams) -> float:
+    """Log of the near- or far-field Laplace factor for gain g = N/M (1 when
+    a far beacon idles omni) and reception probability eta."""
+    a = _laplace_a(s, g, params)
     rho = params.charging_radius
-    lam = params.pb_density
-    alpha = params.path_loss_exp
-    if rho <= 1.0:
-        bracket = rho * rho * -math.expm1(-a)
-    else:
-        u = 1.0 - 2.0 / alpha
-        a_out = a * rho**-alpha
-        bracket = rho * rho * -math.expm1(-a_out) + a ** (2.0 / alpha) * (
-            specfun.lower_incomplete_gamma(u, a)
-            - specfun.lower_incomplete_gamma(u, a_out)
-        )
-    return -lam * math.pi * eta * bracket
-
-
-def _far_exponent(s: float, m: int, params: ScenarioParams) -> float:
-    """Log of the far-field Laplace factor for gain N/M (or omni when M=0)."""
-    a = _laplace_a(s, gain(m, params.sectors), params)
-    eta = reception_prob_far(m, params)
-    rho = params.charging_radius
-    lam = params.pb_density
     alpha = params.path_loss_exp
     u = 1.0 - 2.0 / alpha
-    if rho <= 1.0:
-        bracket = rho * rho * -math.expm1(-a) - a ** (2.0 / alpha) * (
-            specfun.lower_incomplete_gamma(u, a)
+    a_out = a if rho <= 1.0 else a * rho**-alpha
+    bracket = rho * rho * -math.expm1(-a_out)
+    if not near:
+        bracket -= a ** (2.0 / alpha) * specfun.lower_incomplete_gamma(u, a_out)
+        return params.pb_density * math.pi * eta * bracket
+    if rho > 1.0:
+        bracket += a ** (2.0 / alpha) * (
+            specfun.lower_incomplete_gamma(u, a) - specfun.lower_incomplete_gamma(u, a_out)
         )
-    else:
-        a_out = a * rho**-alpha
-        bracket = rho * rho * -math.expm1(-a_out) - a ** (2.0 / alpha) * (
-            specfun.lower_incomplete_gamma(u, a_out)
-        )
-    return lam * math.pi * eta * bracket
+    return -params.pb_density * math.pi * eta * bracket
 
 
-def _check_nonnegative(value: float, name: str) -> None:
-    """The domain of a Laplace argument s and of a CCDF threshold: a finite,
-    nonnegative real number, NumPy's included, but not a bool."""
+def _nonnegative(value: float, name: str) -> float:
+    """The double a Laplace argument s or a CCDF threshold is judged as."""
     if type(value) is float and 0.0 <= value < math.inf:
-        return  # the common case, settled by one comparison chain
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        return value  # the common case, settled by one comparison chain
+    x = real(value)
+    if x is None or not -math.inf < x < math.inf:
         raise ValueError(f"{name} must be a finite number")
-    if value < 0:
+    if x < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return x
 
 
 def laplace_near(s: float, active_sectors: int, params: ScenarioParams) -> float:
     """Laplace transform of aggregate power from near beacons with M beams."""
-    validate(params)
-    _check_nonnegative(s, "laplace argument")
+    eta = reception_prob_near(active_sectors, params)  # checks params and M
+    s = _nonnegative(s, "laplace argument")
     if s == 0:
-        reception_prob_near(active_sectors, params)  # still enforce the M domain
         return 1.0
-    return math.exp(_near_exponent(s, active_sectors, params))
+    return math.exp(_exponent(s, gain(active_sectors, params.sectors), eta, True, params))
 
 
 def laplace_far(s: float, active_sectors: int, params: ScenarioParams) -> float:
     """Laplace transform of aggregate power from far beacons with M beams."""
-    validate(params)
-    _check_nonnegative(s, "laplace argument")
+    eta = reception_prob_far(active_sectors, params)  # checks params and M
+    s = _nonnegative(s, "laplace argument")
     if s == 0:
-        reception_prob_far(active_sectors, params)
         return 1.0
-    return math.exp(_far_exponent(s, active_sectors, params))
+    return math.exp(_exponent(s, gain(active_sectors, params.sectors), eta, False, params))
 
 
 def log_laplace_total(s: float, params: ScenarioParams) -> float:
@@ -260,15 +239,16 @@ def log_laplace_total(s: float, params: ScenarioParams) -> float:
     where the transform is 1 - O(s); derivative checks difference this form.
     """
     validate(params)
-    _check_nonnegative(s, "laplace argument")
+    s = _nonnegative(s, "laplace argument")
     if s == 0:
         return 0.0
     n = params.sectors
+    near, far = _reception_probs(params)
     total = 0.0
     for m in range(1, n + 1):
-        total += _near_exponent(s, m, params)
+        total += _exponent(s, n / m, near[m - 1], True, params)
     for m in range(0, n + 1):
-        total += _far_exponent(s, m, params)
+        total += _exponent(s, n / m if m else 1.0, far[m], False, params)
     return total
 
 
@@ -280,17 +260,13 @@ def laplace_total(s: float, params: ScenarioParams) -> float:
 def log_laplace_omni(s: float, params: ScenarioParams) -> float:
     """Log Laplace transform when every beacon radiates omnidirectionally."""
     validate(params)
-    _check_nonnegative(s, "laplace argument")
+    s = _nonnegative(s, "laplace argument")
     if s == 0:
         return 0.0
     a = _laplace_a(s, 1.0, params)
     u = 1.0 - 2.0 / params.path_loss_exp
-    return (
-        -params.pb_density
-        * math.pi
-        * a ** (2.0 / params.path_loss_exp)
-        * specfun.lower_incomplete_gamma(u, a)
-    )
+    gamma = specfun.lower_incomplete_gamma(u, a)
+    return -params.pb_density * math.pi * a ** (2.0 / params.path_loss_exp) * gamma
 
 
 def laplace_omni(s: float, params: ScenarioParams) -> float:
@@ -323,14 +299,8 @@ def mean_power_omni(params: ScenarioParams) -> float:
     """Mean received power under omni transmission: P lam sigma pi a/(a-2)."""
     validate(params)
     alpha = params.path_loss_exp
-    return (
-        params.pb_power
-        * params.pb_density
-        * params.attenuation
-        * math.pi
-        * alpha
-        / (alpha - 2.0)
-    )
+    scale = params.pb_power * params.pb_density * params.attenuation * math.pi
+    return scale * alpha / (alpha - 2.0)
 
 
 def _square_overflow(params: ScenarioParams) -> specfun.RangeError:
@@ -364,12 +334,7 @@ def variance_power(params: ScenarioParams) -> float:
     n = params.sectors
     t_sum = _gain_square_sum(p, q, n)
     try:
-        scale = (
-            params.pb_density
-            * params.pb_power**2
-            * params.attenuation**2
-            * math.pi
-        )
+        scale = params.pb_density * params.pb_power**2 * params.attenuation**2 * math.pi
     except OverflowError:
         raise _square_overflow(params) from None
     if rho <= 1.0:
@@ -390,16 +355,10 @@ def variance_omni(params: ScenarioParams) -> float:
     validate(params)
     alpha = params.path_loss_exp
     try:
-        return (
-            params.pb_density
-            * params.pb_power**2
-            * params.attenuation**2
-            * math.pi
-            * alpha
-            / (alpha - 1.0)
-        )
+        scale = params.pb_density * params.pb_power**2 * params.attenuation**2 * math.pi
     except OverflowError:
         raise _square_overflow(params) from None
+    return scale * alpha / (alpha - 1.0)
 
 
 def near_far_mean_ratios(params: ScenarioParams) -> tuple[float, float]:
@@ -443,7 +402,7 @@ def gamma_approx_omni(params: ScenarioParams) -> GammaApprox:
 
 
 def _gamma_ccdf_value(approx: GammaApprox, threshold: float) -> float:
-    _check_nonnegative(threshold, "threshold")
+    threshold = _nonnegative(threshold, "threshold")
     if threshold == 0:
         return 1.0
     # complement computed on its own branch; 1 - P would round to 0 early
@@ -498,13 +457,7 @@ def _w_outer_over_nq2(p: float, q: float, n: int) -> float:
 
 def _slope_scale(params: ScenarioParams) -> float:
     """Natural size of d(mean)/d(rho): 2 P lam_p pi sigma."""
-    return (
-        2.0
-        * params.pb_power
-        * params.pb_density
-        * math.pi
-        * params.attenuation
-    )
+    return 2.0 * params.pb_power * params.pb_density * math.pi * params.attenuation
 
 
 def d_mean_d_rho(params: ScenarioParams) -> float:

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, mcsim, radopt, scenario, specfun
+from ._args import is_count, real
 from .mcsim import Allocation, SimConfig
 from .scenario import ConfigError, ParameterError
 
@@ -280,12 +281,12 @@ def active_prob_grid(params, rho_values, threshold, config, workers=1):
     seed so the comparison across radii is as paired as the geometry
     allows.
     """
-    radopt._check_threshold(threshold)
+    threshold = radopt._check_threshold(threshold)
     rows = []
-    for rho in rho_values:
-        p = params.with_(charging_radius=float(rho))
+    for rho in map(real, rho_values):  # a value the rule refuses fails validate
+        p = params.with_(charging_radius=rho)
         s = mcsim.run_trials(p, config, workers=workers)
-        rows.append((float(rho), *_reach(s.samples, [threshold])[0]))
+        rows.append((rho, *_reach(s.samples, [threshold])[0]))
     return rows
 
 
@@ -316,7 +317,7 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     """
     figure_values, budget, build = _FIGURES[spec.figure_id]
     trials = spec.trials
-    if not mcsim._is_int(trials) or trials < 0:
+    if not is_count(trials) or trials < 0:
         raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
     mcsim._check_seed(spec.seed)
     mcsim._check_workers(workers)
@@ -398,11 +399,11 @@ def compare_schemes(params, sweep, config, workers: int = 1) -> dict:
             f"paired intervals need at least 2 trials, got {config.trials!r}"
         )
     threshold = params.power_threshold
-    report = {"pb_power_w": list(map(float, sweep)), "entries": []}
-    for pp in sweep:
-        p = params.with_(pb_power=float(pp))
+    report = {"pb_power_w": list(map(real, sweep)), "entries": []}
+    for pp in report["pb_power_w"]:  # a value the rule refuses fails validate
+        p = params.with_(pb_power=pp)
         samples = {}
-        entry = {"pb_power_w": float(pp), "schemes": {}}
+        entry = {"pb_power_w": pp, "schemes": {}}
         for alloc in (Allocation.UNIFORM, Allocation.GREEDY, Allocation.ROBUST):
             cfg = dataclasses.replace(config, allocation=alloc)
             s = mcsim.run_trials(p, cfg, workers=workers)

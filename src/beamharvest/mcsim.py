@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, specfun
+from ._args import is_count, real
 from .scenario import ConfigError, ScenarioParams, params_to_mapping, validate
 
 __all__ = [
@@ -105,23 +106,18 @@ class TrialSummary:
     mean_ci95: float
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True trials or a False seed is a mistake
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_seed(seed) -> None:
-    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+    if not is_count(seed) or not 0 <= seed < 1 << 64:
         raise ConfigError(f"master_seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def _check_workers(workers) -> None:
-    if not _is_int(workers) or workers < 1:
+    if not is_count(workers) or workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
 
 
 def _check_config(params: ScenarioParams, config: SimConfig) -> None:
-    if not _is_int(config.trials) or config.trials < 1:
+    if not is_count(config.trials) or config.trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {config.trials!r}")
     _check_seed(config.master_seed)
     if not isinstance(config.allocation, Allocation):
@@ -130,17 +126,17 @@ def _check_config(params: ScenarioParams, config: SimConfig) -> None:
         _check_window(params, config.window_radius)
 
 
-def _check_window(params: ScenarioParams, window) -> None:
-    """A beacon window's rule: finite, positive and at least the charging radius."""
-    if isinstance(window, bool) or not isinstance(window, (int, float)) or not (
-        0 < window < math.inf
-    ):
+def _check_window(params: ScenarioParams, window) -> float:
+    """The double a beacon window is judged as: at least the charging radius."""
+    x = real(window)
+    if x is None or not 0 < x < math.inf:
         raise ConfigError(f"window_radius must be positive and finite, got {window!r}")
-    if window < params.charging_radius:
+    if x < params.charging_radius:
         raise ConfigError(
             f"window_radius {window!r} is smaller than the charging radius "
             f"{params.charging_radius!r}; near beacons would be lost"
         )
+    return x
 
 
 def trial_stream(master_seed: int, trial_index: int, substream: int = 0) -> np.random.Generator:
@@ -245,7 +241,7 @@ def draw_network(
     (_ORIGIN) is row zero. The window must pass run_trials' window check.
     """
     validate(params)
-    _check_window(params, pb_window_radius)
+    pb_window_radius = _check_window(params, pb_window_radius)
     mean_pb, mean_sn = _field_means(params, pb_window_radius)
     u_pb, orient, u_sn = _trial_draws(stream, mean_pb, mean_sn, np.empty, np.empty, np.empty)
     u_pb, u_sn = u_pb.reshape(-1, 2), u_sn.reshape(-1, 2)

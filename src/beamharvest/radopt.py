@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import analytic, scenario
+from ._args import real
 from .scenario import ScenarioParams
 
 __all__ = [
@@ -96,11 +96,13 @@ def find_root_bisect(f, bracket, tol: float) -> float:
     """Bisection root of f on bracket = (lo, hi); needs a sign change.
 
     Returns the midpoint of the final interval once its width is below tol.
+    tol and the bracket ends are real arguments (README, "Argument rules").
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (hi > lo):
-        raise BracketError(f"empty bracket ({lo!r}, {hi!r})")
-    if not (tol > 0):
+    lo, hi = real(bracket[0]), real(bracket[1])
+    if lo is None or hi is None or not hi > lo:
+        raise BracketError(f"empty bracket ({bracket[0]!r}, {bracket[1]!r})")
+    width = real(tol)
+    if width is None or not width > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     f_lo = f(lo)
     f_hi = f(hi)
@@ -114,7 +116,7 @@ def find_root_bisect(f, bracket, tol: float) -> float:
         )
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
+        if hi - lo <= width or mid == lo or mid == hi:
             return mid
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -210,12 +212,12 @@ def d_gamma_ccdf_d_rho(params: ScenarioParams, threshold: float) -> float:
     return (4.0 * fine - coarse) / 3.0
 
 
-def _check_threshold(threshold: float) -> None:
-    """A reach-probability threshold must be a finite, positive real number,
-    not a bool."""
-    real = isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
-    if not (real and math.isfinite(threshold) and threshold > 0):
+def _check_threshold(threshold: float) -> float:
+    """The double a reach threshold is judged as: finite and positive."""
+    x = real(threshold)
+    if x is None or not 0 < x < math.inf:
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+    return x
 
 
 def _active_residual(params: ScenarioParams, threshold: float, rho: float) -> float:
@@ -250,7 +252,7 @@ def optimal_radius_active(params: ScenarioParams, threshold: float) -> RadiusOpt
     result is the Case3 boundary at the grid's end.
     """
     scenario.validate(params)
-    _check_threshold(threshold)
+    threshold = _check_threshold(threshold)
     n = params.sectors
     rho_max = math.sqrt(n * math.log(1e8) / (params.sn_density * math.pi))
     rho_max = max(rho_max, 100.0 * _GRID_LO)

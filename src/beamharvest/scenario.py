@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._args import is_count, real
+
 __all__ = [
     "MAX_SECTORS",
     "ScenarioParams",
@@ -57,7 +59,7 @@ def sigma_from_wavelength(wavelength: float) -> float:
     if message:
         raise ParameterError([message])
     try:
-        return (wavelength / (4.0 * math.pi)) ** 2
+        return (real(wavelength) / (4.0 * math.pi)) ** 2
     except OverflowError:
         raise ParameterError(["wavelength too large: attenuation overflows"]) from None
 
@@ -68,7 +70,8 @@ class ScenarioParams:
 
     attenuation may be given directly or derived from wavelength; when both
     are present they must agree to 1e-9 relative. power_threshold is the
-    sensor's activation threshold used by the CCDF objective.
+    sensor's activation threshold used by the CCDF objective. A field given
+    a real other than an int or a float holds it as a Python float.
     """
 
     pb_power: float
@@ -82,6 +85,8 @@ class ScenarioParams:
     power_threshold: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in self.__dict__.items():
+            self.__dict__[name] = _held(value)
         # a wavelength its rule refuses derives nothing; validate reports it
         if self.attenuation is None and not _finite_positive(self.wavelength, "wavelength"):
             object.__setattr__(self, "attenuation", sigma_from_wavelength(self.wavelength))
@@ -104,8 +109,10 @@ class ScenarioParams:
             values.update(state)
             values.update(changes)
             verdict = ()
-            for name in changes:
-                message = _RULES[name](values[name], name)
+            for name, value in changes.items():
+                if type(value) is not float:
+                    value = values[name] = _held(value)
+                message = _RULES[name](value, name)
                 if message:
                     verdict += (message,)
             values["_errors"] = verdict
@@ -130,20 +137,25 @@ _FIELDS = tuple(ScenarioParams.__dataclass_fields__)
 _N_FIELDS = len(_FIELDS)
 
 
+def _held(value):
+    # a real other than an int or a float is held as a float, which outputs serialize
+    x = real(value)
+    return value if x is None or type(value) is int else x
+
+
 def _finite_positive(value, name: str) -> str | None:
     if type(value) is float and 0.0 < value < math.inf:
         return None  # the common case, settled by one comparison chain
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    x = real(value)
+    if x is None:
         return f"{name} must be a number"
-    if not math.isfinite(value):
+    if not -math.inf < x < math.inf:
         return f"{name} must be finite"
-    if value <= 0:
-        return f"{name} must be positive"
-    return None
+    return None if x > 0 else f"{name} must be positive"
 
 
 def _sector_count(sectors, name: str) -> str | None:
-    if not isinstance(sectors, int) or isinstance(sectors, bool):
+    if not is_count(sectors):
         return "invalid sector count: sectors must be an integer"
     if not 1 <= sectors <= MAX_SECTORS:
         return f"invalid sector count: need 1 <= sectors <= {MAX_SECTORS}"
@@ -151,21 +163,19 @@ def _sector_count(sectors, name: str) -> str | None:
 
 
 def _path_loss_exp(alpha, name: str) -> str | None:
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
+    x = real(alpha)
+    if x is None:
         return "path_loss_exp must be a number"
-    if not math.isfinite(alpha):
+    if not -math.inf < x < math.inf:
         return "path_loss_exp must be finite"
-    if alpha <= 2:
-        return "mean diverges"  # closed forms divide by alpha - 2
-    return None
+    return None if x > 2 else "mean diverges"  # closed forms divide by alpha - 2
 
 
 def _power_threshold(threshold, name: str) -> str | None:
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+    x = real(threshold)
+    if x is None:
         return "power_threshold must be a number"
-    if not math.isfinite(threshold) or threshold < 0:
-        return "power_threshold must be nonnegative and finite"
-    return None
+    return None if 0 <= x < math.inf else "power_threshold must be nonnegative and finite"
 
 
 def _attenuation(attenuation, name: str) -> str | None:
@@ -291,7 +301,7 @@ def params_from_mapping(values: dict[str, float | int]) -> ScenarioParams:
         merged.pop("wavelength_m", None)
     merged.update(values)
     params = ScenarioParams(**{
-        _KEY_FIELDS[key]: float(value) if type(value) is int and key != "sectors" else value
+        _KEY_FIELDS[key]: real(value) if type(value) is int and key != "sectors" else value
         for key, value in merged.items()
     })
     return validate(params)

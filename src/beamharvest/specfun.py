@@ -3,13 +3,16 @@
 The Laplace factors use the lower incomplete gamma gamma(s, x) and the Gamma
 fit's CCDF uses the regularized upper tail Q(s, x). Both split at x = s + 1
 between a power series and a continued fraction, and both normalize by a
-9-term Lanczos ln Gamma with reflection below 1/2. Everything here is
-self-contained double-precision code (no numpy, no scipy).
+9-term Lanczos ln Gamma with reflection below 1/2. Both take real
+arguments, judged as doubles (README, "Argument rules"); everything here is
+double-precision code without numpy or scipy.
 """
 
 from __future__ import annotations
 
 import math
+
+from ._args import real
 
 __all__ = [
     "DomainError",
@@ -22,7 +25,7 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematical domain (s <= 0, x < 0, non-finite)."""
+    """Argument outside the mathematical domain (no real number, non-finite, s <= 0, x < 0)."""
 
 
 class RangeError(ValueError):
@@ -56,17 +59,22 @@ _LANCZOS = (
 )
 
 
-def _check_sx(s: float, x: float) -> None:
-    if not (math.isfinite(s) and math.isfinite(x)):
+def _check_sx(s: float, x: float) -> tuple[float, float]:
+    """The doubles s and x are judged as: 0 < s <= S_MAX, 0 <= x <= X_MAX."""
+    s_value, x_value = real(s), real(x)
+    if s_value is None or x_value is None:
+        raise DomainError(f"arguments must be real numbers, got s={s!r}, x={x!r}")
+    if not (-math.inf < s_value < math.inf and -math.inf < x_value < math.inf):
         raise DomainError("arguments must be finite")
-    if s <= 0.0:
+    if s_value <= 0.0:
         raise DomainError(f"shape must be positive, got s={s!r}")
-    if x < 0.0:
+    if x_value < 0.0:
         raise DomainError(f"integration limit must be nonnegative, got x={x!r}")
-    if s > S_MAX:
+    if s_value > S_MAX:
         raise RangeError(f"shape s={s!r} exceeds supported maximum {S_MAX!r}")
-    if x > X_MAX:
+    if x_value > X_MAX:
         raise RangeError(f"limit x={x!r} exceeds supported maximum {X_MAX!r}")
+    return s_value, x_value
 
 
 def _lanczos_sum(z: float) -> float:
@@ -150,7 +158,8 @@ def regularized_gamma_q(k: float, x: float) -> float:
     Computed on its own branch for x >= k + 1, so tails far below the
     double-precision spacing of 1 keep their relative accuracy.
     """
-    _check_sx(k, x)
+    if not (type(k) is float and type(x) is float and 0.0 < k <= S_MAX and 0.0 <= x <= X_MAX):
+        k, x = _check_sx(k, x)  # floats in range, the common case, skip the call
     if x == 0.0:
         return 1.0
     if x < k + 1.0:
@@ -167,7 +176,8 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     for x >= s+1. Raises RangeError when the value overflows double
     precision; regularized_gamma_q covers that regime.
     """
-    _check_sx(s, x)
+    if not (type(s) is float and type(x) is float and 0.0 < s <= S_MAX and 0.0 <= x <= X_MAX):
+        s, x = _check_sx(s, x)
     if x == 0.0:
         return 0.0
     if x < s + 1.0:

@@ -217,6 +217,26 @@ def test_laplace_argument_guards():
             laplace_total(bad, FIG2)
 
 
+def test_laplace_total_checks_its_arguments_once(monkeypatch):
+    # every factor comes from one occupancy triple and one binomial row
+    calls = {name: 0 for name in ("validate", "_check_active", "_occupancy", "_binom_row")}
+
+    def counted(name):
+        original = getattr(an, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(an, name, counted(name))
+    monkeypatch.setattr(an, "_last_occupancy", (None, None))
+    an.log_laplace_total(0.37, params_for(sectors=4))
+    assert calls == {"validate": 1, "_check_active": 0, "_occupancy": 1, "_binom_row": 1}
+
+
 def test_sector_cap_enforced():
     with pytest.raises(ValueError, match="64"):
         mean_power(params_for(sectors=MAX_SECTORS + 1))
