@@ -373,15 +373,15 @@ def near_far_mean_ratios(params: ScenarioParams) -> tuple[float, float]:
     return _geo_sum(p, params.sectors, 0), 1.0
 
 
-def _moment_match(mean: float, var: float) -> GammaApprox:
+def _moment_match(mean: float, var: float) -> tuple[float, float]:
+    """(shape, scale) of the Gamma law with this mean and variance."""
     try:
         shape = mean * mean / var
         scale = var / mean
     except ZeroDivisionError:
         shape = scale = 0.0
     if 0.0 < shape < math.inf and 0.0 < scale < math.inf:
-        # positional: the frozen dataclass's keyword call costs half again
-        return GammaApprox(shape, scale)
+        return shape, scale
     # a valid scenario gets here only when its moments under- or overflow
     raise specfun.RangeError(
         "moment matching needs a positive mean and variance whose shape and "
@@ -392,31 +392,35 @@ def _moment_match(mean: float, var: float) -> GammaApprox:
 def gamma_approx(params: ScenarioParams) -> GammaApprox:
     """Second-order moment match of the received-power law to a Gamma law."""
     validate(params)
-    return _moment_match(mean_power(params), variance_power(params))
+    return GammaApprox(*_moment_match(mean_power(params), variance_power(params)))
 
 
 def gamma_approx_omni(params: ScenarioParams) -> GammaApprox:
     """Gamma moment match of the omni-transmission power law."""
     validate(params)
-    return _moment_match(mean_power_omni(params), variance_omni(params))
+    return GammaApprox(*_moment_match(mean_power_omni(params), variance_omni(params)))
 
 
-def _gamma_ccdf_value(approx: GammaApprox, threshold: float) -> float:
+def _gamma_ccdf_value(shape: float, scale: float, threshold: float) -> float:
     threshold = _nonnegative(threshold, "threshold")
     if threshold == 0:
         return 1.0
     # complement computed on its own branch; 1 - P would round to 0 early
-    return specfun.regularized_gamma_q(approx.shape, threshold / approx.scale)
+    return specfun.regularized_gamma_q(shape, threshold / scale)
 
 
 def gamma_ccdf(threshold: float, params: ScenarioParams) -> float:
     """Gamma-approximated probability that received power reaches threshold."""
-    return _gamma_ccdf_value(gamma_approx(params), threshold)
+    validate(params)
+    shape, scale = _moment_match(mean_power(params), variance_power(params))
+    return _gamma_ccdf_value(shape, scale, threshold)
 
 
 def gamma_ccdf_omni(threshold: float, params: ScenarioParams) -> float:
     """Same approximation for omni transmission (radius-independent)."""
-    return _gamma_ccdf_value(gamma_approx_omni(params), threshold)
+    validate(params)
+    shape, scale = _moment_match(mean_power_omni(params), variance_omni(params))
+    return _gamma_ccdf_value(shape, scale, threshold)
 
 
 # --- radius derivative of the mean ---------------------------------------

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic, mcsim, radopt, scenario, specfun
-from ._args import is_count, real
+from ._args import real
 from .mcsim import Allocation, SimConfig
 from .scenario import ConfigError, ParameterError
 
@@ -317,8 +317,7 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     """
     figure_values, budget, build = _FIGURES[spec.figure_id]
     trials = spec.trials
-    if not is_count(trials) or trials < 0:
-        raise ConfigError(f"trials must be a nonnegative integer, got {trials!r}")
+    mcsim._check_trials(trials, 0)
     mcsim._check_seed(spec.seed)
     mcsim._check_workers(workers)
     if trials and not budget:

@@ -116,9 +116,22 @@ def _check_workers(workers) -> None:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
 
 
+#: The most trials a run takes: the longest float64 sample array NumPy can
+#: describe, whose size in bytes must fit in its index type.
+_TRIALS_MAX = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _check_trials(trials, least: int) -> None:
+    """A trial count from least (0 or 1) to _TRIALS_MAX."""
+    if not is_count(trials) or not least <= trials <= _TRIALS_MAX:
+        sign = "positive" if least else "nonnegative"
+        raise ConfigError(
+            f"trials must be a {sign} integer of at most {_TRIALS_MAX}, got {trials!r}"
+        )
+
+
 def _check_config(params: ScenarioParams, config: SimConfig) -> None:
-    if not is_count(config.trials) or config.trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {config.trials!r}")
+    _check_trials(config.trials, 1)
     _check_seed(config.master_seed)
     if not isinstance(config.allocation, Allocation):
         raise ConfigError(f"unknown allocation scheme {config.allocation!r}")

@@ -96,14 +96,20 @@ def find_root_bisect(f, bracket, tol: float) -> float:
     """Bisection root of f on bracket = (lo, hi); needs a sign change.
 
     Returns the midpoint of the final interval once its width is below tol.
-    tol and the bracket ends are real arguments (README, "Argument rules").
+    tol and the bracket ends are real arguments and must be finite (README,
+    "Argument rules"): an infinite end has no midpoint to bisect toward.
     """
+    ends = f"({bracket[0]!r}, {bracket[1]!r})"
     lo, hi = real(bracket[0]), real(bracket[1])
-    if lo is None or hi is None or not hi > lo:
-        raise BracketError(f"empty bracket ({bracket[0]!r}, {bracket[1]!r})")
+    if lo is None or hi is None:
+        raise BracketError(f"empty bracket {ends}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BracketError(f"bracket ends must be finite, got {ends}")
+    if not hi > lo:
+        raise BracketError(f"empty bracket {ends}")
     width = real(tol)
-    if width is None or not width > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if width is None or not 0 < width < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:

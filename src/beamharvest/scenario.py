@@ -101,7 +101,23 @@ class ScenarioParams:
         in full on its first validate().
         """
         state = self.__dict__
-        if state.get("_errors") == () and changes.keys() <= _SELF_CHECKED:
+        checked = state.get("_errors") == ()
+        if checked and len(changes) == 1:
+            # the optimizers' copy, one per objective evaluation: its one rule
+            # is the whole verdict, with no order to keep
+            ((name, value),) = changes.items()
+            rule = _SELF_CHECKED.get(name)
+            if rule is not None:
+                if type(value) is not float:
+                    value = _held(value)
+                values = state.copy()
+                values[name] = value
+                message = rule(value, name)
+                values["_errors"] = (message,) if message else ()
+                copy = object.__new__(ScenarioParams)
+                object.__setattr__(copy, "__dict__", values)
+                return copy
+        if checked and changes.keys() <= _SELF_CHECKED.keys():
             if len(changes) > 1:  # messages come in validation_errors' order
                 changes = {name: changes[name] for name in _RULES if name in changes}
             copy = object.__new__(ScenarioParams)
@@ -202,9 +218,11 @@ _RULES = {
     "attenuation": _attenuation,
     "wavelength": _wavelength,
 }
-#: The fields a copy of a valid instance is judged on alone (with_): every
-#: field but the two whose agreement is checked.
-_SELF_CHECKED = frozenset(_RULES) - {"attenuation", "wavelength"}
+#: The fields a copy of a valid instance is judged on alone (with_), with
+#: their rules: every field but the two whose agreement is checked.
+_SELF_CHECKED = {
+    name: rule for name, rule in _RULES.items() if name not in ("attenuation", "wavelength")
+}
 
 
 def validation_errors(params: ScenarioParams) -> list[str]:

@@ -166,7 +166,8 @@ def regularized_gamma_q(k: float, x: float) -> float:
         q = 1.0 - math.exp(_log_lower_series(k, x) - _log_gamma(k))
     else:
         q = _q_contfrac(k, x)
-    return min(max(q, 0.0), 1.0)
+    # clamp into [0, 1] with two comparisons; -0.0 and NaN pass through as they are
+    return 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
 
 
 def lower_incomplete_gamma(s: float, x: float) -> float:

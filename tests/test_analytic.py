@@ -377,6 +377,34 @@ def test_gamma_ccdf_edges():
     assert all(a >= b for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize(
+    "ccdf, moments",
+    [(gamma_ccdf, ("mean_power", "variance_power")),
+     (gamma_ccdf_omni, ("mean_power_omni", "variance_omni"))],
+    ids=["gamma_ccdf", "gamma_ccdf_omni"],
+)
+def test_gamma_ccdf_checks_its_scenario_three_times_and_each_moment_once(
+    ccdf, moments, monkeypatch
+):
+    # the counts the radius_design benchmark pins: one check at the entry and
+    # one in each moment, and no moment computed twice
+    calls = dict.fromkeys(("validate",) + moments, 0)
+
+    def counted(name):
+        original = getattr(an, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(an, name, counted(name))
+    ccdf(1e-4, params_for(sectors=4))
+    assert calls == {"validate": 3, moments[0]: 1, moments[1]: 1}
+
+
 # --- radius derivative ---
 
 

@@ -4,6 +4,7 @@ import contextlib
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -425,6 +426,45 @@ def test_with_copy_matches_the_constructor(changes, source, checked_first):
     assert got[2:] == want[2:]  # the fields' reprs and the check messages
     if all(value == value for value in want[1]):  # NaN equals nothing
         assert got[:2] == want[:2] and hash(got[0]) == hash(want[0])
+
+
+#: A valid and an invalid value of each field a with_ copy of a checked
+#: instance is judged on alone (scenario._SELF_CHECKED)
+_SELF_CHECKED_VALUES = {
+    "pb_power": (2.0, -1.0),
+    "pb_density": (np.float64(0.3), math.inf),
+    "sn_density": (1, 0),
+    "sectors": (8, 65),
+    "charging_radius": (0.5, "x"),
+    "path_loss_exp": (3.5, 2.0),
+    "power_threshold": (np.int64(0), -1.0),
+}
+
+
+def _checked_outcome(p):
+    """The instance's state once validate() has run, and what it raised."""
+    try:
+        validate(p)
+        raised = None
+    except ParameterError as exc:
+        raised = exc.errors
+    return p.__dict__, raised
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+@pytest.mark.parametrize("name", sorted(scenario._SELF_CHECKED))
+def test_one_field_copy_matches_a_several_field_copy_and_a_full_check(name, valid):
+    base = validate(make_params(power_threshold=1e-4))
+    value = _SELF_CHECKED_VALUES[name][0 if valid else 1]
+    other = "sn_density" if name == "pb_power" else "pb_power"
+    one = base.with_(**{name: value})
+    verdict = one.__dict__["_errors"]  # given by with_, before any validate()
+    several = base.with_(**{name: value, other: getattr(base, other)})
+    fresh = ScenarioParams(**{field: getattr(one, field) for field in _FIELD_VALUES})
+    assert verdict == tuple(validation_errors(fresh))
+    assert (verdict == ()) is valid
+    assert several.__dict__["_errors"] == verdict
+    assert _checked_outcome(one) == _checked_outcome(several) == _checked_outcome(fresh)
 
 
 def test_wavelength_change_rederives_attenuation():
