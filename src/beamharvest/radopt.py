@@ -99,14 +99,14 @@ def find_root_bisect(f, bracket, tol: float) -> float:
     tol and the bracket ends are real arguments and must be finite (README,
     "Argument rules"): an infinite end has no midpoint to bisect toward.
     """
-    ends = f"({bracket[0]!r}, {bracket[1]!r})"
     lo, hi = real(bracket[0]), real(bracket[1])
-    if lo is None or hi is None:
-        raise BracketError(f"empty bracket {ends}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise BracketError(f"bracket ends must be finite, got {ends}")
-    if not hi > lo:
-        raise BracketError(f"empty bracket {ends}")
+    if lo is None or hi is None or not -math.inf < lo < hi < math.inf:
+        real_ends = lo is not None and hi is not None
+        if real_ends and not (math.isfinite(lo) and math.isfinite(hi)):
+            problem = "bracket ends must be finite, got"
+        else:
+            problem = "empty bracket"
+        raise BracketError(f"{problem} ({bracket[0]!r}, {bracket[1]!r})")
     width = real(tol)
     if width is None or not 0 < width < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

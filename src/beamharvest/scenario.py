@@ -95,16 +95,14 @@ class ScenarioParams:
         """Copy with fields replaced (attenuation re-derived if wavelength moves).
 
         An unknown field name raises TypeError. A copy of an instance that
-        validate() has passed, changing neither attenuation nor wavelength,
-        gets its verdict here from the changed fields' rules alone: every
+        validate() has passed, changing one field other than attenuation and
+        wavelength, gets its verdict here from that field's rule alone: every
         other check gives what it gave the source. Any other copy is checked
         in full on its first validate().
         """
         state = self.__dict__
-        checked = state.get("_errors") == ()
-        if checked and len(changes) == 1:
-            # the optimizers' copy, one per objective evaluation: its one rule
-            # is the whole verdict, with no order to keep
+        if len(changes) == 1 and state.get("_errors") == ():
+            # the optimizers' copy, one per objective evaluation
             ((name, value),) = changes.items()
             rule = _SELF_CHECKED.get(name)
             if rule is not None:
@@ -117,22 +115,6 @@ class ScenarioParams:
                 copy = object.__new__(ScenarioParams)
                 object.__setattr__(copy, "__dict__", values)
                 return copy
-        if checked and changes.keys() <= _SELF_CHECKED.keys():
-            if len(changes) > 1:  # messages come in validation_errors' order
-                changes = {name: changes[name] for name in _RULES if name in changes}
-            copy = object.__new__(ScenarioParams)
-            values = copy.__dict__
-            values.update(state)
-            values.update(changes)
-            verdict = ()
-            for name, value in changes.items():
-                if type(value) is not float:
-                    value = values[name] = _held(value)
-                message = _RULES[name](value, name)
-                if message:
-                    verdict += (message,)
-            values["_errors"] = verdict
-            return copy
         if "wavelength" in changes and "attenuation" not in changes:
             changes["attenuation"] = None
         values = state.copy()  # the fields, and _errors once checked
@@ -229,7 +211,7 @@ def validation_errors(params: ScenarioParams) -> list[str]:
     """Names of every violated invariant; empty list when valid.
 
     Not cached: validate() keeps this result once per instance, and
-    ScenarioParams.with_ runs the changed fields' rules of it for a copy.
+    ScenarioParams.with_ runs the changed field's rule of it for a copy.
     """
     errors: list[str] = []
     for name, rule in _RULES.items():

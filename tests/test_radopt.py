@@ -270,20 +270,6 @@ def test_active_optimum_answers_and_beats_a_fine_grid_on_random_scenarios():
     assert interior > 0
 
 
-def test_default_active_optimum_keeps_its_validate_and_evaluation_counts(monkeypatch):
-    # the counts the radius_design benchmark pins, caught here first
-    params = scenario.params_from_mapping({})  # the default deployment
-    calls = []
-    for module in (scenario, analytic):
-        def counted(p, inner=module.validate):
-            calls.append(p)
-            return inner(p)
-
-        monkeypatch.setattr(module, "validate", counted)
-    result = optimal_radius_active(params, 1e-4)
-    assert (len(calls), result.evaluations) == (1717, 561)
-
-
 def test_active_optimum_rejects_bad_threshold(monkeypatch):
     def no_objective(*args):
         raise AssertionError("evaluated the objective for a bad threshold")

@@ -314,8 +314,11 @@ def test_validation_runs_once_per_instance_during_an_optimization(monkeypatch):
             return inner(params)
 
         monkeypatch.setattr(module, "validate", counting_validate)
-    params = params_from_mapping({})
-    radopt.optimal_radius_active(params, 1e-4)
+    params = params_from_mapping({})  # validates it once
+    before = len(validates)
+    result = radopt.optimal_radius_active(params, 1e-4)
+    # the counts the radius_design benchmark pins, caught here first
+    assert (len(validates) - before, result.evaluations) == (1717, 561)
     # only the source is checked in full, and once: each with_ copy of a
     # valid instance gets its verdict from the rules of the fields it
     # changes, so no instance's verdict is computed twice
@@ -463,7 +466,6 @@ def test_one_field_copy_matches_a_several_field_copy_and_a_full_check(name, vali
     fresh = ScenarioParams(**{field: getattr(one, field) for field in _FIELD_VALUES})
     assert verdict == tuple(validation_errors(fresh))
     assert (verdict == ()) is valid
-    assert several.__dict__["_errors"] == verdict
     assert _checked_outcome(one) == _checked_outcome(several) == _checked_outcome(fresh)
 
 
