@@ -320,7 +320,7 @@ def test_validation_runs_once_per_instance_during_an_optimization(monkeypatch):
     # the counts the radius_design benchmark pins, caught here first
     assert (len(validates) - before, result.evaluations) == (1717, 561)
     # only the source is checked in full, and once: each with_ copy of a
-    # valid instance gets its verdict from the rules of the fields it
+    # valid instance gets its verdict from the rule of the one field it
     # changes, so no instance's verdict is computed twice
     assert [id(p) for p in checked] == [id(params)]
     assert len(validates) > len(checked)
