@@ -572,53 +572,60 @@ def _sector_counts(
     pb, trial_pb, orientations, sn, trial_sn, params: ScenarioParams, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sensors in each sector of each beacon over a batch of trials, as an
-    (n_pb, N) array, and each beacon's sector k holding the origin.
+    (N, n_pb) array, and each beacon's sector k holding the origin.
 
     Beacons and sensors are (2, n) arrays of x and y rows carrying trial
     labels; a sensor occupies a beacon's sector when both share a trial and
-    lie within the charging radius. Each join chunk adds its pairs in place."""
+    lie within the charging radius. Each join chunk adds its pairs in place.
+    The counts are sector-major, so _scheme_gains' per-beacon reductions
+    run along contiguous rows."""
     n_pb = pb.shape[1]
     n_sec = params.sectors
     chunks = _pairs_bucketed(
         pb, trial_pb, sn, trial_sn, params.charging_radius, *_join_grid(params), work
     )
-    counts = np.zeros(n_pb * n_sec, dtype=np.int64)
+    counts = np.zeros(n_sec * n_pb, dtype=np.int64)
     for i, dx, dy in chunks:
         sec = _sectors_toward(dx, dy, orientations.take(i), n_sec)
-        i *= n_sec
-        i += sec
+        # the key sec * n_pb + i, in int64: sec is a uint8 and would wrap
+        i += np.multiply(sec, n_pb, dtype=np.int64)
         np.add.at(counts, i, 1)
     k = _sectors_toward(-pb[0], -pb[1], orientations, n_sec)
-    return counts.reshape(n_pb, n_sec), k
+    return counts.reshape(n_sec, n_pb), k
 
 
 def _scheme_gains(
     counts: np.ndarray, k: np.ndarray, scheme: Allocation, tie_draws: np.ndarray | None
 ) -> np.ndarray:
     """Gain each beacon radiates toward the origin, in its sector k, from
-    its sector counts: 1 when no sector is occupied; otherwise uniform gives
-    N / (occupied sectors) if k is occupied, robust N * count_k / (sensors
-    in the disk), and greedy N if k is the one it picks among the sectors
-    tied for the most sensors, 0 elsewhere, so a beacon's gains sum to N.
+    its column of the (N, n_pb) sector counts: 1 when no sector is occupied;
+    otherwise uniform gives N / (occupied sectors) if k is occupied, robust
+    N * count_k / (sensors in the disk), and greedy N if k is the one it
+    picks among the sectors tied for the most sensors, 0 elsewhere, so a
+    beacon's gains sum to N.
     Greedy picks the int(u * ties)-th tied sector in sector order (the last
     if that rounds up to ties) for u = tie_draws[b], one uniform per beacon
     whether or not it ties, which keeps the stream layout fixed."""
-    n_pb, n_sec = counts.shape
-    rows = np.arange(n_pb)
-    occupied = np.count_nonzero(counts, axis=1)
-    hit = counts[rows, k]
+    n_sec, n_pb = counts.shape
+    # flat index of each beacon's entry k, in int64: k is a uint8 and would wrap
+    at_k = np.multiply(k, n_pb, dtype=np.int64)
+    at_k += np.arange(n_pb)
+    occupied = np.count_nonzero(counts, axis=0)
+    hit = counts.take(at_k)
     if scheme is Allocation.UNIFORM:
         gains = np.where(hit > 0, n_sec / np.maximum(occupied, 1), 0.0)
     elif scheme is Allocation.ROBUST:
-        gains = n_sec * hit / np.maximum(counts.sum(axis=1), 1)
+        gains = n_sec * hit / np.maximum(counts.sum(axis=0), 1)
     else:  # greedy
-        ties = counts == counts.max(axis=1)[:, np.newaxis]
-        n_ties = ties.sum(axis=1)
+        ties = counts == counts.max(axis=0)
+        n_ties = ties.sum(axis=0)
         pick_rank = np.minimum((tie_draws * n_ties).astype(np.int64), n_ties - 1)
         # k's rank among the tied sectors: those tied below it, counted in a
-        # boolean mask rather than an int64 running sum of every row
-        ties_below = ties & (np.arange(n_sec) < k[:, np.newaxis])
-        chosen = ties[rows, k] & (np.count_nonzero(ties_below, axis=1) == pick_rank)
+        # boolean mask rather than an int64 running sum of every row; the
+        # sector numbers take k's dtype, so the comparison casts nothing
+        ties_below = np.arange(n_sec, dtype=k.dtype)[:, np.newaxis] < k
+        ties_below &= ties
+        chosen = ties.take(at_k) & (np.count_nonzero(ties_below, axis=0) == pick_rank)
         gains = np.where(chosen, float(n_sec), 0.0)
     return np.where(occupied == 0, 1.0, gains)
 
@@ -1092,14 +1099,24 @@ def run_trials(
 
 
 def empirical_ccdf(samples, thresholds) -> list[tuple[float, float]]:
-    """Fraction of samples at or above each threshold."""
+    """Fraction of samples at or above each threshold.
+
+    The samples, read as float64, must be finite; each threshold is a real
+    argument and must be finite (README, "Argument rules")."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("empirical_ccdf needs at least one sample")
-    thresholds = np.asarray(thresholds, dtype=np.float64).ravel()
-    below = np.searchsorted(np.sort(samples), thresholds, side="left")
+    if not np.isfinite(samples).all():
+        raise ValueError("empirical_ccdf samples must be finite")
+    levels = []
+    for given in np.asarray(thresholds, dtype=object).ravel():
+        level = real(given)
+        if level is None or not -math.inf < level < math.inf:
+            raise ValueError(f"empirical_ccdf threshold must be a finite number, got {given!r}")
+        levels.append(level)
+    below = np.searchsorted(np.sort(samples), levels, side="left")
     fractions = (samples.size - below) / samples.size
-    return list(zip(thresholds.tolist(), fractions.tolist()))
+    return list(zip(levels, fractions.tolist()))
 
 
 class OutputError(OSError):

@@ -121,7 +121,9 @@ def find_root_bisect(f, bracket, tol: float) -> float:
             f"no sign change on ({lo!r}, {hi!r}): f(lo)={f_lo!r}, f(hi)={f_hi!r}"
         )
     for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
+        # halving is exact for normal doubles, so this gives the bits of
+        # 0.5 * (lo + hi), but no sum of two ends can overflow to inf
+        mid = 0.5 * lo + 0.5 * hi
         if hi - lo <= width or mid == lo or mid == hi:
             return mid
         f_mid = f(mid)

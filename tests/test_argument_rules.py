@@ -101,6 +101,9 @@ REAL_BOUNDARIES = [
      ("tol must be positive and finite",) * 3, {}),
     ("find_root_bisect bracket", _root, BracketError,
      ("empty bracket", "bracket ends must be finite", "empty bracket"), {}),
+    # a threshold has no lower bound: every sample is at or above -1
+    ("empirical_ccdf threshold", lambda v: mcsim.empirical_ccdf([1.0, 2.0], [v]), ValueError,
+     ("empirical_ccdf threshold must be a finite number",) * 2 + (None,), {}),
     ("run_trials window_radius", lambda v: mcsim.run_trials(P, SimConfig(1, 1, window_radius=v)),
      ConfigError, ("window_radius must be positive and finite",) * 3, {}),
     ("regularized_gamma_q k", lambda v: specfun.regularized_gamma_q(v, 0.5),
@@ -148,6 +151,14 @@ def _mismatches(call, error, cases):
 )
 def test_real_boundary_verdicts(call, error, messages, overrides):
     assert _mismatches(call, error, _real_cases(messages, overrides)) == []
+
+
+def test_empirical_ccdf_refuses_non_finite_samples():
+    # samples are read as float64 (None reads as nan), then must be finite;
+    # a NaN would otherwise sort last and count as reaching every threshold
+    for value in (math.nan, math.inf, -math.inf, None):
+        with pytest.raises(ValueError, match="^empirical_ccdf samples must be finite$"):
+            mcsim.empirical_ccdf([value, 1.0], [0.5, 2.0])
 
 
 NOT_COUNT = {**{k: v for k, v in GOOD.items() if k != "1"}, **NOT_REAL,

@@ -62,19 +62,27 @@ def one_beacon_sample(pb_xy, orientation, extra_sensors=()):
     )
 
 
-def kernel_origin_gains(sample, params, scheme, tie_draws=None):
-    """mcsim's batched sector counts and scheme gains applied to one
-    realization."""
-    counts, k = mcsim._sector_counts(
-        sample.pb_points.T,
-        np.zeros(len(sample.pb_points), dtype=np.int64),
-        sample.pb_orientations,
-        sample.sn_points.T,
-        np.zeros(len(sample.sn_points), dtype=np.int64),
-        params,
-        mcsim._Workspace(),
-    )
+def kernel_origin_gains(batch, params, scheme, tie_draws=None):
+    """mcsim's batched sector counts and scheme gains applied to a batch of
+    realizations, one trial each, labelled in order."""
+    def stacked(points):
+        labels = [np.full(len(p), t, dtype=np.int64) for t, p in enumerate(points)]
+        return np.hstack([p.T for p in points]), np.concatenate(labels)
+
+    pb, t_pb = stacked([s.pb_points for s in batch])
+    sn, t_sn = stacked([s.sn_points for s in batch])
+    orientations = np.concatenate([s.pb_orientations for s in batch])
+    counts, k = mcsim._sector_counts(pb, t_pb, orientations, sn, t_sn, params, mcsim._Workspace())
     return mcsim._scheme_gains(counts, k, scheme, tie_draws)
+
+
+def scalar_batch_gains(batch, params, scheme, tie_draws):
+    """The scalar oracle's gains over the same batch, trial by trial."""
+    bounds = np.cumsum([len(s.pb_points) for s in batch])[:-1]
+    return np.concatenate([
+        scalar_origin_gains(s, params, scheme, u)
+        for s, u in zip(batch, np.split(tie_draws, bounds))
+    ])
 
 
 # --- streams ---
@@ -352,23 +360,27 @@ def test_power_empty_network():
     "scheme", [Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY]
 )
 def test_origin_gains_match_pb_beam_state(scheme):
-    # sparse sensors leave many beacons with tied top sectors
-    pr = params_for(charging_radius=2.0, sn_density=0.4)
+    # sparse sensors leave many beacons with tied top sectors. Five one-trial
+    # batches and one of twelve trials, whose more than 255 beacons would
+    # wrap a uint8 sector times the beacon count, at N = 1, 2, 4, 7 and 64
     moved = 0
-    for seed in range(5):
-        sample = draw_network(pr, 9.0, trial_stream(seed, 0))
-        u = np.random.default_rng(seed).random(len(sample.pb_points))
-        runs = []
-        for draws in (u, (u + 0.5) % 1.0):
-            want = scalar_origin_gains(sample, pr, scheme, draws)
-            got = kernel_origin_gains(sample, pr, scheme, draws)
-            assert np.array_equal(got, want)
-            runs.append(got)
-            # three-candidate chunks
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(mcsim, "_CHUNK_CANDIDATES", 3)
-                assert np.array_equal(kernel_origin_gains(sample, pr, scheme, draws), want)
-        moved += int(np.count_nonzero(runs[0] != runs[1]))
+    for sectors in (1, 2, 4, 7, 64):
+        pr = params_for(charging_radius=2.0, sn_density=0.4, sectors=sectors)
+        samples = [draw_network(pr, 9.0, trial_stream(seed, 0)) for seed in range(12)]
+        for seed, batch in enumerate([[s] for s in samples[:5]] + [samples]):
+            u = np.random.default_rng(seed).random(sum(len(s.pb_points) for s in batch))
+            assert len(batch) == 1 or len(u) > 255
+            runs = []
+            for draws in (u, (u + 0.5) % 1.0):
+                want = scalar_batch_gains(batch, pr, scheme, draws)
+                got = kernel_origin_gains(batch, pr, scheme, draws)
+                assert np.array_equal(got, want), (sectors, seed)
+                runs.append(got)
+                # three-candidate chunks
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(mcsim, "_CHUNK_CANDIDATES", 3)
+                    assert np.array_equal(kernel_origin_gains(batch, pr, scheme, draws), want)
+            moved += int(np.count_nonzero(runs[0] != runs[1]))
     # only greedy reads the draws, and there moving them must resolve some
     # tie the other way
     assert (moved > 0) == (scheme is Allocation.GREEDY)

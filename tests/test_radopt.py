@@ -63,6 +63,16 @@ def test_bisect_rejects_bad_brackets():
         find_root_bisect(math.cos, (0.0, 3.0), tol=0.0)
 
 
+def test_bisect_midpoint_stays_finite_near_the_double_range():
+    # both ends finite, but their sum overflows: the midpoint halves each end
+    for f, bracket, tol, want in (
+        (lambda r: r - 1.5e308, (1e308, 1.7e308), 1e-9, 1.5e308),
+        (lambda r: r + 1.5e308, (-1.7e308, 1.7e308), 1e290, -1.5e308),
+    ):
+        root = find_root_bisect(f, bracket, tol)
+        assert math.isfinite(root) and abs(root - want) <= tol
+
+
 def test_bisect_tolerates_steps():
     f = lambda x: -1.0 if x < 1.7 else 1.0
     root = find_root_bisect(f, (0.0, 4.0), tol=1e-10)
