@@ -1019,7 +1019,13 @@ def _run_chunk(
     exception raised is that of the first failed batch in trial order,
     whichever failed first in time."""
     window, tail = _run_window(params, config)
-    out = np.empty(stop - start, dtype=np.float64)
+    try:
+        out = np.empty(stop - start, dtype=np.float64)
+    except MemoryError:
+        raise ConfigError(
+            f"cannot allocate the {8 * (stop - start)} bytes of samples "
+            f"that trials={config.trials!r} needs"
+        ) from None
     sensors = config.allocation is not Allocation.FORCED_OMNI
     step = _batch_size(params, window, sensors)
     workspaces = threading.local()
@@ -1040,7 +1046,8 @@ def _run_chunk(
     for future in futures:
         if not future.cancelled():
             future.result()
-    return out + tail
+    out += tail
+    return out
 
 
 def _default_thresholds(samples: np.ndarray) -> np.ndarray:
@@ -1101,9 +1108,15 @@ def run_trials(
 def empirical_ccdf(samples, thresholds) -> list[tuple[float, float]]:
     """Fraction of samples at or above each threshold.
 
-    The samples, read as float64, must be finite; each threshold is a real
-    argument and must be finite (README, "Argument rules")."""
-    samples = np.asarray(samples, dtype=np.float64)
+    samples is a 1-D sequence whose every item, like each threshold, is a
+    real argument and must be finite (README, "Argument rules")."""
+    if not (type(samples) is np.ndarray and samples.dtype == np.float64):
+        # an item that is no real number reads as NaN, refused as not finite
+        given = np.asarray(samples, dtype=object)
+        values = [real(item) for item in given.ravel()]
+        samples = np.array(values, dtype=np.float64).reshape(given.shape)
+    if samples.ndim != 1:
+        raise ValueError(f"empirical_ccdf samples must be a 1-D sequence, got {samples.ndim} dims")
     if samples.size == 0:
         raise ValueError("empirical_ccdf needs at least one sample")
     if not np.isfinite(samples).all():

@@ -45,7 +45,6 @@ _MEDIUM_BAND = 0.05
 _GRID_POINTS = 400
 _GRID_LO = 1e-3
 _BRACKET_CAP = 1.0e3
-_MAX_BISECT = 200
 
 #: An interior peak must clear the omnidirectional plateau by this much to
 #: count as a real optimum. The moment-matched objective can hump a few
@@ -95,9 +94,13 @@ class RadiusOptimum:
 def find_root_bisect(f, bracket, tol: float) -> float:
     """Bisection root of f on bracket = (lo, hi); needs a sign change.
 
-    Returns the midpoint of the final interval once its width is below tol.
-    tol and the bracket ends are real arguments and must be finite (README,
-    "Argument rules"): an infinite end has no midpoint to bisect toward.
+    Returns a zero of f, or the midpoint of the final interval once its
+    width is at most tol or its ends are adjacent doubles: the result is
+    within tol of the sign change or between adjacent doubles. Each step
+    keeps the midpoint strictly inside the bracket, so the loop ends for
+    every finite bracket. tol and the bracket ends are real arguments
+    and must be finite (README, "Argument rules"): an infinite end has no
+    midpoint to bisect toward.
     """
     lo, hi = real(bracket[0]), real(bracket[1])
     if lo is None or hi is None or not -math.inf < lo < hi < math.inf:
@@ -120,7 +123,7 @@ def find_root_bisect(f, bracket, tol: float) -> float:
         raise BracketError(
             f"no sign change on ({lo!r}, {hi!r}): f(lo)={f_lo!r}, f(hi)={f_hi!r}"
         )
-    for _ in range(_MAX_BISECT):
+    while True:
         # halving is exact for normal doubles, so this gives the bits of
         # 0.5 * (lo + hi), but no sum of two ends can overflow to inf
         mid = 0.5 * lo + 0.5 * hi
@@ -133,7 +136,6 @@ def find_root_bisect(f, bracket, tol: float) -> float:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def optimal_radius_mean(params: ScenarioParams) -> RadiusOptimum:

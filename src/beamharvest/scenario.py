@@ -9,8 +9,8 @@ validated.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from ._args import is_count, real
 
@@ -64,7 +64,7 @@ def sigma_from_wavelength(wavelength: float) -> float:
         raise ParameterError(["wavelength too large: attenuation overflows"]) from None
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScenarioParams:
     """All physical and network constants of one deployment scenario.
 
@@ -94,11 +94,12 @@ class ScenarioParams:
     def with_(self, **changes) -> "ScenarioParams":
         """Copy with fields replaced (attenuation re-derived if wavelength moves).
 
-        An unknown field name raises TypeError. A copy of an instance that
-        validate() has passed, changing one field other than attenuation and
-        wavelength, gets its verdict here from that field's rule alone: every
-        other check gives what it gave the source. Any other copy is checked
-        in full on its first validate().
+        A copy of an instance that validate() has passed, changing one field
+        other than attenuation and wavelength, gets its verdict here from that
+        field's rule alone: every other check gives what it gave the source.
+        Any other copy is built by the constructor (dataclasses.replace), so an
+        unknown field name raises its TypeError, and is checked in full on its
+        first validate().
         """
         state = self.__dict__
         if len(changes) == 1 and state.get("_errors") == ():
@@ -117,22 +118,7 @@ class ScenarioParams:
                 return copy
         if "wavelength" in changes and "attenuation" not in changes:
             changes["attenuation"] = None
-        values = state.copy()  # the fields, and _errors once checked
-        values.pop("_errors", None)  # the copy is checked in full
-        values.update(changes)
-        if len(values) != _N_FIELDS:
-            unknown = sorted(set(changes) - set(_FIELDS))
-            raise TypeError(f"ScenarioParams has no field {', '.join(unknown)}")
-        # the fields dataclass __init__ would set, without its nine
-        # object.__setattr__ calls; __post_init__ runs as it would there
-        copy = object.__new__(ScenarioParams)
-        copy.__dict__.update(values)
-        copy.__post_init__()
-        return copy
-
-
-_FIELDS = tuple(ScenarioParams.__dataclass_fields__)
-_N_FIELDS = len(_FIELDS)
+        return dataclasses.replace(self, **changes)
 
 
 def _held(value):
@@ -238,8 +224,8 @@ def validate(params: ScenarioParams) -> ScenarioParams:
     Idempotent: a valid instance passes through untouched. The check runs
     at most once per instance and its outcome is kept in the instance's
     __dict__ (validity is a pure function of the frozen fields); later
-    calls on it cost one dict lookup. A with_ copy of a valid instance may
-    already hold the outcome, from the rules of the fields it changed.
+    calls on it cost one dict lookup. A one-field with_ copy of a valid
+    instance may already hold the outcome, from that field's rule.
     """
     state = params.__dict__
     errors = state.get("_errors")

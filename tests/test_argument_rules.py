@@ -104,6 +104,8 @@ REAL_BOUNDARIES = [
     # a threshold has no lower bound: every sample is at or above -1
     ("empirical_ccdf threshold", lambda v: mcsim.empirical_ccdf([1.0, 2.0], [v]), ValueError,
      ("empirical_ccdf threshold must be a finite number",) * 2 + (None,), {}),
+    ("empirical_ccdf sample", lambda v: mcsim.empirical_ccdf([v, 2.0], [0.5]), ValueError,
+     ("empirical_ccdf samples must be finite",) * 2 + (None,), {}),
     ("run_trials window_radius", lambda v: mcsim.run_trials(P, SimConfig(1, 1, window_radius=v)),
      ConfigError, ("window_radius must be positive and finite",) * 3, {}),
     ("regularized_gamma_q k", lambda v: specfun.regularized_gamma_q(v, 0.5),
@@ -154,11 +156,23 @@ def test_real_boundary_verdicts(call, error, messages, overrides):
 
 
 def test_empirical_ccdf_refuses_non_finite_samples():
-    # samples are read as float64 (None reads as nan), then must be finite;
-    # a NaN would otherwise sort last and count as reaching every threshold
+    # a NaN would otherwise sort last and count as reaching every threshold;
+    # a float64 array, as run_trials gives, is judged whole
     for value in (math.nan, math.inf, -math.inf, None):
         with pytest.raises(ValueError, match="^empirical_ccdf samples must be finite$"):
             mcsim.empirical_ccdf([value, 1.0], [0.5, 2.0])
+        with pytest.raises(ValueError, match="^empirical_ccdf samples must be finite$"):
+            mcsim.empirical_ccdf(np.array([value, 1.0], dtype=np.float64), [0.5, 2.0])
+
+
+def test_empirical_ccdf_needs_a_1d_sequence_of_samples():
+    # a ragged nested list is a 1-D sequence of items that are no numbers
+    cases = ((np.ones((2, 2)), 2), ([[1.0], [2.0]], 2), (1.0, 0), ([[1.0], [2.0, 3.0]], None))
+    for samples, dims in cases:
+        message = "^empirical_ccdf samples must be "
+        message += "finite$" if dims is None else f"a 1-D sequence, got {dims} dims$"
+        with pytest.raises(ValueError, match=message):
+            mcsim.empirical_ccdf(samples, [1.5])
 
 
 NOT_COUNT = {**{k: v for k, v in GOOD.items() if k != "1"}, **NOT_REAL,

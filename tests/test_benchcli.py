@@ -352,6 +352,12 @@ def test_compare_schemes_single_sector_ties():
         assert verdict["delta"] == 0.0
 
 
+def test_paired_verdict_without_spread_reads_the_sign():
+    # no spread: the sign of the difference alone is the verdict
+    for delta, verdict in ((1.0, "confirmed"), (0.0, "tie"), (-1.0, "violated")):
+        assert benchcli._paired_verdict(delta, 0.0, ("a", "b"))["verdict"] == verdict
+
+
 def test_compare_schemes_rejects_fewer_than_two_trials(monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("ran Monte Carlo without a spread to report")
@@ -455,6 +461,14 @@ def test_cli_optimize_mean(capsys):
     assert doc["case"] == "LowDensity"
     assert doc["rho_star_m"] == pytest.approx(1.3283482424554336, rel=1e-9)
     assert doc["derivative_residual"] <= 1e-8
+
+
+def test_cli_optimize_mean_reports_a_bracket_it_cannot_close(capsys):
+    # so few sensors that the mean still rises at the bracket cap
+    assert main(["optimize-mean", "--set", "sn_density_per_m2=1e-12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "optimizer failure: mean derivative still positive at rho = 512.0\n"
+    assert captured.out == ""
 
 
 def test_cli_optimize_active(capsys):

@@ -1417,6 +1417,39 @@ def test_config_guards():
             run_trials(pr, SimConfig(trials=5, master_seed=1), workers=workers)
 
 
+def test_run_trials_refuses_a_scheme_given_by_name():
+    with pytest.raises(ConfigError, match="^unknown allocation scheme 'uniform'$"):
+        run_trials(params_for(), SimConfig(2, 1, allocation="uniform"))
+
+
+def test_trials_whose_samples_cannot_be_allocated_are_a_config_error():
+    # under a 3 GiB address-space limit, 2**31 trials need 16 GiB of samples;
+    # the limit is set in a child process, never here: a machine that
+    # overcommits memory might otherwise start running the trials
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    src = Path(mcsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from beamharvest import mcsim, scenario\n"
+        "params = scenario.params_from_mapping({})\n"
+        "try:\n"
+        "    mcsim.run_trials(params, mcsim.SimConfig(2**31, 1))\n"
+        "except scenario.ConfigError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        f"cannot allocate the {8 * 2**31} bytes of samples that trials={2**31} needs\n"
+    )
+
+
 def test_run_trials_shares_the_sector_cap():
     # the closed forms' sector cap is a scenario rule, so it binds here too
     with pytest.raises(ParameterError, match="sector"):
@@ -1467,6 +1500,15 @@ def test_run_trials_refuses_trials_too_large_to_draw(monkeypatch):
 
 
 # --- aggregation and output formats ---
+
+
+@pytest.mark.parametrize("samples, level", [(0.0, 0.0), (2e-4, 2e-4)], ids=["zero", "equal"])
+def test_summary_json_ccdf_of_samples_without_spread(samples, level):
+    # no positive sample, or one positive value: one threshold, reached by all
+    pr = params_for()
+    config = SimConfig(trials=3, master_seed=1)
+    summary = mcsim.TrialSummary(np.full(3, samples), samples, 0.0, 0.0)
+    assert json.loads(summary_to_json(summary, pr, config))["ccdf"] == [[level, 1.0]]
 
 
 def test_empirical_ccdf_counts_at_or_above():

@@ -73,6 +73,17 @@ def test_bisect_midpoint_stays_finite_near_the_double_range():
         assert math.isfinite(root) and abs(root - want) <= tol
 
 
+def test_bisect_runs_until_within_tol_on_any_finite_bracket():
+    # brackets that take hundreds or a thousand halvings to narrow to tol:
+    # the result is within tol of the root, however many steps that takes
+    calls = []
+    for root, bracket, tol in ((3.0, (0.0, 1e100), 1e-12), (1e-300, (-1.7e308, 1.7e308), 1e-9)):
+        calls.clear()
+        got = find_root_bisect(lambda r: calls.append(r) or r - root, bracket, tol)
+        assert abs(got - root) <= tol, (root, got)
+        assert len(calls) > 300
+
+
 def test_bisect_tolerates_steps():
     f = lambda x: -1.0 if x < 1.7 else 1.0
     root = find_root_bisect(f, (0.0, 4.0), tol=1e-10)
@@ -104,6 +115,16 @@ def test_mean_optimum_high_density():
     assert r.radius < 1.0
     assert r.radius == pytest.approx(0.7029051311316437, rel=1e-9)
     assert r.objective == pytest.approx(6.933175014431027e-4, rel=1e-9)
+
+
+def test_mean_optimum_single_sector_is_the_clamp_distance():
+    # one sector radiates omnidirectionally, so the mean is flat in the
+    # radius: the derivative at the clamp distance is zero and the seam
+    # is reported as the peak
+    r = optimal_radius_mean(params_for(sectors=1))
+    assert (r.radius, r.case_label, r.derivative_residual, r.evaluations) == (
+        1.0, MeanCase.MEDIUM_DENSITY, 0.0, 2
+    )
 
 
 def test_mean_optimum_beats_fine_grid():

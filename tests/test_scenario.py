@@ -224,6 +224,11 @@ def test_mapping_round_trip():
     assert again == p
 
 
+def test_mapping_refuses_unknown_keys():
+    with pytest.raises(ConfigError, match="^unknown keys: bogus$"):
+        params_from_mapping({"bogus": 1})
+
+
 def test_sigma_only_config_suppresses_default_wavelength():
     p = params_from_mapping({"sigma_linear": 1.0e-4})
     assert p.attenuation == 1.0e-4
