@@ -313,18 +313,20 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
 
     Returns the manifest mapping, whose trials is the budget the figure
     ran. Reruns with an identical spec produce byte-identical files
-    regardless of worker count.
+    regardless of worker count. A figure that runs no Monte Carlo refuses
+    any trial count but 0 and any worker count but 1.
     """
     figure_values, budget, build = _FIGURES[spec.figure_id]
     trials = spec.trials
     mcsim._check_trials(trials, 0)
     mcsim._check_seed(spec.seed)
     mcsim._check_workers(workers)
-    if trials and not budget:
-        raise ConfigError(
-            f"{spec.figure_id.value} runs no Monte Carlo; trials must be 0, "
-            f"got {trials!r}"
-        )
+    for name, value, idle in (("trials", trials, 0), ("workers", workers, 1)):
+        if value != idle and not budget:
+            raise ConfigError(
+                f"{spec.figure_id.value} runs no Monte Carlo; {name} must be "
+                f"{idle}, got {value!r}"
+            )
     out_dir = Path(spec.output_dir)
     _check_out_dir(out_dir)
     trials = trials or budget
@@ -637,10 +639,12 @@ def _cmd_validate(args) -> int:
         "single sector reduces to omni",
         abs(analytic.mean_power(one) - analytic.mean_power_omni(one)) < 1e-18,
     )
+    # three batches: one lane runs them in this process, two on the pool
     cfg = SimConfig(trials=200, master_seed=7 if args.seed is None else args.seed)
-    s1 = mcsim.run_trials(params, cfg, workers=1)
-    s2 = mcsim.run_trials(params, cfg, workers=2)
-    check("trial streams worker-count invariant", np.array_equal(s1.samples, s2.samples))
+    check(
+        "trial streams lane-count invariant (in-process vs pool)",
+        np.array_equal(mcsim._run_batches(params, cfg, 1), mcsim._run_batches(params, cfg, 2)),
+    )
     growing = analytic.mean_power(params) > analytic.mean_power_omni(params)
     check("directional beats omni mean", growing)
     if failures:
@@ -659,8 +663,9 @@ _FLAGS = {
     "trials": dict(type=int, help="Monte Carlo trial count"),
     "out": dict(help="output directory"),
     "workers": dict(type=int, default=1,
-                    help="worker processes (default 1); each runs up to two "
-                         "threads when there are CPUs to spare"),
+                    help="workers (default 1); each runs two batches at once "
+                         "when the CPUs leave it a second one; more than one "
+                         "batch at once runs in a pool of processes"),
 }
 
 

@@ -6,8 +6,8 @@ idealize away), and records the power collected at the origin sensor.
 
 Reproducibility contract: every random draw comes from a counter-based
 stream keyed by (master_seed, trial_index, substream), so a run is
-bit-identical no matter how trials are scheduled across worker processes
-and the threads each runs its batches on. Network geometry lives on
+bit-identical no matter how its batches are scheduled, in the calling
+process or across the process pool's lanes. Network geometry lives on
 substream 0 and greedy's tie-breaks, the only allocation draws, on
 substream 2, which makes runs that differ only in the allocation scheme see
 identical networks (paired comparisons come out of the seeding for free).
@@ -24,6 +24,7 @@ its mean forfeits at most 1e-5 of the received-power variance.
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import enum
 import functools
@@ -321,17 +322,16 @@ _CELL_SENSORS_MIN = 0.04
 #: footprint whatever the batch size: five workspace buffers of 128 KiB
 #: (the candidates' sorted positions, the two offsets, the squared distance
 #: and a gather temporary), which grow only for such a beacon. Each chunk
-#: makes the same ~20 NumPy calls, so larger chunks let two threads trade
-#: the GIL less often. 16,384 ran mc_schemes faster than 8,192 at a lower
-#: traced batch peak; 32,768 was no faster and raised the process's peak
-#: RSS by up to 6%.
+#: makes the same ~20 NumPy calls, so larger chunks make fewer of them.
+#: 16,384 ran mc_schemes faster than 8,192 at a lower traced batch peak;
+#: 32,768 was no faster and raised the process's peak RSS by up to 6%.
 _CHUNK_CANDIDATES = 16384
 
 
 class _Workspace:
-    """Scratch arrays that one thread reuses across the chunks and batches
-    of one _run_chunk call, so the allocator does not hand their pages back
-    and fault them in again on every chunk and batch.
+    """Scratch arrays that one lane reuses across the chunks and batches it
+    runs, so the allocator does not hand their pages back and fault them in
+    again on every chunk and batch.
 
     work(role, n, dtype) is a view of exactly n elements of dtype at the
     start of the role's flat buffer of 8-byte items, which grows only when a
@@ -344,16 +344,10 @@ class _Workspace:
     coordinates, then the path losses. The cull (_cull) keeps its grid and
     widened grid ("cull_grid", "cull_wide", bytes); "kept" holds the batch's
     sensors' cull keys, float32 positions and mask, then the uniforms of the
-    sensors the cull keeps.
+    sensors the cull keeps."""
 
-    draw_lock is held while a batch draws. The workspaces of one _run_chunk
-    call share one lock, so one thread of the call runs its GIL-bound draw
-    loop while the others run GIL-free NumPy stages; a workspace made
-    without one gets its own."""
-
-    def __init__(self, draw_lock: threading.Lock | None = None) -> None:
+    def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
-        self.draw_lock = threading.Lock() if draw_lock is None else draw_lock
 
     def __call__(self, role: str, n: int, dtype=np.float64, keep: int = 0) -> np.ndarray:
         items = -(-n * np.dtype(dtype).itemsize // 8)
@@ -804,11 +798,10 @@ def _cull(
 
 
 #: Fewest expected beacons and sensors in a batch: the batch floor, unless
-#: the whole step holds fewer. Below it a batch spends its time in NumPy
-#: calls too short to release the GIL: at lambda_s 0.2-0.8, rho 0.25-0.5
-#: (steps of 14-53 trials, bound by the join's cell count) quarter batches
-#: on two threads ran 0.7-0.86x whole steps on one, and 1.3-1.5x with this
-#: floor.
+#: the whole step holds fewer. Below it a batch spends its time in short
+#: NumPy calls: at lambda_s 0.2-0.8, rho 0.25-0.5 (steps of 14-53 trials,
+#: bound by the join's cell count) quarter batches two at a time ran
+#: 0.7-0.86x whole steps one at a time, and 1.3-1.5x with this floor.
 _SPLIT_POINTS_MIN = 32768
 
 
@@ -820,7 +813,7 @@ def _batch_size(params: ScenarioParams, window: float, sensors: bool = True) -> 
     sensor window (the CSR index; the cell floor keeps small radii from
     filling a batch with cells). Candidate pairs are read in chunks of a
     fixed size, each added to the sector counts (N per beacon), so the
-    pairs do not grow with the batch. The memory bounded is a thread's
+    pairs do not grow with the batch. The memory bounded is a lane's
     _Workspace, which keeps the largest batch's arrays between batches, plus
     what a batch allocates afresh; the workspace's roles share buffers, so
     that it holds about what one batch peaked at when every array was new.
@@ -840,12 +833,10 @@ def _batch_size(params: ScenarioParams, window: float, sensors: bool = True) -> 
 
     The step, the trials 4e5 rows allow, is then split four ways, but not
     below _SPLIT_POINTS_MIN expected points (beacons, plus sensors if
-    drawn), nor above the whole step. The thread count sets only how many
-    batches run at once. Each thread keeps its own malloc arena, and with
-    two threads half-size batches raised peak memory above one thread's
-    whole steps; on one thread, quarter batches ran the twelve Fig. 3
-    points in 0.92-0.96x the time of whole steps, at traced batch peaks of
-    at most 8.1 MiB against 22.6."""
+    drawn), nor above the whole step. The lane count sets only how many
+    batches run at once. Run one at a time, quarter batches ran the twelve
+    Fig. 3 points in 0.92-0.96x the time of whole steps, at traced batch
+    peaks of at most 8.1 MiB against 22.6."""
     expect_pb, expect_sn = _field_means(params, window)
     points = rows = expect_pb
     if sensors:
@@ -907,7 +898,7 @@ def _batch_draws(
     """Every draw of trials [start, stop), written straight into work's draw
     roles: each trial's network draws from its keyed stream, as
     _trial_draws orders them, and for greedy one tie-break uniform per
-    beacon from its substream 2. The loop holds work.draw_lock.
+    beacon from its substream 2.
 
     Returns the beacon uniforms as (n, 2) and their trial labels, the
     orientation uniforms, the sensor uniforms as (m, 2), each trial's
@@ -927,15 +918,14 @@ def _batch_draws(
         ties = _DrawBuffer(work, "ties", reserve)
     streams = _TrialStreams(master_seed)
     n_pb, n_sn = [], []
-    with work.draw_lock:
-        for i in range(start, stop):
-            u_pb, _, u_sn = _trial_draws(streams.at(i), mean_pb, mean_sn, pb, orient, sn)
-            n = len(u_pb) >> 1
-            n_pb.append(n)
-            if sn is not None:
-                n_sn.append(len(u_sn) >> 1)
-            if ties is not None:
-                streams.at(i, _GREEDY_SUBSTREAM).random(out=ties(n))
+    for i in range(start, stop):
+        u_pb, _, u_sn = _trial_draws(streams.at(i), mean_pb, mean_sn, pb, orient, sn)
+        n = len(u_pb) >> 1
+        n_pb.append(n)
+        if sn is not None:
+            n_sn.append(len(u_sn) >> 1)
+        if ties is not None:
+            streams.at(i, _GREEDY_SUBSTREAM).random(out=ties(n))
     labels = np.arange(n_trials)
     u_pb, t_pb = pb.drawn().reshape(-1, 2), np.repeat(labels, n_pb)
     if sn is None:
@@ -993,59 +983,124 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _threads_per_worker(workers: int) -> int:
-    """Threads each worker process runs its batches on: two, when the usable
-    CPUs leave each of the workers a second one. One thread of a call draws
-    at a time (_Workspace.draw_lock), so one batch's GIL-bound Philox loop
-    overlaps another's GIL-free NumPy stages; two threads inside their draw
-    loops would trade the GIL at every fill, each only 1-2 us long."""
-    return max(1, min(2, _usable_cpus() // workers))
+def _lanes(workers: int) -> int:
+    """Batches a call runs at once: two per worker when the usable CPUs
+    leave each of the workers a second one, else one."""
+    return workers * max(1, min(2, _usable_cpus() // workers))
 
 
-def _run_chunk(
-    params: ScenarioParams, config: SimConfig, start: int, stop: int, threads: int
-) -> np.ndarray:
-    """Powers of trials [start, stop), in batches of _batch_size trials run
-    on a pool of threads.
+#: The process pool that runs the batches of calls with more than one lane,
+#: started on the first such call and kept for the calls after it, and its
+#: process count. _pool_lock guards replacing it.
+_pool = None
+_pool_lanes = 0
+_pool_lock = threading.Lock()
 
-    Each batch writes only its own slice of out, so the samples do not
-    depend on the thread count. Each thread reuses one _Workspace across its
-    batches, and the call's workspaces share one draw lock, made per call so
-    that no worker process can inherit one held by some thread; the
-    workspaces and the lock die with the call. Every batch is submitted at
-    once and the call waits once, until all finish or one raises; then the
-    batches not yet started are cancelled and those running finish. The
-    pool is joined before returning, so no thread outlives the call, and the
-    exception raised is that of the first failed batch in trial order,
-    whichever failed first in time."""
+#: The _Workspace a pool process runs every one of its batches on.
+_lane_work = None
+
+
+def _start_lane() -> None:
+    """Pool process initializer: the process's workspace, and a watchdog
+    thread that ends the process once its parent, the caller that started
+    the pool, has gone, whether it exited or was killed."""
+    global _lane_work
+    import multiprocessing.connection
+
+    _lane_work = _Workspace()
+    parent = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _lane_batch(params: ScenarioParams, config: SimConfig, window: float, step: int, n: int, lo: int,
+                work: _Workspace | None = None) -> np.ndarray:
+    """Powers of the batch of trials [lo, min(lo + step, n)), built in work,
+    or in a pool process in the process's own workspace."""
+    return _batch_powers(
+        params, config.allocation, config.master_seed, lo, min(lo + step, n), window,
+        _lane_work if work is None else work,
+    )
+
+
+def _stop_pool() -> None:
+    """Shut the pool down, if there is one; the next multi-lane call starts
+    a new one. Runs at interpreter exit too, while the modules the shutdown
+    needs are still loaded, so that the pool is not collected without them."""
+    global _pool, _pool_lanes
+    with _pool_lock:
+        pool, _pool, _pool_lanes = _pool, None, 0
+    if pool is not None:
+        pool.shutdown()
+
+
+def _forget_pool() -> None:
+    """In a child made by os.fork: drop the parent's pool, whose processes
+    serve the parent, unused."""
+    global _pool, _pool_lanes, _pool_lock
+    _pool, _pool_lanes, _pool_lock = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_map(lanes: int, batch, starts):
+    """batch(lo) for every lo of starts, in trial order, on the pool's lanes
+    processes; a pool of another size is shut down and replaced first.
+    Every batch is submitted at once, under the lock, so that no other
+    caller can shut the pool down in between. The results raise the first
+    failed batch's error in trial order, and cancel the batches not yet
+    started. A broken pool fails the call and is dropped."""
+    global _pool, _pool_lanes
+    pool = None
+    try:
+        with _pool_lock:
+            if _pool_lanes != lanes:
+                if _pool is not None:
+                    _pool.shutdown()
+                # at exit, run before multiprocessing's own handler, which
+                # importing the pool registers
+                atexit.unregister(_stop_pool)
+                _pool = concurrent.futures.ProcessPoolExecutor(lanes, initializer=_start_lane)
+                atexit.register(_stop_pool)
+                _pool_lanes = lanes
+            pool = _pool
+            results = pool.map(batch, starts)
+        yield from results
+    except concurrent.futures.BrokenExecutor:
+        with _pool_lock:
+            if _pool is pool:
+                _pool, _pool_lanes = None, 0
+        raise
+
+
+def _run_batches(params: ScenarioParams, config: SimConfig, lanes: int) -> np.ndarray:
+    """Powers of every trial, in batches of _batch_size trials run lanes at
+    a time: in this process on one _Workspace when lanes is 1 or there is
+    one batch, else on the process pool (_pool_map). A batch's samples
+    depend only on its trials' keys, so not on the lane count."""
+    n = config.trials
     window, tail = _run_window(params, config)
     try:
-        out = np.empty(stop - start, dtype=np.float64)
+        out = np.empty(n, dtype=np.float64)
     except MemoryError:
         raise ConfigError(
-            f"cannot allocate the {8 * (stop - start)} bytes of samples "
-            f"that trials={config.trials!r} needs"
+            f"cannot allocate the {8 * n} bytes of samples that trials={n!r} needs"
         ) from None
-    sensors = config.allocation is not Allocation.FORCED_OMNI
-    step = _batch_size(params, window, sensors)
-    workspaces = threading.local()
-    draw_lock = threading.Lock()
-
-    def batch(lo: int) -> None:
-        if not hasattr(workspaces, "work"):
-            workspaces.work = _Workspace(draw_lock)
-        hi = min(lo + step, stop)
-        out[lo - start : hi - start] = _batch_powers(
-            params, config.allocation, config.master_seed, lo, hi, window, workspaces.work
-        )
-
-    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        futures = [pool.submit(batch, lo) for lo in range(start, stop, step)]
-        concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
-    for future in futures:
-        if not future.cancelled():
-            future.result()
+    step = _batch_size(params, window, config.allocation is not Allocation.FORCED_OMNI)
+    starts = range(0, n, step)
+    batch = functools.partial(_lane_batch, params, config, window, step, n)
+    if lanes == 1 or len(starts) == 1:
+        work = _Workspace()
+        results = (batch(lo, work) for lo in starts)
+    else:
+        results = _pool_map(lanes, batch, starts)
+    for lo, powers in zip(starts, results):
+        out[lo : lo + len(powers)] = powers
     out += tail
     return out
 
@@ -1066,9 +1121,8 @@ def run_trials(
 ) -> TrialSummary:
     """Simulate config.trials independent networks and aggregate.
 
-    Output is a pure function of (params, config); workers only split the
-    trial range across processes, each running its batches on up to two
-    threads, and results merge by trial index.
+    Output is a pure function of (params, config); workers only sets how
+    many batches run at once (_lanes), and results merge by trial index.
     Raises specfun.RangeError, as the closed forms do, when rho^2 overflows
     or a trial expects more points than NumPy's Poisson draw allows or the
     pair join can key.
@@ -1077,7 +1131,7 @@ def run_trials(
     _check_config(params, config)
     _check_workers(workers)
     analytic._occupancy(params)  # the closed forms' rho^2 range check
-    # _run_chunk's window and _trial_draws' means, each at most the largest
+    # _run_batches' window and _trial_draws' means, each at most the largest
     # Generator.poisson takes, 2**63 - 1 less ten square roots of it (~9.2e18),
     # and then at most what the pair join can key
     window, _ = _run_window(params, config)
@@ -1090,15 +1144,7 @@ def run_trials(
             if not mean <= most:
                 raise specfun.RangeError(f"a trial expects {mean!r} {name}, more than {what}")
     n = config.trials
-    workers = min(workers, n)
-    threads = _threads_per_worker(workers)
-    if workers == 1:
-        samples = _run_chunk(params, config, 0, n, threads)
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
-        chunk = functools.partial(_run_chunk, params, config, threads=threads)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = np.concatenate(list(pool.map(chunk, bounds[:-1], bounds[1:])))
+    samples = _run_batches(params, config, _lanes(min(workers, n)))
     mean = float(np.mean(samples))
     variance = float(np.var(samples, ddof=1)) if n > 1 else 0.0
     ci = 1.96 * math.sqrt(variance / n) if n > 1 else 0.0

@@ -711,6 +711,21 @@ def test_figure_rejects_nonpositive_workers_before_any_work(tmp_path, monkeypatc
         assert not out.exists()
 
 
+def test_closed_form_figures_refuse_workers(tmp_path, capsys):
+    # Figs 5-7 run no Monte Carlo, so a worker count but 1 is refused as a
+    # trial count is, before the output directory is made; Fig. 3 takes it
+    for fig in ("Fig5", "Fig6", "Fig7"):
+        out = tmp_path / fig
+        with pytest.raises(ConfigError, match=f"^{fig} runs no Monte Carlo; workers must be 1, got 4$"):
+            run_figure(ExperimentSpec(FigureId(fig), output_dir=str(out)), workers=4)
+        assert main(["figure", fig.lower(), "--workers", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {fig} runs no Monte Carlo; workers must be 1, got 4"]
+        assert not out.exists()
+    assert main(["figure", "fig5", "--workers", "1", "--out", str(tmp_path / "one")]) == 0
+    assert main(["figure", "fig3", "--workers", "2", "--trials", "5", "--out", str(tmp_path / "mc")]) == 0
+
+
 def test_cli_validate(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
@@ -719,15 +734,30 @@ def test_cli_validate(capsys):
 
 
 def test_cli_validate_seed_zero(monkeypatch, capsys):
+    # the lane check's two runs, one lane and two, both take the seed
     seen = []
 
-    def fake_run_trials(params, config, workers=1):
-        seen.append(config.master_seed)
-        return types.SimpleNamespace(samples=np.zeros(1))
+    def fake_run_batches(params, config, lanes):
+        seen.append((config.master_seed, lanes))
+        return np.zeros(1)
 
-    monkeypatch.setattr(benchcli.mcsim, "run_trials", fake_run_trials)
+    monkeypatch.setattr(benchcli.mcsim, "_run_batches", fake_run_batches)
     assert main(["validate", "--seed", "0"]) == 0
-    assert seen == [0, 0]
+    assert seen == [(0, 1), (0, 2)]
     seen.clear()
     assert main(["validate"]) == 0
-    assert seen == [7, 7]
+    assert seen == [(7, 1), (7, 2)]
+
+
+def test_cli_validate_fails_when_lanes_disagree(monkeypatch, capsys):
+    # samples that differ between the in-process run and the pool run
+    # read FAIL on the lane check's line, and validate exits 1
+    def lane_dependent(params, config, lanes):
+        return np.full(3, float(lanes))
+
+    monkeypatch.setattr(benchcli.mcsim, "_run_batches", lane_dependent)
+    assert main(["validate"]) == 1
+    out = capsys.readouterr()
+    failed = [line for line in out.out.splitlines() if "FAIL" in line]
+    assert failed == ["FAIL trial streams lane-count invariant (in-process vs pool)"]
+    assert out.err == "1 validation failure(s)\n"

@@ -1,15 +1,19 @@
 """Monte Carlo engine: reproducibility contract, geometry, allocation rules."""
 
+import concurrent.futures
 import importlib.util
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,48 @@ from beamharvest.specfun import RangeError
 from mc_oracle import pb_beam_state, scalar_origin_gains, sector_of
 
 SIGMA = 6.332573977646111e-05
+
+#: Pool processes run what they inherited when they started: the caller's
+#: patches reach them only when the pool starts after the patches, by fork.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool processes inherit the caller's patches only when forked",
+)
+
+
+@pytest.fixture(autouse=True)
+def pool_after_patches(request):
+    """A test that patches the engine stops the pool before its patches and
+    after it undoes them, so that its own pool calls run its patches and
+    no later test runs them; a test that changes its patches between pool
+    calls stops the pool in between itself."""
+    patches = "monkeypatch" in request.fixturenames
+    if patches:
+        mcsim._stop_pool()
+    yield
+    if patches:
+        mcsim._stop_pool()
+
+
+def logged(monkeypatch, log, name, line, replace=None):
+    """Patch mcsim.<name> with a wrapper that appends "pid line(*args)" to
+    the file log, from whichever process runs it, then calls replace (or
+    the original) with the same arguments."""
+    run = replace or getattr(mcsim, name)
+
+    def wrapper(*args):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {line(*args)}\n")
+        return run(*args)
+
+    monkeypatch.setattr(mcsim, name, wrapper)
+
+
+def log_rows(log):
+    """The lines of a logged() file as integer tuples, sorted."""
+    if not log.exists():
+        return []
+    return sorted(tuple(map(int, row.split())) for row in log.read_text().splitlines())
 
 
 def params_for(**overrides):
@@ -812,22 +858,33 @@ def test_cull_holds_across_simd_dispatch(level):
     assert done.returncode == 0, done.stderr
 
 
+@needs_fork
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
-def test_cull_run_trials_match_uncut_for_any_threads(monkeypatch, scheme):
-    # lambda_s 1.6, rho 0.5: the cull runs and samples equal those of runs
-    # with it switched off, on one and two threads and two workers
+def test_cull_run_trials_match_uncut_for_any_threads(monkeypatch, tmp_path, scheme):
+    # lambda_s 1.6, rho 0.5: the cull runs, in the caller on one lane and in
+    # two pool processes on two, and samples equal those of runs with it
+    # switched off on one lane and on two, where no lane culls
     pr = params_for(sn_density=1.6, charging_radius=0.5)
     window = 6.0
     assert mcsim._cull_grid(pr, window) is not None
     config = SimConfig(trials=90, master_seed=17, window_radius=window, allocation=scheme)
     culled = run_trials(pr, config).samples
     monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
-    for threads in (1, 2):
-        monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
-        assert np.array_equal(run_trials(pr, config, workers=2).samples, culled), threads
-    monkeypatch.setattr(mcsim, "_CULL_SHARE_MAX", 0.0)
+    log = tmp_path / "cull.log"
+    logged(monkeypatch, log, "_cull", lambda *args: 0)
+    for cull in (True, False):
+        for lanes in (1, 2):
+            log.unlink(missing_ok=True)
+            monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
+            assert np.array_equal(run_trials(pr, config).samples, culled), (cull, lanes)
+            pids = {pid for pid, _ in log_rows(log)}
+            if not cull or scheme is Allocation.FORCED_OMNI:
+                assert not pids
+            else:
+                assert pids == {os.getpid()} if lanes == 1 else pids and os.getpid() not in pids
+        monkeypatch.setattr(mcsim, "_CULL_SHARE_MAX", 0.0)
+        mcsim._stop_pool()
     assert mcsim._cull_grid(pr, window) is None
-    assert np.array_equal(run_trials(pr, config).samples, culled)
 
 
 def test_cull_that_keeps_no_sensor_of_a_batch_joins_no_pairs(monkeypatch):
@@ -939,7 +996,7 @@ def fresh_batches(pr, scheme, window, plan):
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
 def test_reused_workspace_matches_fresh_batches(monkeypatch, scheme, chunk):
     # batches through one workspace, and 93 trials in batches of 7 on one
-    # and on two threads, bit for bit as fresh single-batch passes over the
+    # lane and on two, bit for bit as fresh single-batch passes over the
     # same trials: data a buffer kept from an earlier batch, such as its
     # sensors where this batch's origin sensors go, would show. With chunks
     # of at most 4 candidates a beacon whose strip holds more gets a chunk
@@ -960,8 +1017,8 @@ def test_reused_workspace_matches_fresh_batches(monkeypatch, scheme, chunk):
         assert len(work._buffers["dx"]) > chunk
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 7)
     config = SimConfig(trials=93, master_seed=7, window_radius=window, allocation=scheme)
-    for threads in (1, 2):
-        assert np.array_equal(mcsim._run_chunk(pr, config, 0, 93, threads), want_steps), threads
+    for lanes in (1, 2):
+        assert np.array_equal(mcsim._run_batches(pr, config, lanes), want_steps), lanes
 
 
 def test_no_workspace_outlives_its_call():
@@ -1011,35 +1068,37 @@ def test_run_trials_deterministic_and_worker_invariant():
 
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
 def test_run_trials_thread_invariant(monkeypatch, scheme):
-    # 300 trials of 256-trial batches, and of 64-trial ones on one and on
-    # two threads once the points floor is lifted, leave a short last batch
-    # either way; the unpatched run takes the host's own thread rule
+    # lanes: one in this process, and two and three pool processes. 300
+    # trials of 256-trial batches, and of 64-trial ones once the points
+    # floor is lifted, leave a short last batch either way; the unpatched
+    # run takes the host's own lane rule
     pr = params_for()
     window = 8.0
     assert mcsim._batch_size(pr, window) == 256
     config = SimConfig(trials=300, master_seed=21, window_radius=window, allocation=scheme)
     host = run_trials(pr, config).samples
-    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
-    for threads in (1, 2):
-        monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
-        for workers in (1, 2):
-            got = run_trials(pr, config, workers=workers).samples
-            assert np.array_equal(got, host), (threads, workers)
+    for floor in (mcsim._SPLIT_POINTS_MIN, 0):
+        monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", floor)
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
+            got = run_trials(pr, config).samples
+            assert np.array_equal(got, host), (floor, lanes)
 
 
-def test_run_chunk_threads_under_fast_switching(monkeypatch):
-    # more threads than cores on 32-trial batches of an offset trial range,
-    # switching every microsecond: a batch written outside its own slice,
-    # or state shared between batches, would show
+def test_more_lanes_than_cores_under_fast_switching(monkeypatch):
+    # four pool processes on 32-trial batches, the caller's threads (the
+    # pool's manager and queue feeder among them) switching every
+    # microsecond: a batch written outside its own slice, or results merged
+    # out of trial order, would show
     pr = params_for()
     config = SimConfig(trials=300, master_seed=9, window_radius=4.0,
                        allocation=Allocation.GREEDY)
-    want = run_trials(pr, config).samples[13:213]
-    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
+    want = mcsim._run_batches(pr, config, 1)
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = mcsim._run_chunk(pr, config, 13, 213, 4)
+        got = mcsim._run_batches(pr, config, 4)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
@@ -1119,49 +1178,43 @@ def test_draw_buffers_grow_and_hold_empty_trials(scheme):
     assert sparse
 
 
-def test_draw_sections_never_overlap(monkeypatch):
-    # four threads on 32-trial greedy batches, switching every microsecond;
-    # each stream reset yields the GIL, so a batch drawing outside the
-    # call's lock would let another batch's draws in beside its own
+@needs_fork
+def test_draw_sections_never_overlap(monkeypatch, tmp_path):
+    # three pool processes on 32-trial greedy batches: a process runs one
+    # batch at a time on its one workspace, so no two of its batches
+    # overlap, from the first draw to the last stage, and none runs in the
+    # caller
     pr = params_for()
     config = SimConfig(trials=300, master_seed=9, window_radius=4.0,
                        allocation=Allocation.GREEDY)
-    want = mcsim._run_chunk(pr, config, 13, 213, 1)
-    inside = peak = 0
-    count = threading.Lock()
-    reset = mcsim._TrialStreams.at
+    want = mcsim._run_batches(pr, config, 1)
+    log = tmp_path / "batches.log"
+    real = mcsim._batch_powers
 
-    def at(self, trial_index, substream=0):
-        nonlocal inside, peak
-        with count:
-            inside += 1
-            peak = max(peak, inside)
-        time.sleep(0)
-        try:
-            return reset(self, trial_index, substream)
-        finally:
-            with count:
-                inside -= 1
+    def timed(*args):
+        begin = time.monotonic_ns()
+        out = real(*args)
+        with open(log, "a") as spans:
+            spans.write(f"{os.getpid()} {begin} {time.monotonic_ns()}\n")
+        return out
 
-    monkeypatch.setattr(mcsim._TrialStreams, "at", at)
-    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = mcsim._run_chunk(pr, config, 13, 213, 4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert peak == 1
-    assert np.array_equal(got, want)
+    monkeypatch.setattr(mcsim, "_batch_powers", timed)
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
+    assert np.array_equal(mcsim._run_batches(pr, config, 3), want)
+    rows = log_rows(log)
+    assert len(rows) == 10 and os.getpid() not in {pid for pid, _, _ in rows}
+    for (pid, _, end), (after, begin, _) in zip(rows, rows[1:]):
+        assert pid != after or end <= begin
 
 
-def test_draw_error_frees_the_lock_and_raises_in_trial_order(monkeypatch):
-    # two-thread calls of four 32-trial batches in which the draws of batch
-    # 0 and batch 2 raise mid-loop: each call raises batch 0's error, every
-    # time, without hanging on the lock, and a later call in the process runs
+@needs_fork
+def test_draw_error_raises_in_trial_order_on_every_lane(monkeypatch):
+    # one lane and two: of four 32-trial batches, the draws of batch 0 and
+    # batch 2 raise mid-loop; each call raises batch 0's error, every time,
+    # and once the draws are mended, calls on a fresh pool run
     pr = params_for()
     config = SimConfig(trials=128, master_seed=3, window_radius=8.0)
-    want = mcsim._run_chunk(pr, config, 0, 128, 2)
+    want = mcsim._run_batches(pr, config, 1)
     reset = mcsim._TrialStreams.at
 
     def at(self, trial_index, substream=0):
@@ -1170,95 +1223,126 @@ def test_draw_error_frees_the_lock_and_raises_in_trial_order(monkeypatch):
         return reset(self, trial_index, substream)
 
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
-    errors = []
-
-    def call():
-        try:
-            mcsim._run_chunk(pr, config, 0, 128, 2)
-        except RuntimeError as exc:
-            errors.append(str(exc))
-
-    before = threading.active_count()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mcsim._TrialStreams, "at", at)
-        for _ in range(3):
-            caller = threading.Thread(target=call, daemon=True)
-            caller.start()
-            caller.join(timeout=60)
-            assert not caller.is_alive()
-    assert errors == ["draw 20 failed"] * 3
-    assert threading.active_count() == before
-    assert np.array_equal(mcsim._run_chunk(pr, config, 0, 128, 2), want)
+        for lanes in (1, 2):
+            for _ in range(3):
+                with pytest.raises(RuntimeError, match="^draw 20 failed$"):
+                    mcsim._run_batches(pr, config, lanes)
+    mcsim._stop_pool()
+    for lanes in (1, 2):
+        assert np.array_equal(mcsim._run_batches(pr, config, lanes), want), lanes
 
 
-def recorded_batches(monkeypatch, on_call=None):
-    """Patch the batch kernel with one that returns zeros and records each
-    call's trial count, after running on_call(number of the call)."""
-    sizes = []
-    lock = threading.Lock()
+def recorded_batches(monkeypatch, log, on_call=None):
+    """Patch the batch kernel with one that returns zeros and appends each
+    call's "pid seed start stop" to the file log (read with log_rows),
+    before it runs on_call(seed, start) in the process that runs it."""
 
     def record(params, scheme, seed, start, stop, window, work):
-        with lock:
-            sizes.append(stop - start)
-            n = len(sizes)
         if on_call is not None:
-            on_call(n)
+            on_call(seed, start)
         return np.zeros(stop - start)
 
-    monkeypatch.setattr(mcsim, "_batch_powers", record)
-    return sizes
+    def line(params, scheme, seed, start, stop, window, work):
+        return f"{seed} {start} {stop}"
+
+    logged(monkeypatch, log, "_batch_powers", line, record)
 
 
-def test_run_trials_thread_error_cancels_queued_batches(monkeypatch):
-    # 32 two-thread batches; the second raises while the others take 20 ms,
-    # releasing the GIL as a real batch's NumPy stages do
-    def fail_second(n):
-        if n == 2:
+@needs_fork
+def test_batches_run_in_the_lanes_a_call_names(monkeypatch, tmp_path):
+    # one lane, or a single batch, runs in the caller; two and three lanes
+    # run every batch in pool processes, never the caller, and calls on as
+    # many lanes reuse the pool
+    log = tmp_path / "batches.log"
+    recorded_batches(monkeypatch, log, lambda seed, start: time.sleep(0.05))
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 5)
+    caller = os.getpid()
+
+    def pids(trials, lanes):
+        log.unlink(missing_ok=True)
+        monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
+        run_trials(params_for(), SimConfig(trials=trials, master_seed=1, window_radius=8.0))
+        rows = log_rows(log)
+        assert sorted((start, stop) for _, _, start, stop in rows) == [
+            (lo, min(lo + 5, trials)) for lo in range(0, trials, 5)
+        ]
+        return {pid for pid, *_ in rows}
+
+    assert pids(58, 1) == {caller}
+    assert pids(4, 2) == {caller}
+    for lanes in (2, 3):
+        first = pids(58, lanes)
+        pool = mcsim._pool
+        assert caller not in first and len(first) == lanes, lanes
+        assert pids(60, lanes) <= first and mcsim._pool is pool, lanes
+
+
+@needs_fork
+def test_run_trials_lane_error_cancels_queued_batches(monkeypatch, tmp_path):
+    # 64 batches on two pool processes; the second raises while the others
+    # take 20 ms: the call raises its error, fewer than 16 batches of it
+    # start, and the same pool runs every batch of the next call
+    def fail_second(seed, start):
+        if seed == 3 and start == 32:
             raise RuntimeError("batch failed")
         time.sleep(0.02)
 
-    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
-    monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
-    calls = recorded_batches(monkeypatch, fail_second)
-    config = SimConfig(trials=32 * 64, master_seed=3, window_radius=8.0)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="batch failed"):
-        run_trials(params_for(), config)
-    assert len(calls) < 16
-    assert threading.active_count() == before
+    monkeypatch.setattr(mcsim, "_lanes", lambda workers: 2)
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
+    log = tmp_path / "batches.log"
+    recorded_batches(monkeypatch, log, fail_second)
+    with pytest.raises(RuntimeError, match="^batch failed$"):
+        run_trials(params_for(), SimConfig(trials=32 * 64, master_seed=3, window_radius=8.0))
+    pool = mcsim._pool
+    run_trials(params_for(), SimConfig(trials=32 * 64, master_seed=4, window_radius=8.0))
+    rows = log_rows(log)
+    assert mcsim._pool is pool
+    assert len([row for row in rows if row[1] == 3]) < 16
+    assert sorted(start for _, seed, start, _ in rows if seed == 4) == list(range(0, 32 * 64, 32))
 
 
-def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch):
-    # batch 1 fails at once and batch 0 only later, with another error: the
-    # call raises batch 0's every time, not the one that failed first
-    started = threading.Event()
+@needs_fork
+def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch, tmp_path):
+    # batch 1 fails at once and batch 0 only later, with another error:
+    # the call raises batch 0's every time, not the one that failed first,
+    # on one lane (where batch 0 runs first) and on two pool processes
+    # (where batch 0 waits until batch 1 has failed)
+    failed = tmp_path / "failed"
+    caller = os.getpid()
 
     def fail(params, scheme, seed, start, stop, window, work):
         if start > 0:
-            started.set()
+            failed.touch()
             raise RuntimeError(f"batch at {start} failed")
-        assert started.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while os.getpid() != caller and not failed.exists():
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
         time.sleep(0.05)
         raise ValueError("batch 0 failed")
 
-    monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: 2)
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
     monkeypatch.setattr(mcsim, "_batch_powers", fail)
     config = SimConfig(trials=4 * 32, master_seed=3, window_radius=8.0)
-    before = threading.active_count()
-    for _ in range(3):
-        started.clear()
-        with pytest.raises(ValueError, match="batch 0 failed"):
-            run_trials(params_for(), config)
-    assert threading.active_count() == before
+    for lanes in (1, 2):
+        monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
+        for _ in range(3):
+            failed.unlink(missing_ok=True)
+            with pytest.raises(ValueError, match="^batch 0 failed$"):
+                run_trials(params_for(), config)
+            assert failed.exists() == (lanes == 2), lanes
 
 
-def test_thread_split_keeps_a_points_floor(monkeypatch):
+@needs_fork
+def test_batch_split_keeps_a_points_floor(monkeypatch, tmp_path):
     # a trial with some 2,400 beacons and sensors runs quarter steps, but a
     # trial with some 400, whose quarter step would hold fewer than
     # _SPLIT_POINTS_MIN, runs whole ones; run_trials runs the same batches
-    # on one thread and on two, which set only how many run at once
-    sizes = recorded_batches(monkeypatch)
+    # on one lane and on two, which set only how many run at once
+    log = tmp_path / "batches.log"
+    recorded_batches(monkeypatch, log)
     for pr, split in ((params_for(sn_density=1.6), 4), (params_for(charging_radius=0.25), 1)):
         window = mcsim._exact_zone_radius(pr)
         batch = mcsim._batch_size(pr, window)
@@ -1266,46 +1350,215 @@ def test_thread_split_keeps_a_points_floor(monkeypatch):
             patch.setattr(mcsim, "_SPLIT_POINTS_MIN", 1e12)  # every batch a whole step
             assert batch == mcsim._batch_size(pr, window) // split, pr
         runs = []
-        for threads in (1, 2):
-            monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
-            sizes.clear()
+        for lanes in (1, 2):
+            monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
+            log.unlink(missing_ok=True)
             run_trials(pr, SimConfig(trials=3 * split * batch, master_seed=1))
-            runs.append(list(sizes))
+            runs.append([stop - start for *_, start, stop in log_rows(log)])
         assert runs == [[batch] * (3 * split)] * 2, pr
 
 
+@needs_fork
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
-def test_batch_size_by_scheme(monkeypatch, scheme):
+def test_batch_size_by_scheme(monkeypatch, tmp_path, scheme):
     # default deployment (5 W, rho 2 m, AUTO window): forced omni draws no
     # sensors, so only its ~128 beacons a trial count toward the row budget
-    # and the points floor, and run_trials runs those batches on one thread
+    # and the points floor, and run_trials runs those batches on one lane
     # and on two
     pr = params_for(pb_power=5.0, charging_radius=2.0)
     window = mcsim._exact_zone_radius(pr)
     omni = scheme is Allocation.FORCED_OMNI
     size = mcsim._batch_size(pr, window, not omni)
     assert size == (256 if omni else 75)
-    batches = recorded_batches(monkeypatch)
-    for threads in (1, 2):
-        monkeypatch.setattr(mcsim, "_threads_per_worker", lambda workers: threads)
-        batches.clear()
+    log = tmp_path / "batches.log"
+    recorded_batches(monkeypatch, log)
+    for lanes in (1, 2):
+        monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
+        log.unlink(missing_ok=True)
         run_trials(pr, SimConfig(trials=3 * size, master_seed=1, allocation=scheme))
-        assert batches == [size] * 3, threads
-    # the thread-invariance test's window: 300 trials end in a short batch
+        assert [stop - start for *_, start, stop in log_rows(log)] == [size] * 3, lanes
+    # the lane-invariance test's window: 300 trials end in a short batch
     # of 256-trial batches, and of 64-trial ones once the floor is lifted
     assert mcsim._batch_size(params_for(), 8.0, not omni) == 256
 
 
-def test_threads_per_worker_rule(monkeypatch):
+def test_lanes_rule(monkeypatch):
     monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
-    assert mcsim._threads_per_worker(1) == 2
-    assert mcsim._threads_per_worker(2) == 1
+    assert mcsim._lanes(1) == 2
+    assert mcsim._lanes(2) == 2
     monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
-    assert mcsim._threads_per_worker(1) == 1
+    assert mcsim._lanes(1) == 1
+    assert mcsim._lanes(3) == 3
     monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 16)
-    assert mcsim._threads_per_worker(1) == 2
-    assert mcsim._threads_per_worker(4) == 2
-    assert mcsim._threads_per_worker(16) == 1
+    assert mcsim._lanes(1) == 2
+    assert mcsim._lanes(4) == 8
+    assert mcsim._lanes(16) == 16
+
+
+def test_pool_serves_concurrent_callers(monkeypatch):
+    # four caller threads on two lanes start one pool between them, and
+    # each gets its own samples
+    made = []
+    make = concurrent.futures.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(mcsim, "_lanes", lambda workers: 2)
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
+    pr = params_for()
+    configs = [SimConfig(trials=300, master_seed=seed, window_radius=8.0) for seed in range(4)]
+    want = [mcsim._run_batches(pr, config, 1) for config in configs]
+    got = [None] * len(configs)
+
+    def call(i):
+        got[i] = run_trials(pr, configs[i]).samples
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(configs))]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+    assert len(made) == 1
+    for i, samples in enumerate(got):
+        assert np.array_equal(samples, want[i]), i
+
+
+@needs_fork
+def test_broken_pool_fails_the_call_and_the_next_starts_fresh(monkeypatch, tmp_path):
+    # a pool process killed mid-batch breaks the pool: that call raises
+    # BrokenProcessPool, and the next call runs on a new pool
+    pr = params_for()
+    config = SimConfig(trials=128, master_seed=3, window_radius=8.0)
+    monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
+    want = mcsim._run_batches(pr, config, 1)
+    armed = tmp_path / "armed"
+    real = mcsim._batch_powers
+
+    def killed(params, scheme, seed, start, stop, window, work):
+        if start == 32 and armed.exists():
+            armed.unlink()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(params, scheme, seed, start, stop, window, work)
+
+    monkeypatch.setattr(mcsim, "_batch_powers", killed)
+    monkeypatch.setattr(mcsim, "_lanes", lambda workers: 2)
+    armed.touch()
+    with pytest.raises(BrokenProcessPool):
+        run_trials(pr, config)
+    assert mcsim._pool is None
+    assert np.array_equal(run_trials(pr, config).samples, want)
+
+
+#: A child interpreter's first lines: an alarm that ends it should it hang,
+#: a two-lane run_trials call of four batches, which starts the pool, then
+#: the pool's process ids on stdout.
+POOL_CHILD = (
+    "import os, signal, sys, time\n"
+    "signal.alarm(150)\n"
+    "from beamharvest import mcsim\n"
+    "from beamharvest.scenario import params_from_mapping\n"
+    "mcsim._lanes = lambda workers: 2\n"
+    "params = params_from_mapping({})\n"
+    "config = mcsim.SimConfig(trials=300, master_seed=1)\n"
+    "samples = mcsim.run_trials(params, config).samples\n"
+    "pool = mcsim._pool\n"
+    "print(*pool._processes, flush=True)\n"
+)
+
+
+def pool_child(code: str) -> subprocess.Popen:
+    src = Path(mcsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.Popen([sys.executable, "-c", POOL_CHILD + code], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def parent_of(pid: int) -> int | None:
+    """A process's parent pid, from /proc; None once it has gone. A
+    zombie, which no parent has reaped yet, counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state, ppid = stat.read().rsplit(")", 1)[1].split()[:2]
+    except FileNotFoundError:
+        return None
+    return None if state == "Z" else int(ppid)
+
+
+def all_gone(pids, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while any(parent_of(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(parent_of(pid) for pid in pids)
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+
+
+@needs_proc
+def test_pool_processes_end_with_a_clean_exit():
+    child = pool_child("")
+    try:
+        out, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+    assert child.returncode == 0 and err == ""
+    pids = [int(pid) for pid in out.split()]
+    assert len(pids) == 2 and all_gone(pids, 5.0)
+
+
+@needs_proc
+def test_pool_processes_end_when_their_caller_is_killed():
+    # leaving the with closes the pipes, which pool processes left alive
+    # would hold open, and reaps the child
+    with pool_child("time.sleep(300)\n") as child:
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2
+            assert [parent_of(pid) for pid in pids] == [child.pid] * 2
+        finally:
+            child.kill()
+    gone = all_gone(pids, 5.0)
+    for pid in pids:
+        if not gone and parent_of(pid):
+            os.kill(pid, signal.SIGKILL)  # or the survivors outlive the test
+    assert gone
+
+
+@needs_proc
+def test_a_forked_child_starts_its_own_pool():
+    # the fork child's pool is its own, its processes its children, and
+    # its samples the parent's; the parent keeps its pool
+    child = pool_child(
+        "def ppid(pid):\n"
+        "    with open(f'/proc/{pid}/stat') as stat:\n"
+        "        return int(stat.read().rsplit(')', 1)[1].split()[1])\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(60)\n"
+        "    again = mcsim.run_trials(params, config).samples\n"
+        "    mine = set(mcsim._pool._processes)\n"
+        "    ok = (mcsim._pool is not pool and (again == samples).all()\n"
+        "          and not mine & set(pool._processes)\n"
+        "          and {ppid(p) for p in mine} == {os.getpid()})\n"
+        "    mcsim._stop_pool()\n"
+        "    os._exit(0 if ok else 1)\n"
+        "assert os.waitpid(pid, 0)[1] == 0\n"
+        "again = mcsim.run_trials(params, config).samples\n"
+        "assert mcsim._pool is pool and (again == samples).all()\n"
+        "print('parent kept its pool')\n"
+    )
+    try:
+        out, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+    assert child.returncode == 0, err
+    assert out.splitlines()[1:] == ["parent kept its pool"]
 
 
 def test_usable_cpus_without_affinity(monkeypatch):
@@ -1462,7 +1715,7 @@ def test_run_trials_shares_the_radius_range(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("run_trials drew before its range check")
 
-    monkeypatch.setattr(mcsim, "_run_chunk", no_draws)
+    monkeypatch.setattr(mcsim, "_run_batches", no_draws)
     for rho in (1e155, 1e200):
         params = params_for(charging_radius=rho)
         with pytest.raises(RangeError, match="charging_radius"):
@@ -1478,7 +1731,7 @@ def test_run_trials_refuses_trials_too_large_to_draw(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("run_trials drew before its range check")
 
-    monkeypatch.setattr(mcsim, "_run_chunk", no_draws)
+    monkeypatch.setattr(mcsim, "_run_batches", no_draws)
     numpy, join = "NumPy can draw", "the pair join can key"
     for overrides, window, name, limit in (
         ({}, 1e300, "beacons", numpy),
