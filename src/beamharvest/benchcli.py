@@ -332,7 +332,12 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     trials = trials or budget
     values = {**_FIGURE_BASE, **figure_values}
     _read_config(values, overrides=spec.overrides)
-    scenario.params_from_mapping(values)  # fail fast on bad overrides
+    params = scenario.params_from_mapping(values)  # fail fast on bad overrides
+    if spec.figure_id in (FigureId.FIG7, FigureId.FIG8):
+        try:  # the reach optimizer's rule, before any optimum or trial
+            radopt._check_threshold(params.power_threshold)
+        except ValueError as exc:
+            raise ConfigError(f"{spec.figure_id.value} optimizes reach: {exc}") from None
     sink = _CsvSink()
     build(values, spec.seed, trials, sink, workers)
     listing = sink.write(out_dir)
@@ -615,6 +620,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    seed = 7 if args.seed is None else args.seed
+    mcsim._check_seed(seed)
     failures = []
 
     def check(name, ok):
@@ -640,7 +647,7 @@ def _cmd_validate(args) -> int:
         abs(analytic.mean_power(one) - analytic.mean_power_omni(one)) < 1e-18,
     )
     # three batches: one lane runs them in this process, two on the pool
-    cfg = SimConfig(trials=200, master_seed=7 if args.seed is None else args.seed)
+    cfg = SimConfig(trials=200, master_seed=seed)
     check(
         "trial streams lane-count invariant (in-process vs pool)",
         np.array_equal(mcsim._run_batches(params, cfg, 1), mcsim._run_batches(params, cfg, 2)),
@@ -663,9 +670,9 @@ _FLAGS = {
     "trials": dict(type=int, help="Monte Carlo trial count"),
     "out": dict(help="output directory"),
     "workers": dict(type=int, default=1,
-                    help="workers (default 1); each runs two batches at once "
-                         "when the CPUs leave it a second one; more than one "
-                         "batch at once runs in a pool of processes"),
+                    help="workers (default 1): two lanes per worker, never more "
+                         "than the CPUs the process may use; more than one lane "
+                         "runs in a pool of processes"),
 }
 
 

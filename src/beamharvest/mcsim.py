@@ -205,9 +205,7 @@ def _field_means(params: ScenarioParams, window: float) -> tuple[float, float]:
     )
 
 
-def _trial_draws(
-    stream: np.random.Generator, mean_pb: float, mean_sn: float | None, pb, orient, sn
-) -> tuple:
+def _trial_draws(stream: np.random.Generator, mean_pb: float, mean_sn: float | None) -> tuple:
     """One trial's network draws, in the order the reproducibility contract
     fixes: a Poisson count n of beacons over the window (mean mean_pb),
     their (radius, angle) uniform pairs, one orientation uniform per beacon,
@@ -215,17 +213,15 @@ def _trial_draws(
     Without mean_sn (forced omni reads only the beacons) the last two are
     not drawn.
 
-    Each block is drawn by Generator.random(out=), which gives the bits
-    random(size) does, into the array pb(2n), orient(n) or sn(2m + 2)
-    returns: a fresh one (np.empty) or the next items of a batch's buffer
-    (_DrawBuffer). The sensor block's first row is _ORIGIN, the trial's
-    typical sensor. Returns the three blocks, flat, None for those not
-    drawn."""
-    u_pb = stream.random(out=pb(2 * int(stream.poisson(mean_pb))))
+    Returns the three blocks, flat, None for those not drawn. The sensor
+    block's first row is _ORIGIN, the trial's typical sensor; the field's
+    pairs follow it, drawn by Generator.random(out=), which gives the bits
+    random(size) does."""
+    u_pb = stream.random(2 * int(stream.poisson(mean_pb)))
     if mean_sn is None:
         return u_pb, None, None
-    u_orient = stream.random(out=orient(len(u_pb) >> 1))
-    u_sn = sn(2 * int(stream.poisson(mean_sn)) + 2)
+    u_orient = stream.random(len(u_pb) >> 1)
+    u_sn = np.empty(2 * int(stream.poisson(mean_sn)) + 2)
     u_sn[:2] = _ORIGIN[0]
     stream.random(out=u_sn[2:])
     return u_pb, u_orient, u_sn
@@ -257,7 +253,7 @@ def draw_network(
     validate(params)
     pb_window_radius = _check_window(params, pb_window_radius)
     mean_pb, mean_sn = _field_means(params, pb_window_radius)
-    u_pb, orient, u_sn = _trial_draws(stream, mean_pb, mean_sn, np.empty, np.empty, np.empty)
+    u_pb, orient, u_sn = _trial_draws(stream, mean_pb, mean_sn)
     u_pb, u_sn = u_pb.reshape(-1, 2), u_sn.reshape(-1, 2)
     sn_window = pb_window_radius + params.charging_radius
     return NetworkSample(
@@ -335,10 +331,9 @@ class _Workspace:
 
     work(role, n, dtype) is a view of exactly n elements of dtype at the
     start of the role's flat buffer of 8-byte items, which grows only when a
-    request exceeds it; the caller writes the whole view before reading it,
-    except for the first keep items, which a grown buffer copies over.
+    request exceeds it; the caller writes the whole view before reading it.
     Arrays never alive at the same time share a role. A batch's draws
-    (_batch_draws) go straight into "strips" (beacon uniforms, dead once
+    (_batch_draws) are joined into "strips" (beacon uniforms, dead once
     placed, then the join's strip bounds), "orient", "ties" (greedy's) and
     "a" (sensor uniforms); "a" then takes the join's sensor keys and sorted
     coordinates, then the path losses. The cull (_cull) keeps its grid and
@@ -349,41 +344,14 @@ class _Workspace:
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
-    def __call__(self, role: str, n: int, dtype=np.float64, keep: int = 0) -> np.ndarray:
+    def __call__(self, role: str, n: int, dtype=np.float64) -> np.ndarray:
         items = -(-n * np.dtype(dtype).itemsize // 8)
         buf = self._buffers.pop(role, None)
         if buf is None or len(buf) < items:
-            kept = buf[:keep] if keep else None
-            buf = None  # free the old buffer first, unless part of it is kept
+            buf = None  # free the old buffer first
             buf = np.empty(items)
-            if keep:
-                buf[:keep] = kept
         self._buffers[role] = buf
         return buf[:items].view(dtype)[:n]
-
-
-class _DrawBuffer:
-    """A workspace role filled from its start, one trial's draw at a time:
-    calling it with n returns the next n float64 items. It starts at a
-    reserved size and, when a call overflows it, grows to half again as
-    many items as it then needs, copying the part already filled."""
-
-    __slots__ = ("_work", "_role", "_buf", "filled")
-
-    def __init__(self, work: _Workspace, role: str, reserve: int) -> None:
-        self._work, self._role = work, role
-        self._buf = work(role, reserve)
-        self.filled = 0
-
-    def __call__(self, n: int) -> np.ndarray:
-        lo = self.filled
-        hi = self.filled = lo + n
-        if hi > len(self._buf):
-            self._buf = self._work(self._role, hi + (hi >> 1), keep=lo)
-        return self._buf[lo:hi]
-
-    def drawn(self) -> np.ndarray:
-        return self._buf[: self.filled]
 
 
 def _join_grid(params: ScenarioParams) -> tuple[int, float]:
@@ -823,9 +791,8 @@ def _batch_size(params: ScenarioParams, window: float, sensors: bool = True) -> 
 
     Where the cull runs (_cull_grid), every drawn sensor still counts a
     row: each keeps its draws, label, mask byte, float32 position and cull
-    key for the whole batch (the draws go straight into buffers reserved a
-    few standard deviations above the batch's expected count, with no
-    per-trial copy), and the expected survivors (at most _CULL_SHARE_MAX of
+    key for the whole batch (each trial's own draws live only until the
+    batch joins them), and the expected survivors (at most _CULL_SHARE_MAX of
     them) hold their coordinates and join entries within that row's bytes.
     A join cell counts half a row there, as the join's sensor arrays shrink
     with the survivors: at lambda_s 0.8, rho 0.25 the 28-trial steps this
@@ -879,13 +846,6 @@ def _powers(
     return params.pb_power * params.attenuation * powers
 
 
-def _draw_reserve(mean: float) -> int:
-    """Points a batch that expects mean of them reserves draw room for: the
-    mean plus four standard deviations of their Poisson count, which about
-    one batch in 30,000 exceeds (_DrawBuffer then grows)."""
-    return math.ceil(mean + 4.0 * math.sqrt(mean))
-
-
 def _batch_draws(
     params: ScenarioParams,
     scheme: Allocation,
@@ -895,43 +855,42 @@ def _batch_draws(
     window: float,
     work: _Workspace,
 ) -> tuple:
-    """Every draw of trials [start, stop), written straight into work's draw
-    roles: each trial's network draws from its keyed stream, as
-    _trial_draws orders them, and for greedy one tie-break uniform per
-    beacon from its substream 2.
+    """Every draw of trials [start, stop): each trial's network draws from
+    its keyed stream, as _trial_draws orders them, and for greedy one
+    tie-break uniform per beacon from its substream 2. Each role's blocks
+    are joined once, by np.concatenate(out=), into work's draw roles.
 
     Returns the beacon uniforms as (n, 2) and their trial labels, the
     orientation uniforms, the sensor uniforms as (m, 2), each trial's
     _ORIGIN row first, and their labels, and the tie-break uniforms; None
     stands for what the scheme does not draw."""
-    n_trials = stop - start
     mean_pb, mean_sn = _field_means(params, window)
-    reserve = _draw_reserve(n_trials * mean_pb)
-    pb = _DrawBuffer(work, "strips", 2 * reserve)
-    orient = sn = ties = None
     if scheme is Allocation.FORCED_OMNI:
         mean_sn = None
-    else:
-        orient = _DrawBuffer(work, "orient", reserve)
-        sn = _DrawBuffer(work, "a", 2 * _draw_reserve(n_trials * (mean_sn + 1.0)))
-    if scheme is Allocation.GREEDY:
-        ties = _DrawBuffer(work, "ties", reserve)
     streams = _TrialStreams(master_seed)
-    n_pb, n_sn = [], []
+    pb, orient, sn, ties = [], [], [], []
     for i in range(start, stop):
-        u_pb, _, u_sn = _trial_draws(streams.at(i), mean_pb, mean_sn, pb, orient, sn)
-        n = len(u_pb) >> 1
-        n_pb.append(n)
-        if sn is not None:
-            n_sn.append(len(u_sn) >> 1)
-        if ties is not None:
-            streams.at(i, _GREEDY_SUBSTREAM).random(out=ties(n))
-    labels = np.arange(n_trials)
-    u_pb, t_pb = pb.drawn().reshape(-1, 2), np.repeat(labels, n_pb)
-    if sn is None:
-        return u_pb, t_pb, None, None, None, None
-    u_sn, t_sn = sn.drawn().reshape(-1, 2), np.repeat(labels, n_sn)
-    return u_pb, t_pb, orient.drawn(), u_sn, t_sn, None if ties is None else ties.drawn()
+        u_pb, u_orient, u_sn = _trial_draws(streams.at(i), mean_pb, mean_sn)
+        pb.append(u_pb)
+        if u_sn is not None:
+            orient.append(u_orient)
+            sn.append(u_sn)
+        if scheme is Allocation.GREEDY:
+            ties.append(streams.at(i, _GREEDY_SUBSTREAM).random(len(u_orient)))
+
+    def joined(role: str, blocks: list) -> np.ndarray:
+        return np.concatenate(blocks, out=work(role, sum(map(len, blocks))))
+
+    def labels(blocks: list) -> np.ndarray:
+        return np.repeat(np.arange(stop - start), [len(u) >> 1 for u in blocks])
+
+    u_pb = joined("strips", pb).reshape(-1, 2)
+    if mean_sn is None:
+        return u_pb, labels(pb), None, None, None, None
+    return (
+        u_pb, labels(pb), joined("orient", orient), joined("a", sn).reshape(-1, 2), labels(sn),
+        joined("ties", ties) if ties else None,
+    )
 
 
 def _batch_powers(
@@ -984,9 +943,9 @@ def _usable_cpus() -> int:
 
 
 def _lanes(workers: int) -> int:
-    """Batches a call runs at once: two per worker when the usable CPUs
-    leave each of the workers a second one, else one."""
-    return workers * max(1, min(2, _usable_cpus() // workers))
+    """Batches a call runs at once: two per worker, but never more than the
+    usable CPUs, and at least one."""
+    return max(1, min(2 * workers, _usable_cpus()))
 
 
 #: The process pool that runs the batches of calls with more than one lane,
@@ -1144,7 +1103,7 @@ def run_trials(
             if not mean <= most:
                 raise specfun.RangeError(f"a trial expects {mean!r} {name}, more than {what}")
     n = config.trials
-    samples = _run_batches(params, config, _lanes(min(workers, n)))
+    samples = _run_batches(params, config, _lanes(workers))
     mean = float(np.mean(samples))
     variance = float(np.var(samples, ddof=1)) if n > 1 else 0.0
     ci = 1.96 * math.sqrt(variance / n) if n > 1 else 0.0

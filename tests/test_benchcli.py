@@ -749,6 +749,42 @@ def test_cli_validate_seed_zero(monkeypatch, capsys):
     assert seen == [(7, 1), (7, 2)]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_cli_validate_refuses_a_seed_out_of_range(monkeypatch, capsys, seed):
+    # a seed the trial streams cannot key is refused on one line, before
+    # any check runs
+    def no_run(*args):
+        raise AssertionError("the lane check ran on a refused seed")
+
+    monkeypatch.setattr(benchcli.mcsim, "_run_batches", no_run)
+    assert main(["validate", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: master_seed must be a 64-bit unsigned integer")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fig", ["fig7", "fig8"])
+def test_cli_reach_figures_refuse_the_thresholds_the_optimizer_refuses(
+    fig, tmp_path, monkeypatch, capsys
+):
+    # Fig7 and Fig8 optimize reach, so a threshold of 0 fails on one line
+    # before any optimum is sought or trial run, and nothing is written
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the threshold was checked")
+
+    for name in ("run_trials", "_run_batches"):
+        monkeypatch.setattr(benchcli.mcsim, name, no_work)
+    for name in ("optimal_radius_active", "optimal_radius_mean"):
+        monkeypatch.setattr(benchcli.radopt, name, no_work)
+    out = tmp_path / fig
+    assert main(["figure", fig, "--out", str(out), "--set", "power_threshold_w=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {fig.capitalize()} optimizes reach: threshold")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_cli_validate_fails_when_lanes_disagree(monkeypatch, capsys):
     # samples that differ between the in-process run and the pool run
     # read FAIL on the lane check's line, and validate exits 1

@@ -1127,7 +1127,7 @@ def assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, work):
         if mean_sn is not None:
             want[1] = g.random(len(u_pb))
             want[2] = np.vstack((mcsim._ORIGIN, g.random((int(g.poisson(mean_sn)), 2))))
-        one = mcsim._trial_draws(trial_stream(seed, i), mean_pb, mean_sn, np.empty, np.empty, np.empty)
+        one = mcsim._trial_draws(trial_stream(seed, i), mean_pb, mean_sn)
         for got, w in zip(one, want):
             assert got is None if w is None else np.array_equal(got, w.ravel())
         want.append(trial_stream(seed, i, 2).random(len(u_pb)))
@@ -1148,33 +1148,21 @@ def assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, work):
 
 
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
-def test_draw_buffers_grow_and_hold_empty_trials(scheme):
-    # with no room reserved the first trial that draws grows each draw role,
-    # and later ones grow it again, copying what is filled; the sparse
-    # deployment's trials include ones with no beacon and ones with only
-    # the origin sensor. Samples keep every bit of the reserved path, and
-    # the draws in the workspace are each trial's own
+def test_batch_draws_hold_each_trials_own(scheme):
+    # the batch joins each trial's own draws, in trial order, once per
+    # role; the sparse deployment's trials include ones with no beacon and
+    # ones with only the origin sensor. A workspace that an earlier, larger
+    # batch filled holds the same draws and the same samples as a fresh one
     seed, trials = 5, 40
     sparse = False
     for pr, window in DRAW_POINTS:
         want = mcsim._batch_powers(pr, scheme, seed, 0, trials, window, mcsim._Workspace())
         n_pb, n_sn = assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, mcsim._Workspace())
         sparse |= 0 in n_pb and (n_sn is None or 1 in n_sn)
-        grown = set()
-        make = mcsim._Workspace.__call__
-
-        def spy(self, role, n, dtype=np.float64, keep=0):
-            if keep:
-                grown.add(role)
-            return make(self, role, n, dtype, keep)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcsim, "_draw_reserve", lambda mean: 0)
-            patch.setattr(mcsim._Workspace, "__call__", spy)
-            assert np.array_equal(mcsim._batch_powers(pr, scheme, seed, 0, trials, window, mcsim._Workspace()), want)
-            assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, mcsim._Workspace())
-        roles = {"strips"} | ({"orient", "a"} if scheme is not Allocation.FORCED_OMNI else set())
-        assert grown == roles | ({"ties"} if scheme is Allocation.GREEDY else set())
+        used = mcsim._Workspace()
+        mcsim._batch_powers(pr, scheme, seed + 1, 0, 2 * trials, window, used)
+        assert_batch_draws_are_each_trials(pr, scheme, seed, window, trials, used)
+        assert np.array_equal(mcsim._batch_powers(pr, scheme, seed, 0, trials, window, used), want)
     assert sparse
 
 
@@ -1386,13 +1374,32 @@ def test_lanes_rule(monkeypatch):
     monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
     assert mcsim._lanes(1) == 2
     assert mcsim._lanes(2) == 2
+    assert mcsim._lanes(10**6) == 2
     monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 1)
     assert mcsim._lanes(1) == 1
-    assert mcsim._lanes(3) == 3
+    assert mcsim._lanes(3) == 1
     monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 16)
     assert mcsim._lanes(1) == 2
     assert mcsim._lanes(4) == 8
     assert mcsim._lanes(16) == 16
+    assert mcsim._lanes(10**6) == 16
+
+
+def test_huge_worker_count_asks_for_no_more_lanes_than_cpus(monkeypatch):
+    # a million workers on two usable CPUs ask the pool for two processes;
+    # the pool is replaced by a recorder that raises, so none is started
+    asked = []
+
+    def pool_map(lanes, batch, starts):
+        asked.append(lanes)
+        raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mcsim, "_pool_map", pool_map)
+    config = SimConfig(trials=10**6, master_seed=1, window_radius=8.0)
+    with pytest.raises(RuntimeError, match="^no pool in this test$"):
+        run_trials(params_for(), config, workers=10**6)
+    assert asked == [2]
 
 
 def test_pool_serves_concurrent_callers(monkeypatch):
