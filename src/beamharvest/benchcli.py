@@ -273,6 +273,15 @@ def _fig8_curves(values, seed, trials, sink, workers):
         )
 
 
+def _reach_threshold(threshold, context: str) -> float:
+    """threshold as the reach optimizer takes it (radopt._check_threshold),
+    its refusal a ConfigError that starts with context."""
+    try:
+        return radopt._check_threshold(threshold)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def active_prob_grid(params, rho_values, threshold, config, workers=1):
     """Monte Carlo reach probability over a radius grid: the brute-force
     answer to "which radius maximizes the simulated active fraction".
@@ -333,11 +342,8 @@ def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     values = {**_FIGURE_BASE, **figure_values}
     _read_config(values, overrides=spec.overrides)
     params = scenario.params_from_mapping(values)  # fail fast on bad overrides
-    if spec.figure_id in (FigureId.FIG7, FigureId.FIG8):
-        try:  # the reach optimizer's rule, before any optimum or trial
-            radopt._check_threshold(params.power_threshold)
-        except ValueError as exc:
-            raise ConfigError(f"{spec.figure_id.value} optimizes reach: {exc}") from None
+    if spec.figure_id in (FigureId.FIG7, FigureId.FIG8):  # before any optimum or trial
+        _reach_threshold(params.power_threshold, f"{spec.figure_id.value} optimizes reach")
     sink = _CsvSink()
     build(values, spec.seed, trials, sink, workers)
     listing = sink.write(out_dir)
@@ -582,15 +588,7 @@ def _cmd_optimize_mean(args) -> int:
 def _cmd_optimize_active(args) -> int:
     params, _ = _gather(args)
     threshold = params.power_threshold if args.threshold is None else args.threshold
-    try:
-        radopt._check_threshold(threshold)
-    except ValueError:
-        print(
-            "optimize-active needs a positive finite threshold "
-            "(--threshold or power_threshold_w)",
-            file=sys.stderr,
-        )
-        return 2
+    threshold = _reach_threshold(threshold, "optimize-active (--threshold or power_threshold_w)")
     return _print_optimum(
         radopt.optimal_radius_active(params, threshold), "active_prob"
     )
@@ -600,8 +598,7 @@ def _cmd_figure(args) -> int:
     try:
         fid = FigureId(args.id.capitalize())
     except ValueError:
-        print(f"unknown figure id {args.id!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown figure id {args.id!r}") from None
     # file values reach the figure as the first overrides (repr round-trips)
     from_file: dict = {}
     _read_config(from_file, path=args.config)
@@ -646,12 +643,11 @@ def _cmd_validate(args) -> int:
         "single sector reduces to omni",
         abs(analytic.mean_power(one) - analytic.mean_power_omni(one)) < 1e-18,
     )
-    # three batches: one lane runs them in this process, two on the pool
+    # three batches: one lane runs them in this process, the lanes of
+    # run_trials(workers=1) on the pool unless the process may use one CPU
     cfg = SimConfig(trials=200, master_seed=seed)
-    check(
-        "trial streams lane-count invariant (in-process vs pool)",
-        np.array_equal(mcsim._run_batches(params, cfg, 1), mcsim._run_batches(params, cfg, 2)),
-    )
+    runs = [mcsim._run_batches(params, cfg, lanes) for lanes in (1, mcsim._lanes(1))]
+    check("trial streams lane-count invariant (in-process vs pool)", np.array_equal(*runs))
     growing = analytic.mean_power(params) > analytic.mean_power_omni(params)
     check("directional beats omni mean", growing)
     if failures:

@@ -227,13 +227,14 @@ def _trial_draws(stream: np.random.Generator, mean_pb: float, mean_sn: float | N
     return u_pb, u_orient, u_sn
 
 
-def _disk_points(u_block: np.ndarray, radius: float, out: np.ndarray) -> np.ndarray:
+def _disk_points(u_block: np.ndarray, radius: float, out: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Points for an (n, 2) uniform block as x and y rows, written into the
-    (2, n) array out; the block's first column is overwritten by the radii."""
-    r = np.sqrt(u_block[:, 0], out=u_block[:, 0])
+    (2, n) array out and computed in its dtype; the radii go to r, which
+    may be the block's first column."""
+    np.sqrt(u_block[:, 0], out=r, dtype=out.dtype)
     r *= radius
     # the angle goes in the y row, which sin then overwrites in place
-    theta = np.multiply(u_block[:, 1], _TWO_PI, out=out[1])
+    theta = np.multiply(u_block[:, 1], _TWO_PI, out=out[1], dtype=out.dtype)
     np.cos(theta, out=out[0])
     out[0] *= r
     np.sin(theta, out=theta)
@@ -257,8 +258,8 @@ def draw_network(
     u_pb, u_sn = u_pb.reshape(-1, 2), u_sn.reshape(-1, 2)
     sn_window = pb_window_radius + params.charging_radius
     return NetworkSample(
-        pb_points=_disk_points(u_pb, pb_window_radius, np.empty((2, len(u_pb)))).T,
-        sn_points=_disk_points(u_sn, sn_window, np.empty((2, len(u_sn)))).T,
+        pb_points=_disk_points(u_pb, pb_window_radius, np.empty((2, len(u_pb))), u_pb[:, 0]).T,
+        sn_points=_disk_points(u_sn, sn_window, np.empty((2, len(u_sn))), u_sn[:, 0]).T,
         pb_orientations=orient * (_TWO_PI / params.sectors),
     )
 
@@ -651,7 +652,8 @@ def _tail_mean(params: ScenarioParams, radius: float) -> float:
 
 
 #: The cull's margin per meter of sensor window R. In cells of side c, a
-#: sensor's float32 position strays from its float64 one by at most
+#: sensor's float32 position, from _disk_points in float32 and a shift,
+#: strays from its float64 one by at most
 #: (26.4 + k) u R / c + 2u cells, u = 2**-24 (float32's unit roundoff),
 #: from these roundings: the radius sqrt(u0) R/c, 3.5u of R (casting u0,
 #: the root, R/c and the product); the angle 2pi u1, 3u of 2pi, which moves
@@ -714,7 +716,7 @@ def _cull(
     uniform block drawn over sn_window, labelled t_sn, origin rows included.
 
     The beacons' cells come from their float64 coordinates and the sensors'
-    from float32 positions in cell units (see _cull_grid and _CULL_MARGIN).
+    from float32 _disk_points in cell units (see _cull_grid and _CULL_MARGIN).
     One scatter marks the beacon cells in a grid of side * side cells per
     trial, which shifted ORs widen by two cells along each axis in turn, and
     each sensor reads its cell. The float32 values only discard sensors;
@@ -742,16 +744,9 @@ def _cull(
     m = len(u_sn)
     scratch = work("kept", 5 * m, np.float32)
     key = scratch[: 2 * m].view(np.int64)
-    r, x, y = scratch[2 * m :].reshape(3, m)
-    np.sqrt(u_sn[:, 0], out=r, dtype=np.float32)
-    r *= np.float32(scale)
-    np.multiply(u_sn[:, 1], np.float32(_TWO_PI), out=x, dtype=np.float32)
-    np.sin(x, out=y)
-    y *= r
-    y += np.float32(shift)
-    np.cos(x, out=x)
-    x *= r
-    x += np.float32(shift)
+    r, xy = scratch[2 * m : 3 * m], scratch[3 * m :].reshape(2, m)
+    x, y = _disk_points(u_sn, scale, xy, r)
+    xy += shift
     # cell (t, i, j) has key (t * side + i) * side + j; the float32 values
     # are positive, so the cast's truncation is the floor
     np.multiply(t_sn, side, out=key)
@@ -919,7 +914,7 @@ def _batch_powers(
     u_pb, t_pb, orientations, u_sn, t_sn, ties = _batch_draws(
         params, scheme, master_seed, start, stop, window, work
     )
-    pb = _disk_points(u_pb, window, work("pb", u_pb.size).reshape(2, -1))
+    pb = _disk_points(u_pb, window, work("pb", u_pb.size).reshape(2, -1), u_pb[:, 0])
     del u_pb  # the join takes its role, "strips", and may regrow it
     sn = None
     if u_sn is not None:
@@ -931,7 +926,7 @@ def _batch_powers(
             out = work("kept", 2 * len(kept)).reshape(-1, 2)
             u_sn = u_sn.take(kept, axis=0, out=out, mode="clip")
             t_sn = t_sn.take(kept)
-        sn = _disk_points(u_sn, sn_window, work("sn", u_sn.size).reshape(2, -1))
+        sn = _disk_points(u_sn, sn_window, work("sn", u_sn.size).reshape(2, -1), u_sn[:, 0])
     return _powers(pb, t_pb, orientations, sn, t_sn, params, scheme, ties, n_trials, work)
 
 

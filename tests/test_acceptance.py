@@ -1,15 +1,17 @@
 """End-to-end acceptance gates for the package.
 
 One test per gate, in four groups: closed forms against an independent
-quadrature oracle (A01), Monte Carlo against the closed forms (A02-A04),
-analytical structure of the formulas (A05-A07), optimizer behavior and
-experiment-harness contracts (A08-A12).  Every test prints a single verdict
-line with the measured numbers; the pytest -v row is the pass/fail record.
+quadrature oracle (A01), Monte Carlo against the closed forms (A02-A04,
+A04T), analytical structure of the formulas (A05-A07), optimizer behavior,
+the abstract's claims and experiment-harness contracts (A08-A13).  Every
+test prints a single verdict line with the measured numbers; the pytest -v
+row is the pass/fail record.
 
 The Monte Carlo gates share one frozen seed so their outcomes are
 reproducible bit for bit; see conftest.SWEEP_SEED for why it is pinned.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -128,11 +130,18 @@ def test_a03_simulated_variances_match_closed_forms(power_curve_sweep):
 # ---------------------------------------------------------------------------
 
 
-def test_a04_gamma_ccdf_tracks_empirical_ccdf():
+@pytest.fixture(scope="module")
+def a04_draw():
+    """A04's deployment and its 50,000-trial draw, which A04T reads too."""
     pr = curve_params(power=5.0)
     summary = mcsim.run_trials(
         pr, SimConfig(trials=50_000, master_seed=SWEEP_SEED), workers=1
     )
+    return pr, summary
+
+
+def test_a04_gamma_ccdf_tracks_empirical_ccdf(a04_draw):
+    pr, summary = a04_draw
     grid = np.linspace(0.01e-3, 1.0e-3, 50)
     emp = np.array([float(np.mean(summary.samples >= t)) for t in grid])
     fit = np.array([analytic.gamma_ccdf(float(t), pr) for t in grid])
@@ -146,6 +155,32 @@ def test_a04_gamma_ccdf_tracks_empirical_ccdf():
         "A04",
         gap <= 0.05,
         f"sup |fit - empirical| = {gap:.4f} at {at_mw:.3f} mW over 50 thresholds (tol 0.05)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# A04T: the paper's exact Laplace transform vs the empirical transform
+# ---------------------------------------------------------------------------
+
+
+def test_a04t_laplace_transform_tracks_empirical_transform(a04_draw):
+    # A transform determines its law, so matching E[exp(-sP)] at several s
+    # checks the whole distribution with no fit (A04) and no inversion.
+    # s = c / mean power; |z| is in standard errors of the sample mean of
+    # exp(-sP). The z-scores at different s are correlated
+    pr, summary = a04_draw
+    mean = analytic.mean_power(pr)
+    z = []
+    for c in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+        s = c / mean
+        terms = np.exp(-s * summary.samples)
+        se = float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
+        z.append((float(np.mean(terms)) - analytic.laplace_total(s, pr)) / se)
+    _verdict(
+        "A04T",
+        max(map(abs, z)) < 4.0,
+        "empirical minus exact transform at s = (0.25, 0.5, 1, 2, 4, 8) / mean: z = "
+        + ", ".join(f"{v:+.2f}" for v in z) + " (tol |z| < 4)",
     )
 
 
@@ -425,6 +460,49 @@ def test_a10_optimum_trends():
         "mean-optimal radius/objective rise with sectors and fall with sensor "
         "density; maximized reach rises with sectors and power, falls with density"
         + ("; " + "; ".join(bad) if bad else ""),
+    )
+
+
+# ---------------------------------------------------------------------------
+# A13: the abstract's claims over a deployment grid, closed forms only
+# ---------------------------------------------------------------------------
+
+
+def test_a13_abstract_claims_over_a_deployment_grid():
+    # Both optima rise strictly with beacon density and with beacon power,
+    # the mean optimum beats omni, and the reach optimum is at least omni
+    # (where no scanned radius clears omni reach the optimizer returns it,
+    # Case3Boundary). A10 checks the sector and sensor-density trends
+    bad = []
+    powers = (1.0, 3.0, 10.0)
+    pb_densities = (0.02, 0.05, 0.1, 0.2, 0.4, 0.8)
+    mean_opt, reach_opt, mean_gain, boundary = {}, {}, math.inf, 0
+    for key in itertools.product(powers, (0.1, 0.2, 0.8, 1.6), (2, 4, 8), pb_densities):
+        p, sn, n, pb = key
+        pr = curve_params(power=p, pb=pb, sn=sn, sectors=n, threshold=THRESHOLD_W)
+        mean_opt[key] = radopt.optimal_radius_mean(pr).objective
+        reach = radopt.optimal_radius_active(pr, THRESHOLD_W)
+        reach_opt[key] = reach.objective
+        boundary += reach.case_label is ActiveCase.CASE3_BOUNDARY
+        omni = analytic.mean_power_omni(pr)
+        mean_gain = min(mean_gain, mean_opt[key] / omni)
+        if not mean_opt[key] > omni:
+            bad.append(f"{key}: mean optimum not above omni")
+        if not reach.objective >= analytic.gamma_ccdf_omni(THRESHOLD_W, pr):
+            bad.append(f"{key}: reach optimum below omni")
+    for name, opt in (("mean", mean_opt), ("reach", reach_opt)):
+        for key, got in opt.items():
+            for axis, levels, i in (("power", powers, 0), ("beacon density", pb_densities, 3)):
+                k = levels.index(key[i]) + 1
+                up = key[:i] + levels[k : k + 1] + key[i + 1 :]
+                if k < len(levels) and not opt[up] > got:
+                    bad.append(f"{key}: {name} optimum not rising with {axis}")
+    _verdict(
+        "A13",
+        not bad,
+        f"{len(mean_opt)} deployments: both optima rise strictly with beacon "
+        f"density and power; mean optimum >= {mean_gain:.4f}x omni; reach optimum "
+        f">= omni ({boundary} Case3Boundary)" + ("; " + "; ".join(bad) if bad else ""),
     )
 
 

@@ -481,11 +481,15 @@ def test_cli_optimize_active(capsys):
 def test_cli_optimize_active_needs_threshold(capsys):
     # default config carries a threshold; zeroing it must be rejected
     assert main(["optimize-active", "--set", "power_threshold_w=0"]) == 2
-    assert "threshold" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "threshold" in err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
     # --threshold 0 is a zero threshold, not an unset one
     for bad in ("0", "nan", "inf", "-1e-4"):
         assert main(["optimize-active", f"--threshold={bad}"]) == 2
-        assert "threshold" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "threshold" in err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -539,7 +543,9 @@ def test_cli_trials_too_large_to_draw_exit_cleanly(setting, capsys):
 
 def test_cli_figure_unknown_id(capsys):
     assert main(["figure", "fig99"]) == 2
-    assert "unknown figure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown figure" in err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
 
 
 def test_cli_figure_fig5(tmp_path, capsys):
@@ -734,8 +740,10 @@ def test_cli_validate(capsys):
 
 
 def test_cli_validate_seed_zero(monkeypatch, capsys):
-    # the lane check's two runs, one lane and two, both take the seed
+    # the lane check's two runs, one lane and the lanes of
+    # run_trials(workers=1), both take the seed
     seen = []
+    lanes = benchcli.mcsim._lanes(1)
 
     def fake_run_batches(params, config, lanes):
         seen.append((config.master_seed, lanes))
@@ -743,10 +751,20 @@ def test_cli_validate_seed_zero(monkeypatch, capsys):
 
     monkeypatch.setattr(benchcli.mcsim, "_run_batches", fake_run_batches)
     assert main(["validate", "--seed", "0"]) == 0
-    assert seen == [(0, 1), (0, 2)]
+    assert seen == [(0, 1), (0, lanes)]
     seen.clear()
     assert main(["validate"]) == 0
-    assert seen == [(7, 1), (7, 2)]
+    assert seen == [(7, 1), (7, lanes)]
+
+
+def test_cli_validate_on_one_cpu_starts_no_pool(monkeypatch, capsys):
+    # where the process may use one CPU, run_trials(workers=1) runs one
+    # lane, so the lane check runs both of its runs in this process
+    benchcli.mcsim._stop_pool()
+    monkeypatch.setattr(benchcli.mcsim, "_usable_cpus", lambda: 1)
+    assert main(["validate"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert benchcli.mcsim._pool is None
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
@@ -787,10 +805,12 @@ def test_cli_reach_figures_refuse_the_thresholds_the_optimizer_refuses(
 
 def test_cli_validate_fails_when_lanes_disagree(monkeypatch, capsys):
     # samples that differ between the in-process run and the pool run
-    # read FAIL on the lane check's line, and validate exits 1
+    # read FAIL on the lane check's line, and validate exits 1; two usable
+    # CPUs give the pool run two lanes
     def lane_dependent(params, config, lanes):
         return np.full(3, float(lanes))
 
+    monkeypatch.setattr(benchcli.mcsim, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(benchcli.mcsim, "_run_batches", lane_dependent)
     assert main(["validate"]) == 1
     out = capsys.readouterr()

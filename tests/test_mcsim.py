@@ -287,9 +287,37 @@ def test_draw_network_shapes():
 
 @pytest.mark.parametrize("window", [1e-3, 22.0, 1e300])
 def test_disk_points_place_the_origin_row_at_plus_zero(window):
-    xy = mcsim._disk_points(mcsim._ORIGIN.copy(), window, np.full((2, 1), np.nan))
+    xy = mcsim._disk_points(mcsim._ORIGIN, window, np.full((2, 1), np.nan), np.empty(1))
     assert xy.tolist() == [[0.0], [0.0]]
     assert not np.signbit(xy).any()
+
+
+def test_float32_disk_points_match_the_cull_reference():
+    # the cull's float32 positions, which _CULL_MARGIN's error bound covers,
+    # come from _disk_points; this is the sequence that bound was derived
+    # for, in its own order: sin before cos, neither in place. Uniforms
+    # include 0 and values just below 1 on both axes
+    rng = np.random.default_rng(5)
+    edge = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-24, 1.0 - 2.0**-53]
+    u = np.vstack((list(itertools.product(edge, edge)), rng.random((4099, 2))))
+    scale, shift = 22.0 / 0.3, 22.0 / 0.3 + 1.0
+    m = len(u)
+    r, x, y = np.empty((3, m), dtype=np.float32)
+    np.sqrt(u[:, 0], out=r, dtype=np.float32)
+    r *= np.float32(scale)
+    np.multiply(u[:, 1], np.float32(2.0 * math.pi), out=x, dtype=np.float32)
+    np.sin(x, out=y)
+    y *= r
+    y += np.float32(shift)
+    np.cos(x, out=x)
+    x *= r
+    x += np.float32(shift)
+    got_r = np.full(m, np.nan, dtype=np.float32)
+    got = mcsim._disk_points(u, scale, np.full((2, m), np.nan, dtype=np.float32), got_r)
+    got += shift
+    assert got.dtype == np.float32
+    assert got_r.view(np.int32).tolist() == r.view(np.int32).tolist()
+    assert got.view(np.int32).tolist() == [x.view(np.int32).tolist(), y.view(np.int32).tolist()]
 
 
 def test_draw_network_rejects_a_nonfinite_window():
@@ -482,8 +510,8 @@ def test_sector_counts_serve_every_scheme(sn_density, rho):
     u_pb, t_pb, orient, u_sn, t_sn, ties = mcsim._batch_draws(
         pr, Allocation.GREEDY, 3, 0, trials, window, mcsim._Workspace()
     )
-    pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))))
-    sn = mcsim._disk_points(u_sn, window + rho, np.empty((2, len(u_sn))))
+    pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))), u_pb[:, 0])
+    sn = mcsim._disk_points(u_sn, window + rho, np.empty((2, len(u_sn))), u_sn[:, 0])
     orientations = orient * (2.0 * math.pi / pr.sectors)
     counts, k = mcsim._sector_counts(pb, t_pb, orientations, sn, t_sn, pr, mcsim._Workspace())
     atten = np.power(np.maximum(np.hypot(pb[0], pb[1]), 1.0), -pr.path_loss_exp)
@@ -641,7 +669,7 @@ def cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, n_trials):
     cell, side = cull
     radius = window + params.charging_radius
     kept = mcsim._cull(u_sn, t_sn, pb, t_pb, n_trials, cell, side, radius, mcsim._Workspace())
-    sn = mcsim._disk_points(u_sn.copy(), radius, np.empty((2, len(u_sn))))
+    sn = mcsim._disk_points(u_sn, radius, np.empty((2, len(u_sn))), np.empty(len(u_sn)))
     return sn, kept
 
 
@@ -680,7 +708,8 @@ def test_pair_join_through_the_cull_matches_brute_force(data, trials, rho, sn_de
     unit = st.floats(0.0, 1.0, exclude_max=True)
     beacons = [data.draw(st.lists(st.tuples(unit, unit), max_size=5)) for _ in range(trials)]
     t_pb = np.repeat(np.arange(trials), [len(b) for b in beacons])
-    pb = mcsim._disk_points(np.array(sum(beacons, [])).reshape(-1, 2), window, np.empty((2, len(t_pb))))
+    u_pb = np.array(sum(beacons, [])).reshape(-1, 2)
+    pb = mcsim._disk_points(u_pb, window, np.empty((2, len(t_pb))), u_pb[:, 0])
     # each trial's sensors: uniforms, then points placed from its beacons
     u_sn, t_sn = [np.empty((0, 2))], []
     for t in range(trials):
@@ -738,7 +767,7 @@ def edge_network(params, window):
         for (x, y), (mx, my) in zip(itertools.product(edges, edges), itertools.cycle(moves))
     ]
     u_sn = uniforms_toward(targets, radius)
-    sn = mcsim._disk_points(u_sn.copy(), radius, np.empty((2, len(u_sn))))
+    sn = mcsim._disk_points(u_sn, radius, np.empty((2, len(u_sn))), np.empty(len(u_sn)))
     pb, t_pb = [], []
     for k, (ux, uy) in enumerate(EDGE_DIRECTIONS):
         for x, y in sn.T:
@@ -806,7 +835,7 @@ def check_cull_matches_uncut_gains():
             u_pb, t_pb, orient, u_sn, t_sn, _ = mcsim._batch_draws(
                 params, Allocation.UNIFORM, 8, 0, 6, window, mcsim._Workspace()
             )
-            pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))))
+            pb = mcsim._disk_points(u_pb, window, np.empty((2, len(u_pb))), u_pb[:, 0])
             sn, kept = cull_and_positions(params, window, pb, t_pb, u_sn, t_sn, 6)
             assert 0 < len(kept) < len(u_sn)
             # a trial's origin row is its first
