@@ -76,23 +76,12 @@ def _binom_row(n: int) -> tuple[float, ...]:
     return tuple(math.exp(lg(n + 1) - lg(k + 1) - lg(n - k + 1)) for k in range(n + 1))
 
 
-# The last scenario _occupancy saw and its result: gamma_approx asks twice
-# for the same instance (mean, then variance). One tuple, swapped whole, so
-# a reader in another thread sees a matching pair; holding the instance keeps
-# its identity from being reused.
-_last_occupancy: tuple = (None, None)
-
-
 def _occupancy(params: ScenarioParams) -> tuple[float, float, float]:
     """(p, q, p^N): sector-empty probability, complement, all-empty probability.
 
     p^N is evaluated as exp(-lambda_s pi rho^2) directly so it stays accurate
     when p itself underflows. Raises RangeError when rho^2 overflows.
     """
-    global _last_occupancy
-    last, result = _last_occupancy
-    if last is params:
-        return result
     try:
         x = params.sn_density * math.pi * params.charging_radius**2 / params.sectors
         p_all = math.exp(-params.sn_density * math.pi * params.charging_radius**2)
@@ -100,9 +89,7 @@ def _occupancy(params: ScenarioParams) -> tuple[float, float, float]:
         raise specfun.RangeError(
             f"charging_radius {params.charging_radius!r} squared overflows"
         ) from None
-    result = (math.exp(-x), -math.expm1(-x), p_all)
-    _last_occupancy = (params, result)
-    return result
+    return math.exp(-x), -math.expm1(-x), p_all
 
 
 def _geo_sum(p: float, n_terms: int, first: int) -> float:

@@ -12,14 +12,13 @@ substream 0 and greedy's tie-breaks, the only allocation draws, on
 substream 2, which makes runs that differ only in the allocation scheme see
 identical networks (paired comparisons come out of the seeding for free).
 
-Window policy: with an explicit window_radius the field is truncated there
-and the truncation bias is the caller's concern. In AUTO mode the field is
-effectively unbounded: beacons inside an exact-simulation radius are drawn
-jointly with their sensors, and the expected power of the remaining far tail
-(whose per-beacon gain toward the origin averages 1 for every scheme, by
-rotation symmetry) is added as a constant. That leaves zero mean bias, and
-the exact radius (_exact_zone_radius) is sized so that replacing the tail by
-its mean forfeits at most 1e-5 of the received-power variance.
+Window policy: the field is effectively unbounded. Beacons inside an
+exact-simulation radius are drawn jointly with their sensors, and the
+expected power of the remaining far tail (whose per-beacon gain toward the
+origin averages 1 for every scheme, by rotation symmetry) is added as a
+constant. That leaves zero mean bias, and the exact radius
+(_exact_zone_radius) is sized so that replacing the tail by its mean
+forfeits at most 1e-5 of the received-power variance.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from ._args import is_count, real
 from .scenario import ConfigError, ScenarioParams, params_to_mapping, validate
 
 __all__ = [
-    "AUTO_WINDOW",
     "Allocation",
     "SimConfig",
     "NetworkSample",
@@ -57,14 +55,11 @@ __all__ = [
     "summary_to_json",
 ]
 
-#: Sentinel for SimConfig.window_radius: size the window automatically.
-AUTO_WINDOW = "auto"
-
 _TWO_PI = 2.0 * math.pi
 
-#: Exact-zone sizing in AUTO mode: beacons beyond the exact zone are replaced
-#: by their mean power, forfeiting this fraction of the received-power
-#: variance at worst.
+#: Exact-zone sizing: beacons beyond the exact zone are replaced by their
+#: mean power, forfeiting this fraction of the received-power variance at
+#: worst.
 _VARIANCE_SLIP = 1e-5
 _EXACT_ZONE_MIN = 20.0
 _EXACT_ZONE_MAX = 300.0
@@ -80,11 +75,10 @@ class Allocation(enum.Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run settings; window_radius is meters or AUTO_WINDOW."""
+    """Monte Carlo run settings."""
 
     trials: int
     master_seed: int
-    window_radius: float | str = AUTO_WINDOW
     allocation: Allocation = Allocation.UNIFORM
 
 
@@ -131,23 +125,22 @@ def _check_trials(trials, least: int) -> None:
         )
 
 
-def _check_config(params: ScenarioParams, config: SimConfig) -> None:
+def _check_config(config: SimConfig) -> None:
     _check_trials(config.trials, 1)
     _check_seed(config.master_seed)
     if not isinstance(config.allocation, Allocation):
         raise ConfigError(f"unknown allocation scheme {config.allocation!r}")
-    if config.window_radius != AUTO_WINDOW:
-        _check_window(params, config.window_radius)
 
 
 def _check_window(params: ScenarioParams, window) -> float:
-    """The double a beacon window is judged as: at least the charging radius."""
+    """The double draw_network's beacon window is judged as: at least the
+    charging radius."""
     x = real(window)
     if x is None or not 0 < x < math.inf:
-        raise ConfigError(f"window_radius must be positive and finite, got {window!r}")
+        raise ConfigError(f"pb_window_radius must be positive and finite, got {window!r}")
     if x < params.charging_radius:
         raise ConfigError(
-            f"window_radius {window!r} is smaller than the charging radius "
+            f"pb_window_radius {window!r} is smaller than the charging radius "
             f"{params.charging_radius!r}; near beacons would be lost"
         )
     return x
@@ -249,7 +242,8 @@ def draw_network(
 
     The sensor window extends past the beacon window by the charging radius
     so every beacon sees its complete charging disk; the origin sensor
-    (_ORIGIN) is row zero. The window must pass run_trials' window check.
+    (_ORIGIN) is row zero. The window must be finite and at least the
+    charging radius.
     """
     validate(params)
     pb_window_radius = _check_window(params, pb_window_radius)
@@ -620,8 +614,8 @@ def received_power_origin(
 
 
 def _exact_zone_radius(params: ScenarioParams) -> float:
-    """AUTO-mode exact simulation radius; the tail beyond it is folded in
-    as its mean, costing at most _VARIANCE_SLIP of the variance."""
+    """Exact simulation radius; the tail beyond it is folded in as its
+    mean, costing at most _VARIANCE_SLIP of the variance."""
     n = params.sectors
     alpha = params.path_loss_exp
     r_var = ((n + 1) / (alpha * _VARIANCE_SLIP)) ** (1.0 / (2.0 * alpha - 2.0))
@@ -629,10 +623,8 @@ def _exact_zone_radius(params: ScenarioParams) -> float:
     return max(3.0 * params.charging_radius, r_var)
 
 
-def _run_window(params: ScenarioParams, config: SimConfig) -> tuple[float, float]:
+def _run_window(params: ScenarioParams) -> tuple[float, float]:
     """The beacon window a run draws over, and the far-tail mean it adds."""
-    if config.window_radius != AUTO_WINDOW:
-        return float(config.window_radius), 0.0
     window = _exact_zone_radius(params)
     return window, _tail_mean(params, window)
 
@@ -1038,7 +1030,7 @@ def _run_batches(params: ScenarioParams, config: SimConfig, lanes: int) -> np.nd
     one batch, else on the process pool (_pool_map). A batch's samples
     depend only on its trials' keys, so not on the lane count."""
     n = config.trials
-    window, tail = _run_window(params, config)
+    window, tail = _run_window(params)
     try:
         out = np.empty(n, dtype=np.float64)
     except MemoryError:
@@ -1078,25 +1070,20 @@ def run_trials(
     Output is a pure function of (params, config); workers only sets how
     many batches run at once (_lanes), and results merge by trial index.
     Raises specfun.RangeError, as the closed forms do, when rho^2 overflows
-    or a trial expects more points than NumPy's Poisson draw allows or the
-    pair join can key.
+    or a trial expects more points than the pair join can key.
     """
     validate(params)
-    _check_config(params, config)
+    _check_config(config)
     _check_workers(workers)
     analytic._occupancy(params)  # the closed forms' rho^2 range check
-    # _run_batches' window and _trial_draws' means, each at most the largest
-    # Generator.poisson takes, 2**63 - 1 less ten square roots of it (~9.2e18),
-    # and then at most what the pair join can key
-    window, _ = _run_window(params, config)
-    means = dict(zip(("beacons", "sensors"), _field_means(params, window)))
-    for most, what in (
-        ((2**63 - 1) - 10.0 * math.sqrt(2**63 - 1), "NumPy can draw"),
-        (_TRIAL_POINTS_MAX, "the pair join can key"),
-    ):
-        for name, mean in means.items():
-            if not mean <= most:
-                raise specfun.RangeError(f"a trial expects {mean!r} {name}, more than {what}")
+    # _run_batches' window and _trial_draws' means; the bound is far below
+    # the largest mean Generator.poisson takes (~9.2e18), so it covers that too
+    means = _field_means(params, _exact_zone_radius(params))
+    for name, mean in zip(("beacons", "sensors"), means):
+        if not mean <= _TRIAL_POINTS_MAX:
+            raise specfun.RangeError(
+                f"a trial expects {mean!r} {name}, more than the pair join can key"
+            )
     n = config.trials
     samples = _run_batches(params, config, _lanes(workers))
     mean = float(np.mean(samples))
@@ -1164,12 +1151,8 @@ def summary_to_json(
     summary: TrialSummary, params: ScenarioParams, config: SimConfig
 ) -> str:
     """Structured run report: statistics, CCDF table (at 50 thresholds
-    spaced geometrically over the positive samples), config echo."""
-    window = (
-        AUTO_WINDOW
-        if config.window_radius == AUTO_WINDOW
-        else float(config.window_radius)
-    )
+    spaced geometrically over the positive samples), config echo and the
+    exact zone's radius in meters."""
     doc = {
         "mean_w": summary.mean,
         "variance_w2": summary.variance,
@@ -1177,7 +1160,7 @@ def summary_to_json(
         "trials": config.trials,
         "master_seed": config.master_seed,
         "allocation": config.allocation.value,
-        "window_radius": window,
+        "window_radius": _exact_zone_radius(params),
         "params": params_to_mapping(params),
         "ccdf": [
             [t, p]

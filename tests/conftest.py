@@ -4,6 +4,8 @@ The only session-scoped resource is the 12-point Monte Carlo sweep that the
 end-to-end mean and variance checks both read; it takes about a minute, so
 it runs once and is cached for the whole session. Its trials are spread over
 up to two worker processes; samples do not depend on the worker count.
+Tests that need only a smaller field set the exact zone's radius with
+exact_zone.
 """
 
 import os
@@ -49,3 +51,16 @@ def power_curve_sweep():
             pr = curve_params(rho=rho, sn=sn)
             out[(rho, sn)] = mcsim.run_trials(pr, cfg, workers=min(2, os.cpu_count() or 1))
     return out
+
+
+@pytest.fixture
+def exact_zone(monkeypatch):
+    """exact_zone(radius) makes every later run draw its beacons within
+    radius (its sensors within radius + rho) and add the far-tail mean
+    beyond it. The caller resolves the window and hands it to every batch,
+    so the patch holds on every lane, pool processes included."""
+
+    def set_radius(radius: float) -> None:
+        monkeypatch.setattr(mcsim, "_exact_zone_radius", lambda params: radius)
+
+    return set_radius

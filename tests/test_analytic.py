@@ -232,7 +232,6 @@ def test_laplace_total_checks_its_arguments_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(an, name, counted(name))
-    monkeypatch.setattr(an, "_last_occupancy", (None, None))
     an.log_laplace_total(0.37, params_for(sectors=4))
     assert calls == {"validate": 1, "_check_active": 0, "_occupancy": 1, "_binom_row": 1}
 

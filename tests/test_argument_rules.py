@@ -106,8 +106,8 @@ REAL_BOUNDARIES = [
      ("empirical_ccdf threshold must be a finite number",) * 2 + (None,), {}),
     ("empirical_ccdf sample", lambda v: mcsim.empirical_ccdf([v, 2.0], [0.5]), ValueError,
      ("empirical_ccdf samples must be finite",) * 2 + (None,), {}),
-    ("run_trials window_radius", lambda v: mcsim.run_trials(P, SimConfig(1, 1, window_radius=v)),
-     ConfigError, ("window_radius must be positive and finite",) * 3, {}),
+    ("draw_network pb_window_radius", lambda v: mcsim.draw_network(P, v, mcsim.trial_stream(1, 0)),
+     ConfigError, ("pb_window_radius must be positive and finite",) * 3, {}),
     ("regularized_gamma_q k", lambda v: specfun.regularized_gamma_q(v, 0.5),
      specfun.DomainError, _SHAPE, {}),
     ("regularized_gamma_q x", lambda v: specfun.regularized_gamma_q(0.5, v),
@@ -234,10 +234,10 @@ def test_trial_counts_stop_at_the_longest_sample_array_numpy_describes(tmp_path)
             benchcli.run_figure(ExperimentSpec(FigureId.FIG2, output_dir=tmp_path, trials=trials))
 
 
-def test_numpy_reals_are_held_as_floats_and_round_trip_to_json():
-    """A scenario and window given NumPy reals run and serialize exactly as
-    the same values given as Python floats; ints and floats are held as
-    given, and a NumPy integer is no sector count."""
+def test_numpy_reals_are_held_as_floats_and_round_trip_to_json(exact_zone):
+    """A scenario given NumPy reals runs and serializes exactly as the same
+    values given as Python floats; ints and floats are held as given, and a
+    NumPy integer is no sector count."""
     given = ScenarioParams(
         pb_power=np.float64(5.0), pb_density=np.float64(0.1), sn_density=np.int64(1),
         sectors=4, charging_radius=np.float64(0.5), path_loss_exp=np.int64(3),
@@ -251,8 +251,9 @@ def test_numpy_reals_are_held_as_floats_and_round_trip_to_json():
     with pytest.raises(ParameterError, match="sectors must be an integer"):
         scenario.validate(P.with_(sectors=np.int64(4)))
     texts = []
-    for params, window in ((given, np.int64(6)), (plain, 6.0)):
-        config = SimConfig(trials=40, master_seed=5, window_radius=window)
+    exact_zone(6.0)
+    config = SimConfig(trials=40, master_seed=5)
+    for params in (given, plain):
         summary = mcsim.run_trials(params, config)
         texts.append(mcsim.summary_to_json(summary, params, config))
     assert texts[0] == texts[1]

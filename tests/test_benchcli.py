@@ -23,7 +23,7 @@ from beamharvest.benchcli import (
     main,
     run_figure,
 )
-from beamharvest.mcsim import AUTO_WINDOW, Allocation, SimConfig
+from beamharvest.mcsim import Allocation, SimConfig
 from beamharvest.scenario import ConfigError
 
 
@@ -41,7 +41,6 @@ def test_load_config_file(tmp_path):
         "trials = 1234\n"
         "seed = 42\n"
         "allocation = robust\n"
-        "window_radius = 25.0\n"
     )
     params, config = load_config(cfg)
     assert params.pb_power == 3.0
@@ -49,12 +48,7 @@ def test_load_config_file(tmp_path):
     assert params.charging_radius == 1.5
     assert params.sn_density == 0.2  # default fills the rest
     assert params.power_threshold == scenario.CONFIG_DEFAULTS["power_threshold_w"]
-    assert config == SimConfig(
-        trials=1234,
-        master_seed=42,
-        window_radius=25.0,
-        allocation=Allocation.ROBUST,
-    )
+    assert config == SimConfig(trials=1234, master_seed=42, allocation=Allocation.ROBUST)
 
 
 def test_load_config_defaults():
@@ -63,19 +57,15 @@ def test_load_config_defaults():
     assert params.sectors == 4
     assert config.trials == 20_000
     assert config.master_seed == 20260819
-    assert config.window_radius == AUTO_WINDOW
     assert config.allocation is Allocation.UNIFORM
 
 
 def test_overrides_win_over_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pb_power_w = 3.0\ntrials = 10\n")
-    params, config = load_config(
-        cfg, overrides=("pb_power_w=7.5", "trials=99", "window_radius=auto")
-    )
+    params, config = load_config(cfg, overrides=("pb_power_w=7.5", "trials=99"))
     assert params.pb_power == 7.5
     assert config.trials == 99
-    assert config.window_radius == AUTO_WINDOW
 
 
 def test_load_config_errors(tmp_path):
@@ -317,11 +307,12 @@ def test_default_budget_reaches_every_run(tmp_path, monkeypatch):
 # --- scheme comparison ---
 
 
-def test_compare_schemes_report_shape():
+def test_compare_schemes_report_shape(exact_zone):
     params, _ = load_config(
         overrides=("charging_radius_m=1.3", "power_threshold_w=1e-4")
     )
-    config = SimConfig(trials=300, master_seed=17, window_radius=12.0)
+    exact_zone(12.0)
+    config = SimConfig(trials=300, master_seed=17)
     report = compare_schemes(params, (2.0, 6.0), config)
     assert report["pb_power_w"] == [2.0, 6.0]
     assert len(report["entries"]) == 2
@@ -341,10 +332,11 @@ def test_compare_schemes_report_shape():
     assert verdicts <= {"confirmed", "violated", "within_ci", "tie"}
 
 
-def test_compare_schemes_single_sector_ties():
+def test_compare_schemes_single_sector_ties(exact_zone):
     # one sector: every scheme is the same policy on the same networks
     params, _ = load_config(overrides=("sectors=1", "power_threshold_w=1e-4"))
-    config = SimConfig(trials=200, master_seed=4, window_radius=10.0)
+    exact_zone(10.0)
+    config = SimConfig(trials=200, master_seed=4)
     report = compare_schemes(params, (5.0,), config)
     entry = report["entries"][0]
     for verdict in entry["mean_ordering"] + entry["active_ordering"]:
@@ -366,7 +358,7 @@ def test_compare_schemes_rejects_fewer_than_two_trials(monkeypatch):
     params, _ = load_config(overrides=("power_threshold_w=1e-4",))
     # run_trials' own rule refuses 0 first
     for trials, message in ((0, "positive integer"), (1, "at least 2 trials")):
-        config = SimConfig(trials=trials, master_seed=4, window_radius=10.0)
+        config = SimConfig(trials=trials, master_seed=4)
         with pytest.raises(ConfigError, match=message):
             compare_schemes(params, (5.0,), config)
 
@@ -376,17 +368,15 @@ def test_compare_schemes_checks_its_config_first():
     # count that is no integer is refused, not compared with 2
     params, _ = load_config(overrides=("power_threshold_w=1e-4",))
     for trials in ("3", 2.0, None):
-        config = SimConfig(trials=trials, master_seed=4, window_radius=10.0)
+        config = SimConfig(trials=trials, master_seed=4)
         with pytest.raises(ConfigError, match="trials must be a positive integer"):
             compare_schemes(params, (5.0,), config)
-    config = SimConfig(trials=3, master_seed=4, window_radius=True)
-    with pytest.raises(ConfigError, match="window_radius"):
-        compare_schemes(params, (5.0,), config)
 
 
-def test_active_prob_grid_rows():
+def test_active_prob_grid_rows(exact_zone):
     params, _ = load_config(overrides=("power_threshold_w=1e-4",))
-    config = SimConfig(trials=150, master_seed=6, window_radius=10.0)
+    exact_zone(10.0)
+    config = SimConfig(trials=150, master_seed=6)
     rows = active_prob_grid(params, (0.5, 1.0), 1e-4, config)
     assert [r[0] for r in rows] == [0.5, 1.0]
     for _, frac, ci in rows:
@@ -402,7 +392,7 @@ def test_active_prob_grid_rejects_threshold_before_simulating(monkeypatch):
 
     monkeypatch.setattr(benchcli.mcsim, "run_trials", no_trials)
     params, _ = load_config()
-    config = SimConfig(trials=10, master_seed=6, window_radius=10.0)
+    config = SimConfig(trials=10, master_seed=6)
     for bad in (0.0, -1e-4, math.inf, math.nan, True, "1e-4", None):
         with pytest.raises(ValueError, match="threshold"):
             active_prob_grid(params, (1.0,), bad, config)
@@ -419,10 +409,9 @@ def test_cli_analytic(capsys):
     assert doc["params"]["sectors"] == 4
 
 
-def test_cli_simulate_stdout(capsys):
-    code = main(
-        ["simulate", "--trials", "50", "--seed", "3", "--set", "window_radius=8"]
-    )
+def test_cli_simulate_stdout(capsys, exact_zone):
+    exact_zone(8.0)
+    code = main(["simulate", "--trials", "50", "--seed", "3"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["trials"] == 50
@@ -430,27 +419,19 @@ def test_cli_simulate_stdout(capsys):
     assert doc["mean_w"] > 0.0
 
 
-def test_cli_simulate_out_dir(tmp_path, capsys):
+def test_cli_simulate_out_dir(tmp_path, capsys, exact_zone):
     out = tmp_path / "runs"
-    code = main(
-        [
-            "simulate", "--trials", "20", "--seed", "1",
-            "--set", "window_radius=8", "--out", str(out),
-        ]
-    )
+    exact_zone(8.0)
+    code = main(["simulate", "--trials", "20", "--seed", "1", "--out", str(out)])
     assert code == 0
     assert (out / "samples.csv").read_text().startswith("trial_index,power_w")
     doc = json.loads((out / "summary.json").read_text())
     assert doc["trials"] == 20
 
 
-def test_cli_simulate_allocation_flag(capsys):
-    code = main(
-        [
-            "simulate", "--trials", "30", "--seed", "2", "--allocation", "robust",
-            "--set", "window_radius=8",
-        ]
-    )
+def test_cli_simulate_allocation_flag(capsys, exact_zone):
+    exact_zone(8.0)
+    code = main(["simulate", "--trials", "30", "--seed", "2", "--allocation", "robust"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["allocation"] == "robust"
 
@@ -529,12 +510,12 @@ def test_cli_out_of_range_scenarios_exit_cleanly(argv):
 
 @pytest.mark.parametrize(
     "setting",
-    ["window_radius=1e300", "charging_radius_m=1e150", "pb_density_per_m2=1e300", "window_radius=1e7"],
+    ["charging_radius_m=1e150", "pb_density_per_m2=1e300", "pb_density_per_m2=4e5"],
 )
 def test_cli_trials_too_large_to_draw_exit_cleanly(setting, capsys):
-    # valid scenarios whose trials expect more beacons than NumPy can draw
-    # or the pair join can key; main returning (not raising) is the
-    # no-traceback guarantee
+    # valid scenarios whose trials expect more beacons than the pair join
+    # can key (5.13e8 at 4e5 beacons per m^2); main returning (not raising)
+    # is the no-traceback guarantee
     assert main(["simulate", "--trials", "2", "--set", setting]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("outside the supported numeric range: a trial expects ")
@@ -584,10 +565,11 @@ def test_cli_out_blocked_by_a_file_fails_before_any_trial(tmp_path, monkeypatch,
     assert sorted(tmp_path.iterdir()) == [blocker]
 
 
-def test_cli_output_write_error_is_one_line(tmp_path, capsys):
+def test_cli_output_write_error_is_one_line(tmp_path, capsys, exact_zone):
     out = tmp_path / "runs"
     (out / "samples.csv").mkdir(parents=True)
-    argv = ["simulate", "--trials", "5", "--set", "window_radius=8", "--out", str(out)]
+    exact_zone(8.0)
+    argv = ["simulate", "--trials", "5", "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("file error:") and len(err.splitlines()) == 1
@@ -625,9 +607,10 @@ def test_figure_rerun_writes_new_files(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
-def test_simulate_rerun_writes_new_files(tmp_path, capsys):
+def test_simulate_rerun_writes_new_files(tmp_path, capsys, exact_zone):
     out, fresh = tmp_path / "runs", tmp_path / "fresh"
-    argv = ["simulate", "--trials", "5", "--set", "window_radius=8", "--out"]
+    exact_zone(8.0)
+    argv = ["simulate", "--trials", "5", "--out"]
     assert main(argv + [str(out), "--seed", "1"]) == 0
     old = _link_outputs(out, ("samples.csv", "summary.json"), tmp_path / "keep")
     # a longer junk file at an output name must not leave a tail behind
@@ -740,10 +723,10 @@ def test_cli_validate(capsys):
 
 
 def test_cli_validate_seed_zero(monkeypatch, capsys):
-    # the lane check's two runs, one lane and the lanes of
-    # run_trials(workers=1), both take the seed
+    # the lane check's two runs, one lane and the two lanes of
+    # run_trials(workers=1) on two usable CPUs, both take the seed
     seen = []
-    lanes = benchcli.mcsim._lanes(1)
+    monkeypatch.setattr(benchcli.mcsim, "_usable_cpus", lambda: 2)
 
     def fake_run_batches(params, config, lanes):
         seen.append((config.master_seed, lanes))
@@ -751,19 +734,26 @@ def test_cli_validate_seed_zero(monkeypatch, capsys):
 
     monkeypatch.setattr(benchcli.mcsim, "_run_batches", fake_run_batches)
     assert main(["validate", "--seed", "0"]) == 0
-    assert seen == [(0, 1), (0, lanes)]
+    assert seen == [(0, 1), (0, 2)]
     seen.clear()
     assert main(["validate"]) == 0
-    assert seen == [(7, 1), (7, lanes)]
+    assert seen == [(7, 1), (7, 2)]
 
 
 def test_cli_validate_on_one_cpu_starts_no_pool(monkeypatch, capsys):
     # where the process may use one CPU, run_trials(workers=1) runs one
-    # lane, so the lane check runs both of its runs in this process
+    # lane, so there is no pool to compare with: the lane check is skipped
+    # and runs no trials
+    def no_run(*args):
+        raise AssertionError("the lane check ran with no pool to compare")
+
     benchcli.mcsim._stop_pool()
     monkeypatch.setattr(benchcli.mcsim, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(benchcli.mcsim, "_run_batches", no_run)
     assert main(["validate"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "SKIP trial streams lane-count invariant (one usable CPU: no pool to compare)\n" in out
     assert benchcli.mcsim._pool is None
 
 

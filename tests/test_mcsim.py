@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from beamharvest import analytic, mcsim
 from beamharvest.mcsim import (
-    AUTO_WINDOW,
     Allocation,
     NetworkSample,
     SimConfig,
@@ -326,16 +325,13 @@ def test_draw_network_rejects_a_nonfinite_window():
             draw_network(params_for(), window, trial_stream(1, 0))
 
 
-def test_draw_network_shares_run_trials_window_check():
-    # one rule for both: a bool is no window, nor is text, and a window
-    # narrower than the charging radius is refused as run_trials refuses it
-    for window in (True, "5", None, AUTO_WINDOW):
-        with pytest.raises(ConfigError, match="window_radius must be positive and finite"):
+def test_draw_network_refuses_a_non_real_or_narrow_window():
+    # a bool is no window, nor is text, and a window narrower than the
+    # charging radius would lose near beacons
+    for window in (True, "5", None):
+        with pytest.raises(ConfigError, match="^pb_window_radius must be positive and finite"):
             draw_network(params_for(), window, trial_stream(1, 0))
-        if window is not AUTO_WINDOW:
-            with pytest.raises(ConfigError, match="window_radius must be positive and finite"):
-                run_trials(params_for(), SimConfig(trials=5, master_seed=1, window_radius=window))
-    with pytest.raises(ConfigError, match="smaller than the charging radius"):
+    with pytest.raises(ConfigError, match="^pb_window_radius 2.0 is smaller than the charging radius"):
         draw_network(params_for(charging_radius=3.0), 2.0, trial_stream(1, 0))
 
 
@@ -889,14 +885,15 @@ def test_cull_holds_across_simd_dispatch(level):
 
 @needs_fork
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
-def test_cull_run_trials_match_uncut_for_any_threads(monkeypatch, tmp_path, scheme):
+def test_cull_run_trials_match_uncut_for_any_lanes(monkeypatch, tmp_path, exact_zone, scheme):
     # lambda_s 1.6, rho 0.5: the cull runs, in the caller on one lane and in
     # two pool processes on two, and samples equal those of runs with it
     # switched off on one lane and on two, where no lane culls
     pr = params_for(sn_density=1.6, charging_radius=0.5)
     window = 6.0
+    exact_zone(window)
     assert mcsim._cull_grid(pr, window) is not None
-    config = SimConfig(trials=90, master_seed=17, window_radius=window, allocation=scheme)
+    config = SimConfig(trials=90, master_seed=17, allocation=scheme)
     culled = run_trials(pr, config).samples
     monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", 0)
     log = tmp_path / "cull.log"
@@ -935,7 +932,7 @@ def test_cull_that_keeps_no_sensor_of_a_batch_joins_no_pairs(monkeypatch):
     assert np.array_equal(run_trials(pr, config).samples, culled)
 
 
-def test_tiny_charging_radius_runs_in_bounded_memory():
+def test_tiny_charging_radius_runs_in_bounded_memory(exact_zone):
     # rho = 1e-3 m, where radopt's scan starts: rho-wide cells would index
     # 1.6e9 cells a trial (12 GiB of counts); the cell floor keeps the grid
     # near 32 cells per expected sensor. Checked before running, so a lost
@@ -944,7 +941,8 @@ def test_tiny_charging_radius_runs_in_bounded_memory():
     window = 20.0
     expect_sn = pr.sn_density * math.pi * (window + 1e-3) ** 2
     assert join_cells_per_trial(pr, window) <= 48.0 * expect_sn
-    config = SimConfig(trials=4, master_seed=13, window_radius=window)
+    exact_zone(window)
+    config = SimConfig(trials=4, master_seed=13)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -962,7 +960,7 @@ def test_tiny_charging_radius_runs_in_bounded_memory():
         total = 0.0
         for g, a in zip(gains, np.maximum(dist, 1.0) ** -pr.path_loss_exp):
             total += g * a
-        assert got[i] == pr.pb_power * pr.attenuation * total
+        assert got[i] == pr.pb_power * pr.attenuation * total + mcsim._tail_mean(pr, window)
 
 
 def test_batch_grouping_does_not_change_results():
@@ -1023,7 +1021,7 @@ def fresh_batches(pr, scheme, window, plan):
 
 @pytest.mark.parametrize("chunk", [None, 4], ids=["chunks", "lone_strips"])
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
-def test_reused_workspace_matches_fresh_batches(monkeypatch, scheme, chunk):
+def test_reused_workspace_matches_fresh_batches(monkeypatch, exact_zone, scheme, chunk):
     # batches through one workspace, and 93 trials in batches of 7 on one
     # lane and on two, bit for bit as fresh single-batch passes over the
     # same trials: data a buffer kept from an earlier batch, such as its
@@ -1045,18 +1043,21 @@ def test_reused_workspace_matches_fresh_batches(monkeypatch, scheme, chunk):
     if chunk is not None and scheme is not Allocation.FORCED_OMNI:
         assert len(work._buffers["dx"]) > chunk
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 7)
-    config = SimConfig(trials=93, master_seed=7, window_radius=window, allocation=scheme)
+    exact_zone(window)
+    config = SimConfig(trials=93, master_seed=7, allocation=scheme)
+    want_steps += mcsim._tail_mean(pr, window)
     for lanes in (1, 2):
         assert np.array_equal(mcsim._run_batches(pr, config, lanes), want_steps), lanes
 
 
-def test_no_workspace_outlives_its_call():
+def test_no_workspace_outlives_its_call(exact_zone):
     # a run's workspaces die with it, and so does the fresh one handed to a
     # direct batch call: traced memory comes back to within 64 KiB, the
     # returned powers included (a 256-trial batch's workspace holds some
     # 0.8 MiB here)
     pr = params_for()
-    config = SimConfig(trials=300, master_seed=2, window_radius=8.0)
+    exact_zone(8.0)
+    config = SimConfig(trials=300, master_seed=2)
     run_trials(pr, config)
     tracemalloc.start()
     try:
@@ -1072,9 +1073,10 @@ def test_no_workspace_outlives_its_call():
     assert after_batch - after_run <= 64 * 2**10
 
 
-def test_run_trials_deterministic_and_worker_invariant():
+def test_run_trials_deterministic_and_worker_invariant(exact_zone):
     pr = params_for()
-    config = SimConfig(trials=60, master_seed=12, window_radius=8.0)
+    exact_zone(8.0)
+    config = SimConfig(trials=60, master_seed=12)
     first = run_trials(pr, config)
     again = run_trials(pr, config)
     assert np.array_equal(first.samples, again.samples)
@@ -1083,7 +1085,7 @@ def test_run_trials_deterministic_and_worker_invariant():
     # an uneven split (7 trials on 3 workers: 2/2/3) and an oversubscribed
     # one (2 trials on 4 workers run on 2) merge in trial order too
     for trials, workers in ((7, 3), (2, 4)):
-        part = SimConfig(trials=trials, master_seed=12, window_radius=8.0)
+        part = SimConfig(trials=trials, master_seed=12)
         got = run_trials(pr, part, workers=workers).samples
         assert np.array_equal(got, first.samples[:trials]), (trials, workers)
     assert first.mean == pytest.approx(np.mean(first.samples), rel=1e-15)
@@ -1096,7 +1098,7 @@ def test_run_trials_deterministic_and_worker_invariant():
 
 
 @pytest.mark.parametrize("scheme", list(Allocation), ids=lambda s: s.value)
-def test_run_trials_thread_invariant(monkeypatch, scheme):
+def test_run_trials_lane_invariant(monkeypatch, exact_zone, scheme):
     # lanes: one in this process, and two and three pool processes. 300
     # trials of 256-trial batches, and of 64-trial ones once the points
     # floor is lifted, leave a short last batch either way; the unpatched
@@ -1104,7 +1106,8 @@ def test_run_trials_thread_invariant(monkeypatch, scheme):
     pr = params_for()
     window = 8.0
     assert mcsim._batch_size(pr, window) == 256
-    config = SimConfig(trials=300, master_seed=21, window_radius=window, allocation=scheme)
+    exact_zone(window)
+    config = SimConfig(trials=300, master_seed=21, allocation=scheme)
     host = run_trials(pr, config).samples
     for floor in (mcsim._SPLIT_POINTS_MIN, 0):
         monkeypatch.setattr(mcsim, "_SPLIT_POINTS_MIN", floor)
@@ -1114,14 +1117,14 @@ def test_run_trials_thread_invariant(monkeypatch, scheme):
             assert np.array_equal(got, host), (floor, lanes)
 
 
-def test_more_lanes_than_cores_under_fast_switching(monkeypatch):
+def test_more_lanes_than_cores_under_fast_switching(monkeypatch, exact_zone):
     # four pool processes on 32-trial batches, the caller's threads (the
     # pool's manager and queue feeder among them) switching every
     # microsecond: a batch written outside its own slice, or results merged
     # out of trial order, would show
     pr = params_for()
-    config = SimConfig(trials=300, master_seed=9, window_radius=4.0,
-                       allocation=Allocation.GREEDY)
+    exact_zone(4.0)
+    config = SimConfig(trials=300, master_seed=9, allocation=Allocation.GREEDY)
     want = mcsim._run_batches(pr, config, 1)
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
     interval = sys.getswitchinterval()
@@ -1196,14 +1199,14 @@ def test_batch_draws_hold_each_trials_own(scheme):
 
 
 @needs_fork
-def test_draw_sections_never_overlap(monkeypatch, tmp_path):
+def test_draw_sections_never_overlap(monkeypatch, tmp_path, exact_zone):
     # three pool processes on 32-trial greedy batches: a process runs one
     # batch at a time on its one workspace, so no two of its batches
     # overlap, from the first draw to the last stage, and none runs in the
     # caller
     pr = params_for()
-    config = SimConfig(trials=300, master_seed=9, window_radius=4.0,
-                       allocation=Allocation.GREEDY)
+    exact_zone(4.0)
+    config = SimConfig(trials=300, master_seed=9, allocation=Allocation.GREEDY)
     want = mcsim._run_batches(pr, config, 1)
     log = tmp_path / "batches.log"
     real = mcsim._batch_powers
@@ -1225,12 +1228,13 @@ def test_draw_sections_never_overlap(monkeypatch, tmp_path):
 
 
 @needs_fork
-def test_draw_error_raises_in_trial_order_on_every_lane(monkeypatch):
+def test_draw_error_raises_in_trial_order_on_every_lane(monkeypatch, exact_zone):
     # one lane and two: of four 32-trial batches, the draws of batch 0 and
     # batch 2 raise mid-loop; each call raises batch 0's error, every time,
     # and once the draws are mended, calls on a fresh pool run
     pr = params_for()
-    config = SimConfig(trials=128, master_seed=3, window_radius=8.0)
+    exact_zone(8.0)
+    config = SimConfig(trials=128, master_seed=3)
     want = mcsim._run_batches(pr, config, 1)
     reset = mcsim._TrialStreams.at
 
@@ -1268,19 +1272,20 @@ def recorded_batches(monkeypatch, log, on_call=None):
 
 
 @needs_fork
-def test_batches_run_in_the_lanes_a_call_names(monkeypatch, tmp_path):
+def test_batches_run_in_the_lanes_a_call_names(monkeypatch, tmp_path, exact_zone):
     # one lane, or a single batch, runs in the caller; two and three lanes
     # run every batch in pool processes, never the caller, and calls on as
     # many lanes reuse the pool
     log = tmp_path / "batches.log"
     recorded_batches(monkeypatch, log, lambda seed, start: time.sleep(0.05))
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 5)
+    exact_zone(8.0)
     caller = os.getpid()
 
     def pids(trials, lanes):
         log.unlink(missing_ok=True)
         monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
-        run_trials(params_for(), SimConfig(trials=trials, master_seed=1, window_radius=8.0))
+        run_trials(params_for(), SimConfig(trials=trials, master_seed=1))
         rows = log_rows(log)
         assert sorted((start, stop) for _, _, start, stop in rows) == [
             (lo, min(lo + 5, trials)) for lo in range(0, trials, 5)
@@ -1297,7 +1302,7 @@ def test_batches_run_in_the_lanes_a_call_names(monkeypatch, tmp_path):
 
 
 @needs_fork
-def test_run_trials_lane_error_cancels_queued_batches(monkeypatch, tmp_path):
+def test_run_trials_lane_error_cancels_queued_batches(monkeypatch, tmp_path, exact_zone):
     # 64 batches on two pool processes; the second raises while the others
     # take 20 ms: the call raises its error, fewer than 16 batches of it
     # start, and the same pool runs every batch of the next call
@@ -1308,12 +1313,13 @@ def test_run_trials_lane_error_cancels_queued_batches(monkeypatch, tmp_path):
 
     monkeypatch.setattr(mcsim, "_lanes", lambda workers: 2)
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
+    exact_zone(8.0)
     log = tmp_path / "batches.log"
     recorded_batches(monkeypatch, log, fail_second)
     with pytest.raises(RuntimeError, match="^batch failed$"):
-        run_trials(params_for(), SimConfig(trials=32 * 64, master_seed=3, window_radius=8.0))
+        run_trials(params_for(), SimConfig(trials=32 * 64, master_seed=3))
     pool = mcsim._pool
-    run_trials(params_for(), SimConfig(trials=32 * 64, master_seed=4, window_radius=8.0))
+    run_trials(params_for(), SimConfig(trials=32 * 64, master_seed=4))
     rows = log_rows(log)
     assert mcsim._pool is pool
     assert len([row for row in rows if row[1] == 3]) < 16
@@ -1321,7 +1327,7 @@ def test_run_trials_lane_error_cancels_queued_batches(monkeypatch, tmp_path):
 
 
 @needs_fork
-def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch, tmp_path):
+def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch, tmp_path, exact_zone):
     # batch 1 fails at once and batch 0 only later, with another error:
     # the call raises batch 0's every time, not the one that failed first,
     # on one lane (where batch 0 runs first) and on two pool processes
@@ -1342,7 +1348,8 @@ def test_run_trials_raises_the_first_failed_batch_in_trial_order(monkeypatch, tm
 
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
     monkeypatch.setattr(mcsim, "_batch_powers", fail)
-    config = SimConfig(trials=4 * 32, master_seed=3, window_radius=8.0)
+    exact_zone(8.0)
+    config = SimConfig(trials=4 * 32, master_seed=3)
     for lanes in (1, 2):
         monkeypatch.setattr(mcsim, "_lanes", lambda workers: lanes)
         for _ in range(3):
@@ -1414,7 +1421,7 @@ def test_lanes_rule(monkeypatch):
     assert mcsim._lanes(10**6) == 16
 
 
-def test_huge_worker_count_asks_for_no_more_lanes_than_cpus(monkeypatch):
+def test_huge_worker_count_asks_for_no_more_lanes_than_cpus(monkeypatch, exact_zone):
     # a million workers on two usable CPUs ask the pool for two processes;
     # the pool is replaced by a recorder that raises, so none is started
     asked = []
@@ -1425,13 +1432,14 @@ def test_huge_worker_count_asks_for_no_more_lanes_than_cpus(monkeypatch):
 
     monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(mcsim, "_pool_map", pool_map)
-    config = SimConfig(trials=10**6, master_seed=1, window_radius=8.0)
+    exact_zone(8.0)
+    config = SimConfig(trials=10**6, master_seed=1)
     with pytest.raises(RuntimeError, match="^no pool in this test$"):
         run_trials(params_for(), config, workers=10**6)
     assert asked == [2]
 
 
-def test_pool_serves_concurrent_callers(monkeypatch):
+def test_pool_serves_concurrent_callers(monkeypatch, exact_zone):
     # four caller threads on two lanes start one pool between them, and
     # each gets its own samples
     made = []
@@ -1445,7 +1453,8 @@ def test_pool_serves_concurrent_callers(monkeypatch):
     monkeypatch.setattr(mcsim, "_lanes", lambda workers: 2)
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
     pr = params_for()
-    configs = [SimConfig(trials=300, master_seed=seed, window_radius=8.0) for seed in range(4)]
+    exact_zone(8.0)
+    configs = [SimConfig(trials=300, master_seed=seed) for seed in range(4)]
     want = [mcsim._run_batches(pr, config, 1) for config in configs]
     got = [None] * len(configs)
 
@@ -1464,11 +1473,12 @@ def test_pool_serves_concurrent_callers(monkeypatch):
 
 
 @needs_fork
-def test_broken_pool_fails_the_call_and_the_next_starts_fresh(monkeypatch, tmp_path):
+def test_broken_pool_fails_the_call_and_the_next_starts_fresh(monkeypatch, tmp_path, exact_zone):
     # a pool process killed mid-batch breaks the pool: that call raises
     # BrokenProcessPool, and the next call runs on a new pool
     pr = params_for()
-    config = SimConfig(trials=128, master_seed=3, window_radius=8.0)
+    exact_zone(8.0)
+    config = SimConfig(trials=128, master_seed=3)
     monkeypatch.setattr(mcsim, "_batch_size", lambda *args: 32)
     want = mcsim._run_batches(pr, config, 1)
     armed = tmp_path / "armed"
@@ -1610,33 +1620,26 @@ def test_auto_window_adds_exact_tail_constant():
     zone = mcsim._exact_zone_radius(pr)
     tail = mcsim._tail_mean(pr, zone)
     auto = run_trials(pr, SimConfig(trials=40, master_seed=5))
-    exact = run_trials(pr, SimConfig(trials=40, master_seed=5, window_radius=zone))
-    np.testing.assert_allclose(auto.samples - exact.samples, tail, rtol=1e-12)
+    exact = mcsim._batch_powers(pr, Allocation.UNIFORM, 5, 0, 40, zone, mcsim._Workspace())
+    np.testing.assert_allclose(auto.samples - exact, tail, rtol=1e-12)
     assert tail > 0.0
 
 
-def test_single_sector_uniform_equals_forced_omni():
+def test_single_sector_uniform_equals_forced_omni(exact_zone):
     pr = params_for(sectors=1)
-    a = run_trials(pr, SimConfig(trials=50, master_seed=2, window_radius=9.0))
-    b = run_trials(
-        pr,
-        SimConfig(
-            trials=50, master_seed=2, window_radius=9.0,
-            allocation=Allocation.FORCED_OMNI,
-        ),
-    )
+    exact_zone(9.0)
+    a = run_trials(pr, SimConfig(trials=50, master_seed=2))
+    b = run_trials(pr, SimConfig(trials=50, master_seed=2, allocation=Allocation.FORCED_OMNI))
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_lone_origin_sensor_makes_all_schemes_agree():
+def test_lone_origin_sensor_makes_all_schemes_agree(exact_zone):
     # with (almost surely) no other sensors, every scheme pours all power
     # at the origin, so the paired-network seeding gives identical samples
     pr = params_for(sn_density=1e-12, charging_radius=2.0)
+    exact_zone(10.0)
     runs = [
-        run_trials(
-            pr,
-            SimConfig(trials=40, master_seed=8, window_radius=10.0, allocation=scheme),
-        ).samples
+        run_trials(pr, SimConfig(trials=40, master_seed=8, allocation=scheme)).samples
         for scheme in (Allocation.UNIFORM, Allocation.ROBUST, Allocation.GREEDY)
     ]
     assert np.array_equal(runs[0], runs[1])
@@ -1683,24 +1686,15 @@ def test_bench_probe_window_is_the_engine_window(monkeypatch):
 
 def test_config_guards():
     pr = params_for(charging_radius=3.0)
-    with pytest.raises(ConfigError, match="smaller than the charging radius"):
-        run_trials(pr, SimConfig(trials=5, master_seed=1, window_radius=2.0))
     with pytest.raises(ConfigError, match="trials"):
         run_trials(pr, SimConfig(trials=0, master_seed=1))
     with pytest.raises(ConfigError, match="master_seed"):
         run_trials(pr, SimConfig(trials=5, master_seed=-3))
-    with pytest.raises(ConfigError, match="window_radius"):
-        run_trials(pr, SimConfig(trials=5, master_seed=1, window_radius=-1.0))
     # bool is an int subclass; True must not pass as one trial or seed 1
     with pytest.raises(ConfigError, match="trials"):
         run_trials(pr, SimConfig(trials=True, master_seed=1))
     with pytest.raises(ConfigError, match="master_seed"):
         run_trials(pr, SimConfig(trials=5, master_seed=False))
-    with pytest.raises(ConfigError, match="window_radius must be positive"):
-        run_trials(
-            params_for(charging_radius=0.5),
-            SimConfig(trials=5, master_seed=1, window_radius=True),
-        )
     for workers in (0, -3, None, 2.0, True):
         with pytest.raises(ConfigError, match="workers"):
             run_trials(pr, SimConfig(trials=5, master_seed=1), workers=workers)
@@ -1760,32 +1754,32 @@ def test_run_trials_shares_the_radius_range(monkeypatch):
             run_trials(params, SimConfig(trials=5, master_seed=1))
 
 
-def test_run_trials_refuses_trials_too_large_to_draw(monkeypatch):
-    # a trial whose expected beacons or sensors overflow, pass the largest
-    # mean Generator.poisson takes, or pass what the pair join's packed keys
-    # hold is out of range before any draw
+def test_run_trials_refuses_trials_too_large_to_draw(monkeypatch, exact_zone):
+    # a trial whose expected beacons or sensors overflow, or pass what the
+    # pair join's packed keys hold (far below the largest mean
+    # Generator.poisson takes), is out of range before any draw
     def no_draws(*args, **kwargs):
         raise AssertionError("run_trials drew before its range check")
 
     monkeypatch.setattr(mcsim, "_run_batches", no_draws)
-    numpy, join = "NumPy can draw", "the pair join can key"
-    for overrides, window, name, limit in (
-        ({}, 1e300, "beacons", numpy),
-        ({"charging_radius": 1e150}, AUTO_WINDOW, "beacons", numpy),
-        ({"pb_density": 1e300}, AUTO_WINDOW, "beacons", numpy),
-        ({"sn_density": 1e17}, AUTO_WINDOW, "sensors", numpy),
-        # finite means past the bound: 9.5e18 beacons, then 8.8e18 beacons
-        # and 1.8e19 sensors
-        ({}, 5.5e9, "beacons", numpy),
-        ({}, 5.3e9, "sensors", numpy),
-        # drawable, but past the join's 5e8: 3.1e13 beacons (457 TiB of
-        # uniforms), then 2.8e8 beacons and 5.7e8 sensors
-        ({}, 1e7, "beacons", join),
-        ({}, 3e4, "sensors", join),
+    config = SimConfig(trials=2, master_seed=1)
+
+    def refused(params, name):
+        with pytest.raises(RangeError, match=f"expects .* {name}, more than the pair join can key$"):
+            run_trials(params, config)
+
+    for overrides, name in (
+        ({"charging_radius": 1e150}, "beacons"),
+        ({"pb_density": 1e300}, "beacons"),
+        ({"sn_density": 1e17}, "sensors"),
     ):
-        config = SimConfig(trials=2, master_seed=1, window_radius=window)
-        with pytest.raises(RangeError, match=f"expects .* {name}, more than {limit}$"):
-            run_trials(params_for(**overrides), config)
+        refused(params_for(**overrides), name)
+    # an infinite mean, then 9.5e18 beacons, past what NumPy can draw;
+    # drawable, but past the join's 5e8: 3.1e13 beacons (457 TiB of
+    # uniforms), then 2.8e8 beacons and 5.7e8 sensors
+    for window, name in ((1e300, "beacons"), (5.5e9, "beacons"), (1e7, "beacons"), (3e4, "sensors")):
+        exact_zone(window)
+        refused(params_for(), name)
 
 
 # --- aggregation and output formats ---
@@ -1807,9 +1801,10 @@ def test_empirical_ccdf_counts_at_or_above():
         empirical_ccdf([], [1.0])
 
 
-def test_samples_csv_format(tmp_path):
+def test_samples_csv_format(tmp_path, exact_zone):
     pr = params_for()
-    summary = run_trials(pr, SimConfig(trials=5, master_seed=3, window_radius=6.0))
+    exact_zone(6.0)
+    summary = run_trials(pr, SimConfig(trials=5, master_seed=3))
     path = tmp_path / "samples.csv"
     samples_to_csv(summary, path)
     lines = path.read_text().splitlines()
@@ -1847,7 +1842,7 @@ def test_summary_json_round_trip():
     assert doc["trials"] == 8
     assert doc["master_seed"] == 21
     assert doc["allocation"] == "uniform"
-    assert doc["window_radius"] == AUTO_WINDOW
+    assert doc["window_radius"] == mcsim._exact_zone_radius(pr) == 20.205155046766233
     assert doc["mean_w"] == summary.mean
     assert doc["params"]["sectors"] == 4
     assert len(doc["ccdf"]) >= 1
