@@ -42,7 +42,6 @@ __all__ = [
     "variance_omni",
     "near_far_mean_ratios",
     "gamma_approx",
-    "gamma_approx_omni",
     "gamma_ccdf",
     "gamma_ccdf_omni",
     "d_mean_d_rho",
@@ -380,12 +379,6 @@ def gamma_approx(params: ScenarioParams) -> GammaApprox:
     """Second-order moment match of the received-power law to a Gamma law."""
     validate(params)
     return GammaApprox(*_moment_match(mean_power(params), variance_power(params)))
-
-
-def gamma_approx_omni(params: ScenarioParams) -> GammaApprox:
-    """Gamma moment match of the omni-transmission power law."""
-    validate(params)
-    return GammaApprox(*_moment_match(mean_power_omni(params), variance_omni(params)))
 
 
 def _gamma_ccdf_value(shape: float, scale: float, threshold: float) -> float:

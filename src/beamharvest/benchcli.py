@@ -65,7 +65,7 @@ class ExperimentSpec:
 
     trials=0 keeps each figure's default budget (50k for the CCDF figure,
     20k per Monte Carlo curve point); Fig5-Fig7 run no Monte Carlo and
-    take only 0.
+    take only 0 and the default seed.
     """
 
     figure_id: FigureId
@@ -121,8 +121,7 @@ def _reach(samples, thresholds) -> list[tuple[float, float]]:
     ]
 
 
-def _fig2_curves(values, seed, trials, sink, workers):
-    params = scenario.params_from_mapping(values)
+def _fig2_curves(params, seed, trials, sink, workers):
     thresholds = np.linspace(1e-5, 1e-3, 50)
     gamma = [analytic.gamma_ccdf(t, params) for t in thresholds]
     sink.add(
@@ -141,27 +140,27 @@ def _fig2_curves(values, seed, trials, sink, workers):
 _MC_RHOS = (0.5, 1.0, 2.0, 4.0)
 
 
-def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
+def _radius_sweep(params, seed, trials, sink, workers, *, fig, field, tag,
                   levels, rho_grid, active, names):
-    """Figs 3-4: for each level of scenario key, the closed-form curve over
-    rho_grid, the omni line and Monte Carlo points at _MC_RHOS.
+    """Figs 3-4: for each level of a scenario field, the closed-form curve
+    over rho_grid, the omni line and Monte Carlo points at _MC_RHOS.
 
     active=False plots the mean power, active=True the probability of
     reaching power_threshold_w. names are the curve, omni and Monte Carlo
     file names, with "{}" for the level.
     """
-    threshold = values["power_threshold_w"] if active else None
+    threshold = params.power_threshold if active else None
     column, ci = ("active_prob", "ci95") if active else ("mean_power_w", "ci95_w")
     curve_name, omni_name, mc_name = names
     for level in levels:
-        params = scenario.params_from_mapping({**values, key: level})
-        at = [params.with_(charging_radius=float(rho)) for rho in rho_grid]
+        at_level = params.with_(**{field: level})
+        at = [at_level.with_(charging_radius=float(rho)) for rho in rho_grid]
         if active:
             curve = [analytic.gamma_ccdf(threshold, p) for p in at]
-            omni = analytic.gamma_ccdf_omni(threshold, params)
+            omni = analytic.gamma_ccdf_omni(threshold, at_level)
         else:
             curve = [analytic.mean_power(p) for p in at]
-            omni = analytic.mean_power_omni(params)
+            omni = analytic.mean_power_omni(at_level)
         sink.add(curve_name.format(level), f"rho_m,{column}", zip(rho_grid, curve))
         sink.add(
             omni_name.format(level),
@@ -171,7 +170,7 @@ def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
         mc_rows = []
         for i, rho in enumerate(_MC_RHOS):
             _progress(f"{fig} {tag}={level}: mc point {i + 1}/{len(_MC_RHOS)}")
-            p = params.with_(charging_radius=rho)
+            p = at_level.with_(charging_radius=rho)
             cfg = SimConfig(trials=trials,
                             master_seed=_derive_seed(seed, fig, level, rho))
             s = mcsim.run_trials(p, cfg, workers=workers)
@@ -182,12 +181,12 @@ def _radius_sweep(values, seed, trials, sink, workers, *, fig, key, tag,
 
 # Fig3's omni line does not depend on the sensor density: one file
 _fig3_curves = functools.partial(
-    _radius_sweep, fig="fig3", key="sn_density_per_m2", tag="ls",
+    _radius_sweep, fig="fig3", field="sn_density", tag="ls",
     levels=(0.2, 0.8, 1.6), rho_grid=np.linspace(0.1, 4.0, 40), active=False,
     names=("fig3_mean_ls{}.csv", "fig3_mean_omni.csv", "fig3_mc_ls{}.csv"),
 )
 _fig4_curves = functools.partial(
-    _radius_sweep, fig="fig4", key="pb_power_w", tag="pp",
+    _radius_sweep, fig="fig4", field="pb_power", tag="pp",
     levels=(1.0, 3.0, 10.0), rho_grid=np.linspace(0.25, 5.0, 40), active=True,
     names=("fig4_gamma_pp{}.csv", "fig4_omni_pp{}.csv", "fig4_mc_pp{}.csv"),
 )
@@ -200,27 +199,26 @@ _MEAN_POWERS = (2.0, 4.0, 6.0, 8.0)
 _ACTIVE_POWERS = (2.0, 8.0)
 
 
-def _optimum_sweep(values, seed, trials, sink, workers, *, sweeps):
+def _optimum_sweep(params, seed, trials, sink, workers, *, sweeps):
     """Figs 5-7: the optimum over the charging radius along an axis, one
     file per beacon power.
 
     Each sweep is (file name with "{}" for the power, axis, powers, column);
-    powers None keeps the figure's own. The column names what is written:
+    powers None keeps the scenario's, which moves no radius. The column
+    names what is written:
     the mean-optimal radius (rho_star_m), the mean power there
     (mean_power_w) or the best reach probability (active_prob).
     """
     for name, (key, points), powers, column in sweeps:
-        for pp in powers or (values["pb_power_w"],):
+        field = scenario._KEY_FIELDS[key]
+        for pp in powers or (params.pb_power,):
             rows = []
             for v in points:
-                params = scenario.params_from_mapping(
-                    {**values, key: v, "pb_power_w": pp}
-                )
+                at = params.with_(**{field: v, "pb_power": pp})
                 if column == "active_prob":
-                    threshold = values["power_threshold_w"]
-                    best = radopt.optimal_radius_active(params, threshold).objective
+                    best = radopt.optimal_radius_active(at, params.power_threshold).objective
                 else:
-                    opt = radopt.optimal_radius_mean(params)
+                    opt = radopt.optimal_radius_mean(at)
                     best = opt.radius if column == "rho_star_m" else opt.objective
                 rows.append((v, best))
             sink.add(name.format(pp), f"{key},{column}", rows)
@@ -240,17 +238,17 @@ _fig7_curves = functools.partial(_optimum_sweep, sweeps=(
 ))
 
 
-def _fig8_curves(values, seed, trials, sink, workers):
+def _fig8_curves(params, seed, trials, sink, workers):
     powers = (2.0, 4.0, 6.0, 8.0, 10.0)
-    threshold = values["power_threshold_w"]
+    threshold = params.power_threshold
     schemes = (Allocation.GREEDY, Allocation.ROBUST, Allocation.UNIFORM)
     mean_rows = {s: [] for s in schemes}
     active_rows = {s: [] for s in schemes}
     rho_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     for pp in powers:
-        params = scenario.params_from_mapping({**values, "pb_power_w": pp})
-        rho_star = radopt.optimal_radius_mean(params).radius
-        at_star = params.with_(charging_radius=rho_star)
+        at_power = params.with_(pb_power=pp)
+        rho_star = radopt.optimal_radius_mean(at_power).radius
+        at_star = at_power.with_(charging_radius=rho_star)
         for s in schemes:
             # one seed per power: the mean run and every grid radius share it
             cfg = SimConfig(trials=trials, allocation=s,
@@ -259,7 +257,7 @@ def _fig8_curves(values, seed, trials, sink, workers):
             summ = mcsim.run_trials(at_star, cfg, workers=workers)
             mean_rows[s].append((pp, summ.mean, summ.mean_ci95))
             _progress(f"fig8 pp={pp}: active grid, {s.value}")
-            grid = active_prob_grid(params, rho_grid, threshold, cfg, workers=workers)
+            grid = active_prob_grid(at_power, rho_grid, threshold, cfg, workers=workers)
             best = max(grid, key=lambda row: row[1])
             active_rows[s].append((pp, best[1], best[2]))
     for s in schemes:
@@ -299,71 +297,71 @@ def active_prob_grid(params, rho_values, threshold, config, workers=1):
     return rows
 
 
-#: The scenario every figure starts from: the config defaults without the
-#: threshold, which only the figures that plot reach list (_REACH).
-_FIGURE_BASE = dict(scenario.CONFIG_DEFAULTS)
-_REACH = {"power_threshold_w": _FIGURE_BASE.pop("power_threshold_w")}
-
-#: Each figure's scenario values over _FIGURE_BASE, its default trial budget
-#: (0: closed forms only, no trials accepted) and its builder.
+#: Each figure's scenario values over the config defaults; the config keys
+#: it sweeps or never reads, which it takes no override of; its default
+#: trial budget (0: closed forms only, no trials or seed accepted) and its
+#: builder.
 _FIGURES = {
-    FigureId.FIG2: ({}, 50_000, _fig2_curves),
-    FigureId.FIG3: (dict(pb_power_w=10.0, charging_radius_m=1.0), 20_000, _fig3_curves),
-    FigureId.FIG4: (dict(pb_power_w=1.0, charging_radius_m=1.0, **_REACH), 20_000, _fig4_curves),
-    FigureId.FIG5: (dict(pb_power_w=2.0, charging_radius_m=1.0), 0, _fig5_curves),
-    FigureId.FIG6: (dict(pb_power_w=2.0, charging_radius_m=1.0), 0, _fig6_curves),
-    FigureId.FIG7: (dict(pb_power_w=2.0, charging_radius_m=1.0, **_REACH), 0, _fig7_curves),
-    FigureId.FIG8: (dict(pb_power_w=2.0, charging_radius_m=1.0, **_REACH), 20_000, _fig8_curves),
+    FigureId.FIG2: ({}, ("power_threshold_w",), 50_000, _fig2_curves),
+    FigureId.FIG3: ({"pb_power_w": 10.0},
+                    ("sn_density_per_m2", "charging_radius_m", "power_threshold_w"),
+                    20_000, _fig3_curves),
+    FigureId.FIG4: ({}, ("pb_power_w", "charging_radius_m"), 20_000, _fig4_curves),
+    FigureId.FIG5: ({}, ("pb_power_w", "sectors", "charging_radius_m", "power_threshold_w"),
+                    0, _fig5_curves),
+    FigureId.FIG6: ({}, ("pb_power_w", "sn_density_per_m2", "charging_radius_m",
+                         "power_threshold_w"), 0, _fig6_curves),
+    FigureId.FIG7: ({}, ("pb_power_w", "charging_radius_m"), 0, _fig7_curves),
+    FigureId.FIG8: ({}, ("pb_power_w", "charging_radius_m"), 20_000, _fig8_curves),
 }
 
 
 def run_figure(spec: ExperimentSpec, workers: int = 1) -> dict:
     """Produce one figure's CSV set plus manifest.json in spec.output_dir.
 
-    Returns the manifest mapping, whose trials is the budget the figure
-    ran. Reruns with an identical spec produce byte-identical files
-    regardless of worker count. A figure that runs no Monte Carlo refuses
-    any trial count but 0 and any worker count but 1.
+    Returns the manifest mapping: params holds the resolved value of every
+    config key the figure reads, seed is None for a figure that runs no
+    Monte Carlo, and trials is the budget the figure ran. Reruns with an
+    identical spec produce byte-identical files regardless of worker count.
+    A figure that runs no Monte Carlo refuses any trial count but 0, any
+    worker count but 1 and any seed but the default; an override of a key
+    the figure sweeps or never reads is refused. Every refusal comes before
+    any output is written.
     """
-    figure_values, budget, build = _FIGURES[spec.figure_id]
+    figure_values, unread, budget, build = _FIGURES[spec.figure_id]
+    fig = spec.figure_id.value
     trials = spec.trials
     mcsim._check_trials(trials, 0)
     mcsim._check_seed(spec.seed)
     mcsim._check_workers(workers)
-    for name, value, idle in (("trials", trials, 0), ("workers", workers, 1)):
+    for name, value, idle in (("trials", trials, 0), ("workers", workers, 1),
+                              ("seed", spec.seed, _DEFAULT_SEED)):
         if value != idle and not budget:
-            raise ConfigError(
-                f"{spec.figure_id.value} runs no Monte Carlo; {name} must be "
-                f"{idle}, got {value!r}"
-            )
+            raise ConfigError(f"{fig} runs no Monte Carlo; {name} must be {idle}, got {value!r}")
     out_dir = Path(spec.output_dir)
     _check_out_dir(out_dir)
     trials = trials or budget
-    values = {**_FIGURE_BASE, **figure_values}
-    _read_config(values, overrides=spec.overrides)
-    params = scenario.params_from_mapping(values)  # fail fast on bad overrides
+    overrides: dict = {}
+    _read_config(overrides, overrides=spec.overrides)
+    refused = [key for key in unread if key in overrides]
+    if refused:
+        raise ConfigError(
+            f"{fig} sweeps or never reads {', '.join(map(repr, refused))}; drop the override"
+        )
+    params = scenario.params_from_mapping({**figure_values, **overrides})
     if spec.figure_id in (FigureId.FIG7, FigureId.FIG8):  # before any optimum or trial
-        _reach_threshold(params.power_threshold, f"{spec.figure_id.value} optimizes reach")
+        _reach_threshold(params.power_threshold, f"{fig} optimizes reach")
     sink = _CsvSink()
-    build(values, spec.seed, trials, sink, workers)
+    build(params, spec.seed, trials, sink, workers)
     listing = sink.write(out_dir)
-    inputs = {
-        "figure": spec.figure_id.value,
-        "values": values,
-        "seed": spec.seed,
-        "trials": trials,
-    }
-    manifest = {
-        "figure": spec.figure_id.value,
-        "params": values,
-        "seed": spec.seed,
-        "trials": trials,
-        "content_hash": hashlib.sha256(
-            json.dumps(inputs, sort_keys=True).encode()
-        ).hexdigest(),
-        "files": listing,
-        "versions": {"beamharvest": __version__, "numpy": np.__version__},
-    }
+    read = {k: v for k, v in scenario.params_to_mapping(params).items() if k not in unread}
+    manifest = {"figure": fig, "params": read, "seed": spec.seed if budget else None,
+                "trials": trials}
+    manifest["content_hash"] = hashlib.sha256(
+        json.dumps(manifest, sort_keys=True).encode()
+    ).hexdigest()
+    manifest["files"] = listing
+    manifest["versions"] = {"beamharvest": __version__, "numpy": np.__version__}
     mcsim._write_new(
         out_dir / "manifest.json", [json.dumps(manifest, sort_keys=True, indent=2) + "\n"]
     )

@@ -623,12 +623,6 @@ def _exact_zone_radius(params: ScenarioParams) -> float:
     return max(3.0 * params.charging_radius, r_var)
 
 
-def _run_window(params: ScenarioParams) -> tuple[float, float]:
-    """The beacon window a run draws over, and the far-tail mean it adds."""
-    window = _exact_zone_radius(params)
-    return window, _tail_mean(params, window)
-
-
 def _tail_mean(params: ScenarioParams, radius: float) -> float:
     """Expected power from all beacons beyond radius (>= 1); exact for every
     scheme because the average gain toward any fixed direction is 1."""
@@ -1030,7 +1024,7 @@ def _run_batches(params: ScenarioParams, config: SimConfig, lanes: int) -> np.nd
     one batch, else on the process pool (_pool_map). A batch's samples
     depend only on its trials' keys, so not on the lane count."""
     n = config.trials
-    window, tail = _run_window(params)
+    window = _exact_zone_radius(params)
     try:
         out = np.empty(n, dtype=np.float64)
     except MemoryError:
@@ -1047,7 +1041,7 @@ def _run_batches(params: ScenarioParams, config: SimConfig, lanes: int) -> np.nd
         results = _pool_map(lanes, batch, starts)
     for lo, powers in zip(starts, results):
         out[lo : lo + len(powers)] = powers
-    out += tail
+    out += _tail_mean(params, window)
     return out
 
 

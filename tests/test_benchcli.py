@@ -114,14 +114,12 @@ def test_derive_seed_is_stable():
 
 
 def test_run_figure_fig5_outputs(tmp_path):
-    spec = ExperimentSpec(
-        figure_id=FigureId.FIG5, output_dir=str(tmp_path / "a"), seed=3
-    )
+    spec = ExperimentSpec(figure_id=FigureId.FIG5, output_dir=str(tmp_path / "a"))
     manifest = run_figure(spec)
     out = tmp_path / "a"
     assert (out / "manifest.json").exists()
     assert manifest["figure"] == "Fig5"
-    assert manifest["seed"] == 3
+    assert manifest["seed"] is None  # closed forms only: no seed is drawn from
     for name, digest in manifest["files"].items():
         body = (out / name).read_text()
         assert hashlib.sha256(body.encode()).hexdigest() == digest
@@ -137,11 +135,7 @@ def test_run_figure_fig5_outputs(tmp_path):
 
 def test_run_figure_is_byte_stable(tmp_path):
     for d in ("x", "y"):
-        run_figure(
-            ExperimentSpec(
-                figure_id=FigureId.FIG5, output_dir=str(tmp_path / d), seed=9
-            )
-        )
+        run_figure(ExperimentSpec(figure_id=FigureId.FIG5, output_dir=str(tmp_path / d)))
     for name in (tmp_path / "x").iterdir():
         twin = tmp_path / "y" / name.name
         assert twin.read_bytes() == name.read_bytes()
@@ -167,20 +161,28 @@ def test_run_figure_worker_invariant(tmp_path):
 
 
 #: sha256 over the sorted "name sha256" lines of every file (CSVs and
-#: manifest.json) that each figure writes at seed 11 with PINNED_TRIALS and
-#: the manifest's version fields set to "pinned". Fig5-Fig7 were re-recorded
-#: when their manifests' trials went from 20000 to 0, the budget they run.
+#: manifest.json) that each figure writes with PINNED_TRIALS, at seed 11
+#: where it runs Monte Carlo and the default seed elsewhere, and with the
+#: manifest's version fields set to "pinned". All seven were re-recorded
+#: when the manifests' params came to hold only the keys a figure reads and
+#: Fig5-Fig7's seed became null; every CSV kept its bytes.
 FIGURE_PINS = {
-    "Fig2": "416278a3e2d0ef43c76d9fb4a585fef370d616d0727412a342c11f86c2d168c8",
-    "Fig3": "e41742e5705045dd7d9bf51c4a82e09a9d0a327a4704c790958ca8af636f0779",
-    "Fig4": "cbb603942a835f6bc0a3b984ac5ff06968af40387fa979fc1bb179caebf3b93c",
-    "Fig5": "f185cf22caafcc0588e6d80d027d4800fb80821c47ea7f77884a77b63e722512",
-    "Fig6": "ce2d0fbc2c357e03a221431b3056f3e40a2cb93629d473dff285c1f54368c0c6",
-    "Fig7": "06f426e2098b01c9b01bef78b86779a88ae25834670f943e0c8431010ce9fa0f",
-    "Fig8": "7413b52987591acb30472e3caf1b39fb66d2d6d537fd6b837295db9d355ed151",
+    "Fig2": "c92cabb3f9a596c805541b82498a83cc9566e84a5e72c9c37a54e2aed9a067f7",
+    "Fig3": "3194612abbcc53c338cab503bd94350dbf81a331fee33793c0d54c95c25e3376",
+    "Fig4": "7c25c2bf15616a978910be45efa4d1559d4d35496e4aea901a4d786a541c218b",
+    "Fig5": "416110eaf28eee8e60b17f8ba938dd050747e64c4780ae2212bb907dff6c1376",
+    "Fig6": "0b46518424543484af4ff5238ebdefe8793da3cd7dda8a279e65c85364f6df02",
+    "Fig7": "e65a5db01c6ed7b5149dd4a5f2de8456b7eca6882a7a3211a229272ce1472321",
+    "Fig8": "6c4c4ee6e045577ebaf96b3dba56ffb72480c8d27e47d973e61324751805f838",
 }
 PINNED_TRIALS = {FigureId.FIG2: 300, FigureId.FIG3: 40, FigureId.FIG4: 40,
                  FigureId.FIG8: 20}
+
+
+def _pinned_spec(fid: FigureId, out: Path) -> ExperimentSpec:
+    if fid in PINNED_TRIALS:
+        return ExperimentSpec(fid, output_dir=str(out), seed=11, trials=PINNED_TRIALS[fid])
+    return ExperimentSpec(fid, output_dir=str(out))
 
 
 def test_run_figure_bytes_are_pinned(tmp_path, monkeypatch):
@@ -191,10 +193,7 @@ def test_run_figure_bytes_are_pinned(tmp_path, monkeypatch):
     digests = {}
     for fid in FigureId:
         out = tmp_path / fid.value
-        run_figure(
-            ExperimentSpec(fid, output_dir=str(out), seed=11,
-                           trials=PINNED_TRIALS.get(fid, 0))
-        )
+        run_figure(_pinned_spec(fid, out))
         lines = [
             f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}"
             for p in sorted(out.iterdir())
@@ -247,10 +246,79 @@ def test_cli_figure_rejects_bad_trials(tmp_path, capsys):
 
 def test_figure_base_tables_cover_all_ids():
     assert set(benchcli._FIGURES) == set(FigureId)
-    for values, budget, build in benchcli._FIGURES.values():
-        # a valid scenario, over the same base run_figure uses
-        scenario.params_from_mapping({**benchcli._FIGURE_BASE, **values})
+    for values, unread, budget, build in benchcli._FIGURES.values():
+        scenario.params_from_mapping(values)  # a valid scenario
+        # a figure's own value is one it reads, and every unread key is a key
+        assert not set(values) & set(unread)
+        assert set(unread) <= set(scenario.CONFIG_KEYS)
         assert isinstance(budget, int) and budget >= 0 and callable(build)
+
+
+#: A valid value for each key a figure may leave unread, away from its default.
+_MOVED = {"pb_power_w": 7.0, "sn_density_per_m2": 0.5, "sectors": 6,
+          "charging_radius_m": 1.5, "power_threshold_w": 5e-4}
+
+
+@pytest.mark.parametrize("fid", list(FigureId), ids=lambda f: f.value)
+def test_unread_keys_move_no_output(fid):
+    # the reason a figure refuses them: a builder given a scenario with one
+    # unread key moved writes the same bytes as at the figure's scenario
+    values, unread, budget, build = benchcli._FIGURES[fid]
+    trials = PINNED_TRIALS.get(fid, 0)
+
+    def files(**moved):
+        sink = benchcli._CsvSink()
+        params = scenario.params_from_mapping({**values, **moved})
+        build(params, 11, trials, sink, 1)
+        return sink.files
+
+    base = files()
+    for key in unread:
+        assert files(**{key: _MOVED[key]}) == base, key
+
+
+_REFUSED = [(fid, key) for fid, (_, unread, _, _) in benchcli._FIGURES.items() for key in unread]
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("fid, key", _REFUSED, ids=[f"{f.value}-{k}" for f, k in _REFUSED])
+def test_figure_refuses_a_key_it_does_not_read(fid, key, via, tmp_path, capsys):
+    out = tmp_path / "out"
+    if via == "set":
+        args = ["--set", f"{key}={_MOVED[key]}"]
+    else:
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(f"{key} = {_MOVED[key]}\n")
+        args = ["--config", str(cfg)]
+    assert main(["figure", fid.value.lower(), *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {fid.value} sweeps or never reads {key!r}; drop the override"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fig", ["Fig5", "Fig6", "Fig7"])
+def test_closed_form_figures_refuse_a_seed(fig, tmp_path, capsys):
+    # no Monte Carlo, so no seed is drawn from: one but the default is refused
+    out = tmp_path / fig
+    assert main(["figure", fig.lower(), "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {fig} runs no Monte Carlo; seed must be 20260819, got 3"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fid", list(FigureId), ids=lambda f: f.value)
+def test_figure_takes_sigma_linear_alone(fid, tmp_path, capsys):
+    # the attenuation given alone drops the default wavelength, as in simulate
+    out = tmp_path / fid.value
+    trials = ["--trials", "20"] if fid in PINNED_TRIALS else []
+    assert main(["figure", fid.value.lower(), "--set", "sigma_linear=7e-05",
+                 *trials, "--out", str(out)]) == 0
+    capsys.readouterr()
+    params = json.loads((out / "manifest.json").read_text())["params"]
+    assert params["sigma_linear"] == 7e-05
+    # the manifest records every key the figure reads, and no wavelength
+    unread = benchcli._FIGURES[fid][1]
+    assert set(params) == set(scenario.CONFIG_KEYS) - set(unread) - {"wavelength_m"}
 
 
 def _record_run_trials(monkeypatch, fake=False):
@@ -272,10 +340,7 @@ def test_manifest_trials_is_the_budget_the_figure_ran(tmp_path, monkeypatch):
     calls = _record_run_trials(monkeypatch)
     for fid in FigureId:
         calls.clear()
-        manifest = run_figure(ExperimentSpec(
-            fid, output_dir=str(tmp_path / fid.value), seed=11,
-            trials=PINNED_TRIALS.get(fid, 0),
-        ))
+        manifest = run_figure(_pinned_spec(fid, tmp_path / fid.value))
         assert manifest["trials"] == PINNED_TRIALS.get(fid, 0)
         assert [c.trials for c in calls] == [manifest["trials"]] * len(calls)
         assert bool(calls) == (fid in PINNED_TRIALS)
@@ -531,7 +596,7 @@ def test_cli_figure_unknown_id(capsys):
 
 def test_cli_figure_fig5(tmp_path, capsys):
     out = tmp_path / "f5"
-    assert main(["figure", "fig5", "--out", str(out), "--seed", "2"]) == 0
+    assert main(["figure", "fig5", "--out", str(out)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["figure"] == "Fig5"
     assert (out / "manifest.json").exists()
@@ -585,14 +650,14 @@ def _link_outputs(out: Path, names, keep: Path) -> dict:
 
 def test_figure_rerun_writes_new_files(tmp_path):
     out = tmp_path / "f5"
-    run_figure(ExperimentSpec(FigureId.FIG5, output_dir=str(out), seed=3))
+    run_figure(ExperimentSpec(FigureId.FIG5, output_dir=str(out)))
     old = _link_outputs(out, ("fig5a_rho_star.csv", "manifest.json"), tmp_path / "keep")
     (tmp_path / "outside.csv").write_bytes(b"outside\n")
     (out / "fig5b_estar_pp2.0.csv").unlink()
     (out / "fig5b_estar_pp2.0.csv").symlink_to(tmp_path / "outside.csv")
     # a longer junk file at an output name must not leave a tail behind
     (out / "fig5b_estar_pp4.0.csv").write_bytes(b"junk," * 20_000)
-    spec = ExperimentSpec(FigureId.FIG5, overrides=("sn_density_per_m2=0.4",), seed=4)
+    spec = ExperimentSpec(FigureId.FIG5, overrides=("sn_density_per_m2=0.4",))
     fresh = tmp_path / "fresh"
     manifest = run_figure(dataclasses.replace(spec, output_dir=str(out)))
     run_figure(dataclasses.replace(spec, output_dir=str(fresh)))
@@ -626,12 +691,15 @@ def test_simulate_rerun_writes_new_files(tmp_path, capsys, exact_zone):
 
 def test_cli_figure_reads_config_file(tmp_path, capsys):
     cfg = tmp_path / "f.cfg"
-    cfg.write_text("pb_power_w = 99  # overrides the figure's 2.0\nsectors = 3\n")
-    args = ["figure", "fig5", "--config", str(cfg), "--set", "sectors=5"]
+    cfg.write_text("path_loss_exp = 3.5  # overrides the default 3.0\nsn_density_per_m2 = 0.3\n")
+    args = ["figure", "fig5", "--config", str(cfg), "--set", "sn_density_per_m2=0.5"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     params = json.loads(capsys.readouterr().out)["params"]
-    assert params["pb_power_w"] == 99.0
-    assert params["sectors"] == 5  # --set wins over the file
+    assert params["path_loss_exp"] == 3.5
+    assert params["sn_density_per_m2"] == 0.5  # --set wins over the file
+    # the manifest holds the keys Fig5 reads, resolved
+    assert sorted(params) == ["path_loss_exp", "pb_density_per_m2", "sigma_linear",
+                              "sn_density_per_m2", "wavelength_m"]
     # only scenario keys: a figure fixes its own trial budget
     cfg.write_text("trials = 10\n")
     assert main(["figure", "fig5", "--config", str(cfg), "--out", str(tmp_path)]) == 2
